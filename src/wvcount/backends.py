@@ -29,18 +29,25 @@ from .semantics import (
 
 
 class InternalBackend:
-    """Brute-force solver over the in-process semantics, capped."""
+    """Brute-force solver over the in-process semantics, capped.
+
+    The backend keeps one answer-set memo for its whole life: a plain
+    component enumerated once is not enumerated again, whichever atoms it
+    is over.  The counting drivers build a fresh backend per call unless
+    one is passed in, so the memo spans one run.
+    """
 
     def __init__(self, answer_cap: int = 24, wv_cap: int = 12):
         self.answer_cap = answer_cap
         self.wv_cap = wv_cap
+        self._memo = {}
 
     def as_exists(self, program: Program) -> bool:
-        return bool(answer_sets(program, self.answer_cap))
+        return bool(answer_sets(program, self.answer_cap, self._memo))
 
     def as_forbid_all(self, program: Program, wvi: WVI) -> bool:
         """True iff every answer set satisfies every decided literal."""
-        for m in answer_sets(program, self.answer_cap):
+        for m in answer_sets(program, self.answer_cap, self._memo):
             if wvi.true & ~m or wvi.false & m:
                 return False
         return True
@@ -49,11 +56,13 @@ class InternalBackend:
         if program.is_plain:
             # A plain program has at most one world view; the WVI extends
             # to it exactly when compatibility holds over its domain.
-            return check_compatibility(wvi, answer_sets(program, self.answer_cap))
+            return check_compatibility(
+                wvi, answer_sets(program, self.answer_cap, self._memo)
+            )
         adjoined = with_wvi_constraints(program, wvi)
         return (
             count_world_views_bruteforce(
-                adjoined, EMPTY_WVI, self.wv_cap, self.answer_cap
+                adjoined, EMPTY_WVI, self.wv_cap, self.answer_cap, self._memo
             )
             > 0
         )
@@ -63,7 +72,7 @@ class InternalBackend:
             return 1 if self.wv_exists(program, wvi) else 0
         adjoined = with_wvi_constraints(program, wvi)
         return count_world_views_bruteforce(
-            adjoined, EMPTY_WVI, self.wv_cap, self.answer_cap
+            adjoined, EMPTY_WVI, self.wv_cap, self.answer_cap, self._memo
         )
 
     # spec-facing entry points

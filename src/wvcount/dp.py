@@ -423,6 +423,11 @@ def _nested_count(depth: int, program: Program, assumption: WVI, ctx: _Ctx) -> i
     if info.eats_mask == 0:
         return _verify_assumption(program, assumption, ctx)
     thr = ctx.thresholds
+    if depth and depth >= thr.depth:
+        # Past the cap the base solver takes the subproblem whatever its
+        # width, so no decomposition is built; depth 0 builds one for stats.
+        ctx.stats.backend_calls += 1
+        return ctx.backend.count_wv(program, assumption)
     primal_td = build_td(primal_graph(program), ctx.heuristic, ctx.seed)
     if depth == 0:
         ctx.stats.primal_width = primal_td.width

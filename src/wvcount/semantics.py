@@ -75,13 +75,27 @@ def _compile_masks(rules, atom_list):
     return heads, bpos, bneg
 
 
-def _answer_sets_whole(program: Program) -> list[int]:
-    """Single enumeration over all atoms, without component splitting."""
+def _answer_sets_whole(program: Program, memo=None) -> list[int]:
+    """Single enumeration over all atoms, without component splitting.
+
+    ``memo`` maps a compiled program (its dense local masks) to its local
+    answer sets.  Programs that differ only in their atom names share an
+    entry, and each hit maps the cached sets back to its own atoms.
+    Threads may share a memo without a lock: two that miss on one key both
+    enumerate it and store equal lists, which are never mutated.
+    """
     if any(r.ats_mask == 0 for r in program.rules):
         return []  # a bare constraint has no model
     atom_list = sorted(bits(program.ats_mask))
     heads, bpos, bneg = _compile_masks(program.rules, atom_list)
-    local_sets = kernel.answer_sets_masks(heads, bpos, bneg, len(atom_list))
+    if memo is None:
+        local_sets = kernel.answer_sets_masks(heads, bpos, bneg, len(atom_list))
+    else:
+        key = (tuple(heads), tuple(bpos), tuple(bneg))
+        local_sets = memo.get(key)
+        if local_sets is None:
+            local_sets = kernel.answer_sets_masks(heads, bpos, bneg, len(atom_list))
+            memo[key] = local_sets
     out = []
     for m in local_sets:
         g = 0
@@ -122,12 +136,14 @@ def _components(program: Program):
     return [(masks[k], groups[k]) for k in sorted(masks, key=lambda k: masks[k] & -masks[k])]
 
 
-def answer_sets(program: Program, cap: int = 24) -> list[int]:
+def answer_sets(program: Program, cap: int = 24, memo=None) -> list[int]:
     """All answer sets of a plain program, as sorted interpretation masks.
 
     Disconnected parts of the program are enumerated separately and
     recombined; answer sets of a disjoint union are exactly the unions of
-    per-part answer sets.  The cap bounds the total atom count.
+    per-part answer sets.  The cap bounds the total atom count.  An
+    optional ``memo`` dict reuses the enumeration of parts already seen
+    (see ``_answer_sets_whole``).
     """
     if not program.is_plain:
         raise NotPlainError("answer sets are defined for plain programs only")
@@ -142,7 +158,7 @@ def answer_sets(program: Program, cap: int = 24) -> list[int]:
         return [0]
     result = [0]
     for mask, rules in _components(program):
-        part = _answer_sets_whole(Program(program.atoms, tuple(rules)))
+        part = _answer_sets_whole(Program(program.atoms, tuple(rules)), memo)
         if not part:
             return []
         result = [base | extra for base in result for extra in part]
@@ -245,7 +261,7 @@ def is_plausible(wvi: WVI, program: Program) -> bool:
 
 
 def enumerate_world_views(
-    program: Program, eats_cap: int = 12, atoms_cap: int = 24
+    program: Program, eats_cap: int = 12, atoms_cap: int = 24, memo=None
 ) -> list[WVI]:
     """All world views of a program, by exhausting the 3^k guesses over its
     epistemic atoms.  Each guess extends uniquely to a WVI over all atoms
@@ -309,7 +325,9 @@ def enumerate_world_views(
                 if picked & 1:
                     kept.append(entry[4])
                 picked >>= 1
-            sets = answer_sets(Program(program.atoms, tuple(kept)), cap=atoms_cap)
+            sets = answer_sets(
+                Program(program.atoms, tuple(kept)), cap=atoms_cap, memo=memo
+            )
             cache[alive] = sets
         if not sets:
             continue
@@ -330,9 +348,13 @@ def query_agrees(query: WVI, world_view: WVI) -> bool:
 
 
 def count_world_views_bruteforce(
-    program: Program, query: WVI = EMPTY_WVI, eats_cap: int = 12, atoms_cap: int = 24
+    program: Program,
+    query: WVI = EMPTY_WVI,
+    eats_cap: int = 12,
+    atoms_cap: int = 24,
+    memo=None,
 ) -> int:
-    wvs = enumerate_world_views(program, eats_cap, atoms_cap)
+    wvs = enumerate_world_views(program, eats_cap, atoms_cap, memo)
     return sum(1 for w in wvs if query_agrees(query, w))
 
 

@@ -328,3 +328,102 @@ def test_threshold_validation():
         Thresholds(hybrid=2, abstr=5)
     with pytest.raises(ValueError):
         Thresholds(depth=-1)
+
+
+def test_no_decomposition_at_the_depth_cap(monkeypatch, running):
+    # Subproblems at depth >= Thresholds.depth >= 1 go to the base solver
+    # whatever their width, so no primal graph or decomposition is built.
+    import wvcount.dp as dp_mod
+
+    depths = []
+    builds = []
+    capped = []
+    nested = dp_mod._nested_count
+    build = dp_mod.build_td
+
+    def nested_spy(depth, program, assumption, ctx):
+        if depth >= ctx.thresholds.depth and program.eats_mask:
+            capped.append(depth)
+        depths.append(depth)
+        try:
+            return nested(depth, program, assumption, ctx)
+        finally:
+            depths.pop()
+
+    def build_spy(*args, **kwargs):
+        builds.append(depths[-1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dp_mod, "_nested_count", nested_spy)
+    monkeypatch.setattr(dp_mod, "build_td", build_spy)
+    programs = [running] + [gen_random_elp(8, 5, 10, seed) for seed in range(10)]
+    for cap in (1, 2):
+        thr = Thresholds(hybrid=99, abstr=0, depth=cap)
+        capped.clear()
+        builds.clear()
+        for prog in programs:
+            assert count_world_views(prog, thresholds=thr) == (
+                count_world_views_bruteforce(prog)
+            )
+        assert capped, "no subproblem reached the depth cap"
+        assert builds and max(builds) < cap
+
+
+def _spy_kernel(monkeypatch):
+    import wvcount.kernel as kernel_mod
+
+    calls = []
+    enumerate_masks = kernel_mod.answer_sets_masks
+
+    def spy(heads, bpos, bneg, n_atoms):
+        calls.append((tuple(heads), tuple(bpos), tuple(bneg), n_atoms))
+        return enumerate_masks(heads, bpos, bneg, n_atoms)
+
+    monkeypatch.setattr(kernel_mod, "answer_sets_masks", spy)
+    return calls
+
+
+def test_answer_set_memo_enumerates_each_component_once(monkeypatch):
+    from wvcount.bench import gen_scholarship
+
+    calls = _spy_kernel(monkeypatch)
+    assert count_world_views(gen_scholarship(40, "classic", 3)) == 1
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_answer_set_memo_lives_for_one_run(monkeypatch):
+    from wvcount.bench import gen_scholarship
+
+    calls = _spy_kernel(monkeypatch)
+    prog = gen_scholarship(40, "many", 3)
+    first = count_world_views(prog)
+    per_run = len(calls)
+    assert count_world_views(prog) == first
+    assert per_run > 0 and len(calls) == 2 * per_run
+
+
+def test_reused_backend_agrees_with_oracle():
+    # Cached local answer sets are mapped back onto the atoms of each new
+    # program that compiles to the same masks.
+    backend = InternalBackend()
+    for seed in range(10):
+        prog = gen_random_elp(8, 5, 10, seed)
+        expected = count_world_views_bruteforce(prog)
+        for thr in THRESHOLD_GRID:
+            assert count_world_views(prog, thresholds=thr, backend=backend) == expected
+    assert backend._memo
+
+
+def test_pool_threads_share_the_memo():
+    import sys
+
+    backend = InternalBackend()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(6):
+            prog = gen_random_elp(8, 5, 10, seed)
+            got = count_world_views(prog, jobs=8, backend=backend)
+            assert got == count_world_views_bruteforce(prog)
+    finally:
+        sys.setswitchinterval(interval)
