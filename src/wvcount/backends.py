@@ -28,7 +28,27 @@ from .semantics import (
 )
 
 
-class InternalBackend:
+class BackendBase:
+    """The spec-facing entry points every backend shares: each maps a mode
+    name to one of the four operations ``count_wv``, ``wv_exists``,
+    ``as_exists`` and ``as_forbid_all`` that the backend provides."""
+
+    def solve_asp(self, program: Program, mode: str, wvi: WVI = EMPTY_WVI) -> bool:
+        if mode == "exists":
+            return self.as_exists(program)
+        if mode == "forbid_all":
+            return self.as_forbid_all(program, wvi)
+        raise ValueError("unknown ASP mode %r" % mode)
+
+    def solve_elp(self, program: Program, mode: str, wvi: WVI = EMPTY_WVI):
+        if mode == "wv_exists":
+            return self.wv_exists(program, wvi)
+        if mode == "count_wv":
+            return self.count_wv(program, wvi)
+        raise ValueError("unknown ELP mode %r" % mode)
+
+
+class InternalBackend(BackendBase):
     """Brute-force solver over the in-process semantics, capped.
 
     The backend keeps one answer-set memo for its whole life: a plain
@@ -75,21 +95,6 @@ class InternalBackend:
             adjoined, EMPTY_WVI, self.wv_cap, self.answer_cap, self._memo
         )
 
-    # spec-facing entry points
-    def solve_asp(self, program: Program, mode: str, wvi: WVI = EMPTY_WVI) -> bool:
-        if mode == "exists":
-            return self.as_exists(program)
-        if mode == "forbid_all":
-            return self.as_forbid_all(program, wvi)
-        raise ValueError("unknown ASP mode %r" % mode)
-
-    def solve_elp(self, program: Program, mode: str, wvi: WVI = EMPTY_WVI):
-        if mode == "wv_exists":
-            return self.wv_exists(program, wvi)
-        if mode == "count_wv":
-            return self.count_wv(program, wvi)
-        raise ValueError("unknown ELP mode %r" % mode)
-
 
 @dataclass
 class BackendConfig:
@@ -114,7 +119,7 @@ class BackendConfig:
             raise ValueError("parse mode must be 'count' or 'sat'")
 
 
-class ExternalBackend:
+class ExternalBackend(BackendBase):
     """Subprocess adapter for one external solver role."""
 
     def __init__(self, config: BackendConfig):
@@ -194,22 +199,8 @@ class ExternalBackend:
                 return False
         return True
 
-    def solve_asp(self, program: Program, mode: str, wvi: WVI = EMPTY_WVI) -> bool:
-        if mode == "exists":
-            return self.as_exists(program)
-        if mode == "forbid_all":
-            return self.as_forbid_all(program, wvi)
-        raise ValueError("unknown ASP mode %r" % mode)
 
-    def solve_elp(self, program: Program, mode: str, wvi: WVI = EMPTY_WVI):
-        if mode == "wv_exists":
-            return self.wv_exists(program, wvi)
-        if mode == "count_wv":
-            return self.count_wv(program, wvi)
-        raise ValueError("unknown ELP mode %r" % mode)
-
-
-class StackedBackend:
+class StackedBackend(BackendBase):
     """External backend for the operations its parse mode supports, with
     the internal backend covering the rest."""
 

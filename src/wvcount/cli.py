@@ -13,7 +13,7 @@ import sys
 import time
 
 from .backends import BackendConfig, ExternalBackend, InternalBackend, StackedBackend
-from .bench import GenSpec, gen_random_3cnf, gen_random_elp, gen_scholarship, run_harness
+from .bench import GenSpec, run_harness
 from .decomp import build_td, make_nice, td_stats, validate_td
 from .dp import RunStats, Thresholds, acceptance_probability, count_world_views
 from .errors import (
@@ -28,7 +28,6 @@ from .model import EMPTY_WVI, mask_of
 from .parser import parse_program, parse_query, program_to_text
 from .semantics import (
     classify_atoms,
-    cnf_to_elp,
     count_world_views_bruteforce,
     enumerate_world_views,
 )
@@ -218,16 +217,16 @@ def _cmd_td(args):
 
 
 def _cmd_gen(args):
-    if args.family in ("classic", "large", "many"):
-        mode = "classic" if args.family == "large" else args.family
-        program = gen_scholarship(args.n, mode, args.seed)
-    elif args.family == "random":
-        program = gen_random_elp(args.atoms, args.epistemic, args.rules, args.seed)
-    elif args.family == "random3cnf":
-        clauses = gen_random_3cnf(args.vars, args.clauses, args.seed)
-        program = cnf_to_elp(args.vars, clauses)
-    else:  # pragma: no cover - argparse restricts choices
-        raise WvcountError("unknown family")
+    program = GenSpec(
+        family=args.family,
+        n=args.n,
+        atoms=args.atoms,
+        epistemic=args.epistemic,
+        rules=args.rules,
+        num_vars=args.vars,
+        clauses=args.clauses,
+        seed=args.seed,
+    ).build()
     text = program_to_text(program)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -9,6 +9,10 @@ recursive call; remove nodes project and sum; join nodes match rows and
 multiply.  Recursion bottoms out in direct answer-set checks or a base
 solver, steered by width and depth thresholds that change routing but
 never results.
+
+Both drivers take one route: ``count_world_views`` and
+``acceptance_probability`` call the router ``_nested_count``, which
+returns a world-view count together with its query count.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ from .graphs import (
     nested_primal_graph,
     primal_graph,
 )
-from .model import EMPTY_WVI, Epistemic, Literal, Program, Rule, WVI, bits, mask_of
+from .model import EMPTY_WVI, Epistemic, Program, Rule, WVI, bits, mask_of
 from .semantics import (
     classify_atoms,
     epistemic_reduct,
+    query_constraint,
     with_query_constraints,
     with_wvi_constraints,
 )
@@ -255,10 +260,7 @@ def _prepare_nodes(program, a_mask, nice, query: Optional[WVI]):
     query_by_node: dict[int, list[Rule]] = {}
     if query is not None:
         for lit in query.decided_literals():
-            if lit.positive:
-                constraint = Rule((), (Epistemic(False, lit),))
-            else:
-                constraint = Rule((), (Epistemic(True, Literal(lit.atom, True)),))
+            constraint = query_constraint(lit)
             if a_mask & (1 << lit.atom):
                 query_by_atom.setdefault(lit.atom, []).append(constraint)
             else:
@@ -310,12 +312,13 @@ def _nested_verify(depth, base_rules, extra, table, wvi, assumption, ctx):
     # defining rules dropped out are underivable, so e.g. an assumed-true
     # atom must fail here rather than slip through.
     ctx.stats.nested_calls += 1
-    return _nested_count(depth + 1, sub, assumption, ctx)
+    return _nested_count(depth + 1, sub, assumption, ctx)[0]
 
 
 def _run_tables(depth, program, a_mask, assumption, query, ctx):
     """Dynamic programming over a nice decomposition of the nested primal
-    graph; returns total count and, when a query is given, query count."""
+    graph; returns the count and the query count (the count again when no
+    query is given)."""
     nice = make_nice(build_td(nested_primal_graph(program, a_mask), ctx.heuristic, ctx.seed))
     if depth == 0:
         ctx.stats.dp_width = nice.width
@@ -398,12 +401,27 @@ def _intr_table(depth, program, nd, atom, child, assumption, with_q, ctx):
     return {key: val for item in results if item is not None for key, val in [item]}
 
 
-def _nested_count(depth: int, program: Program, assumption: WVI, ctx: _Ctx) -> int:
+def _base_case(program, assumption, query, ctx, count=None):
+    """``(count, query_count)`` from the backend; ``count`` when known
+    saves its call, and the query side costs a call only when non-zero."""
+    if count is None:
+        ctx.stats.backend_calls += 1
+        count = ctx.backend.count_wv(program, assumption)
+    if query is None or count == 0:
+        return count, count
+    ctx.stats.backend_calls += 1
+    return count, ctx.backend.count_wv(with_query_constraints(program, query), assumption)
+
+
+def _nested_count(depth, program, assumption, ctx, query=None):
     """Count the world views of ``program`` that agree exactly with the
-    assumption on its domain."""
+    assumption on its domain, and those of them that also agree with
+    ``query``; returns ``(count, query_count)``, the two equal when no
+    query is given.  The one router of both drivers.
+    """
     ctx.stats.max_depth = max(ctx.stats.max_depth, depth)
     if any(r.ats_mask == 0 for r in program.rules):
-        return 0  # a reduct left a bare falsity constraint: no answer sets
+        return 0, 0  # a bare falsity constraint, given or left by a reduct
     info = classify_atoms(program)
     overlap = assumption.domain & info.eats_mask
     if overlap:
@@ -418,23 +436,22 @@ def _nested_count(depth: int, program: Program, assumption: WVI, ctx: _Ctx) -> i
     gone = assumption.domain & ~info.ats_mask
     if gone:
         if (assumption.true | assumption.undecided) & gone:
-            return 0
+            return 0, 0
         assumption = assumption.restrict(info.ats_mask)
     if info.eats_mask == 0:
-        return _verify_assumption(program, assumption, ctx)
+        count = _verify_assumption(program, assumption, ctx)
+        return _base_case(program, assumption, query, ctx, count)
     thr = ctx.thresholds
     if depth and depth >= thr.depth:
         # Past the cap the base solver takes the subproblem whatever its
         # width, so no decomposition is built; depth 0 builds one for stats.
-        ctx.stats.backend_calls += 1
-        return ctx.backend.count_wv(program, assumption)
+        return _base_case(program, assumption, query, ctx)
     primal_td = build_td(primal_graph(program), ctx.heuristic, ctx.seed)
     if depth == 0:
         ctx.stats.primal_width = primal_td.width
         ctx.stats.eats_size = info.eats_mask.bit_count()
     if primal_td.width >= thr.hybrid or depth >= thr.depth:
-        ctx.stats.backend_calls += 1
-        return ctx.backend.count_wv(program, assumption)
+        return _base_case(program, assumption, query, ctx)
     a_mask = info.eats_mask
     if primal_td.width >= thr.abstr:
         a_mask = choose_abstraction(
@@ -442,8 +459,7 @@ def _nested_count(depth: int, program: Program, assumption: WVI, ctx: _Ctx) -> i
         )
     if depth == 0:
         ctx.stats.abstraction_size = a_mask.bit_count()
-    total, _ = _run_tables(depth, program, a_mask, assumption, None, ctx)
-    return total
+    return _run_tables(depth, program, a_mask, assumption, query, ctx)
 
 
 def _make_ctx(thresholds, backend, heuristic, seed, stats, jobs):
@@ -478,7 +494,7 @@ def count_world_views(
     target = program
     if query is not None and query.domain:
         target = with_query_constraints(program, query)
-    return _nested_count(0, target, assumption, ctx)
+    return _nested_count(0, target, assumption, ctx)[0]
 
 
 def acceptance_probability(
@@ -493,39 +509,11 @@ def acceptance_probability(
     assumption: WVI = EMPTY_WVI,
 ) -> Fraction:
     """Probability that a world view agrees with the query, as an exact
-    fraction; both counters come from a single table pass."""
+    fraction: the query count over the count, from one run of the router.
+    Raises ``NoWorldViews`` exactly when ``count_world_views`` under the
+    same assumption is 0."""
     ctx = _make_ctx(thresholds, backend, heuristic, seed, stats, jobs)
-    ctx.stats.max_depth = 0
-    info = classify_atoms(program)
-    overlap = assumption.domain & info.eats_mask
-    if overlap:
-        program = with_wvi_constraints(program, assumption.restrict(overlap))
-        assumption = assumption.restrict(~overlap)
-    thr = ctx.thresholds
-    if info.eats_mask == 0:
-        c = _verify_assumption(program, assumption, ctx)
-        if c == 0:
-            raise NoWorldViews("program has no world views")
-        ctx.stats.backend_calls += 1
-        q = ctx.backend.count_wv(with_query_constraints(program, query), assumption)
-        return Fraction(q, c)
-    primal_td = build_td(primal_graph(program), ctx.heuristic, ctx.seed)
-    ctx.stats.primal_width = primal_td.width
-    ctx.stats.eats_size = info.eats_mask.bit_count()
-    if primal_td.width >= thr.hybrid or 0 >= thr.depth:
-        ctx.stats.backend_calls += 2
-        c = ctx.backend.count_wv(program, assumption)
-        if c == 0:
-            raise NoWorldViews("program has no world views")
-        q = ctx.backend.count_wv(with_query_constraints(program, query), assumption)
-        return Fraction(q, c)
-    a_mask = info.eats_mask
-    if primal_td.width >= thr.abstr:
-        a_mask = choose_abstraction(
-            a_mask, program, thr.abstr, thr.abstraction_budget, ctx.seed, ctx.heuristic
-        )
-    ctx.stats.abstraction_size = a_mask.bit_count()
-    total_c, total_q = _run_tables(0, program, a_mask, assumption, query, ctx)
+    total_c, total_q = _nested_count(0, program, assumption, ctx, query)
     if total_c == 0:
         raise NoWorldViews("program has no world views")
     return Fraction(total_q, total_c)

@@ -205,16 +205,18 @@ def with_wvi_constraints(program: Program, wvi: WVI) -> Program:
     return program.extended(extra)
 
 
+def query_constraint(lit: Literal) -> Rule:
+    """The constraint for one decided query literal: a positive literal
+    must be known true, a negative one must not be known true (undecided
+    is acceptable)."""
+    if lit.positive:
+        return Rule((), (Epistemic(False, lit),))
+    return Rule((), (Epistemic(True, Literal(lit.atom, True)),))
+
+
 def with_query_constraints(program: Program, query: WVI) -> Program:
-    """Adjoin query constraints: positive literals must be known true,
-    negative ones must not be known true (undecided is acceptable)."""
-    extra = []
-    for lit in query.decided_literals():
-        if lit.positive:
-            extra.append(Rule((), (Epistemic(False, lit),)))
-        else:
-            extra.append(Rule((), (Epistemic(True, Literal(lit.atom, True)),)))
-    return program.extended(extra)
+    """Adjoin one ``query_constraint`` per decided query literal."""
+    return program.extended(query_constraint(lit) for lit in query.decided_literals())
 
 
 def check_compatibility(wvi: WVI, answer_set_masks) -> bool:

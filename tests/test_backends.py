@@ -208,3 +208,9 @@ def test_stacked_routing(running):
     assert stacked.count_wv(running, EMPTY_WVI) == 3
     # sat-side ops fall back to the internal backend
     assert stacked.as_exists(parse_program("a."))
+    # the spec entry points dispatch to whichever side serves the mode
+    assert stacked.solve_elp(running, "count_wv", EMPTY_WVI) == 3
+    assert stacked.solve_elp(running, "wv_exists", wvi_from_names(running.atoms, ["a"]))
+    assert not stacked.solve_asp(parse_program("a.\n:- a."), "exists")
+    with pytest.raises(ValueError):
+        stacked.solve_asp(running, "count_wv")

@@ -18,7 +18,7 @@ from wvcount.dp import (
     plausible_tables,
 )
 from wvcount.errors import NoWorldViews
-from wvcount.model import EMPTY_WVI, WVI, bits, mask_of
+from wvcount.model import EMPTY_WVI, WVI, Rule, bits, mask_of
 from wvcount.parser import parse_program
 from wvcount.semantics import (
     classify_atoms,
@@ -227,6 +227,17 @@ def test_oracle_equivalence_under_all_routings():
             assert count_world_views(prog, query=query, thresholds=thr) == expected_q
 
 
+def _random_assumption(rng, program):
+    """Up to two atoms of the whole table, objective and unmentioned ones
+    included, each assumed true, false or open."""
+    atoms = rng.sample(range(len(program.atoms.names)), 2)
+    dom = mask_of(atoms)
+    value = {a: rng.choice("tfo") for a in atoms}
+    true = mask_of(a for a in atoms if value[a] == "t")
+    false = mask_of(a for a in atoms if value[a] == "f")
+    return WVI(dom, true, false)
+
+
 def test_probability_equivalence_under_all_routings():
     rng = random.Random(2)
     for seed in range(40):
@@ -237,16 +248,32 @@ def test_probability_equivalence_under_all_routings():
             mask_of(lits),
             true=mask_of(l for l in lits if rng.random() < 0.5),
         )
+        assumed = _random_assumption(rng, prog)
         try:
             expected = probability_bruteforce(prog, query)
         except NoWorldViews:
             expected = None
-        for thr in THRESHOLD_GRID:
+        for thr in (None,) + THRESHOLD_GRID:
             try:
                 got = acceptance_probability(prog, query, thresholds=thr)
             except NoWorldViews:
                 got = None
             assert got == expected
+            # prob is count(query)/count() under the same assumption, and
+            # raises exactly when that count is 0
+            total = count_world_views(prog, thresholds=thr, assumption=assumed)
+            if total == 0:
+                with pytest.raises(NoWorldViews):
+                    acceptance_probability(
+                        prog, query, thresholds=thr, assumption=assumed
+                    )
+            else:
+                hits = count_world_views(
+                    prog, query=query, thresholds=thr, assumption=assumed
+                )
+                assert acceptance_probability(
+                    prog, query, thresholds=thr, assumption=assumed
+                ) == Fraction(hits, total)
 
 
 def test_probability_running(running):
@@ -261,6 +288,37 @@ def test_probability_no_world_views():
     prog = parse_program("a :- not b.\nb :- a.")
     with pytest.raises(NoWorldViews):
         acceptance_probability(prog, EMPTY_WVI)
+
+
+def test_probability_bare_falsity_constraint():
+    prog = parse_program("a :- not b.\nb :- not a.\nc :- -K a.\nz :- z.")
+    prog = prog.extended((Rule((), ()),))
+    q = wvi_from_names(prog.atoms, ["c"])
+    for thr in (None,) + THRESHOLD_GRID:
+        assert count_world_views(prog, thresholds=thr) == 0
+        with pytest.raises(NoWorldViews):
+            acceptance_probability(prog, q, thresholds=thr)
+
+
+def test_probability_assumption_on_unmentioned_atom():
+    prog = parse_program(
+        "a :- not b.\nb :- not a.\nc :- -K a.\nd :- K b, not e.\ne :- not d."
+    )
+    z = 1 << prog.atoms.intern("z")  # no rule mentions z
+    q = wvi_from_names(prog.atoms, ["c"])
+    routings = (None, Thresholds(hybrid=2, abstr=1, depth=2)) + THRESHOLD_GRID
+    for thr in routings:
+        for claim in (WVI(z, true=z), WVI(z)):  # z true, z open
+            assert count_world_views(prog, thresholds=thr, assumption=claim) == 0
+            with pytest.raises(NoWorldViews):
+                acceptance_probability(prog, q, thresholds=thr, assumption=claim)
+        falsity = WVI(z, false=z)
+        total = count_world_views(prog, thresholds=thr, assumption=falsity)
+        hits = count_world_views(prog, query=q, thresholds=thr, assumption=falsity)
+        assert (total, hits) == (3, 2)
+        assert acceptance_probability(
+            prog, q, thresholds=thr, assumption=falsity
+        ) == Fraction(hits, total)
 
 
 def test_counters_exact_big():
