@@ -189,17 +189,22 @@ def choose_abstraction(
     budget: int = 256,
     seed: int = 0,
     heuristic: str = "min-fill",
+    primal=None,
 ) -> int:
     """Shrink the abstraction until its nested graph decomposes below the
     width target, greedily dropping the atom whose removal leaves the
     fewest edges, then greedily re-adding atoms that still fit.  The
     budget bounds candidate evaluations, keeping the search deterministic.
+    Every candidate's nested graph is abstracted from one primal graph:
+    ``primal`` when given, else one built here.
     """
     if a_mask == 0:
         return 0
+    if primal is None:
+        primal = primal_graph(program)
 
     def width_of(mask):
-        return build_td(nested_primal_graph(program, mask), heuristic, seed).width
+        return build_td(nested_primal_graph(program, mask, primal), heuristic, seed).width
 
     steps = 0
     cur = a_mask
@@ -208,7 +213,7 @@ def choose_abstraction(
         best = cur
         for atom in bits(cur):
             cand = cur & ~(1 << atom)
-            key = (nested_primal_graph(program, cand).edge_count(), atom)
+            key = (nested_primal_graph(program, cand, primal).edge_count(), atom)
             steps += 1
             if best_key is None or key < best_key:
                 best_key, best = key, cand
@@ -236,10 +241,10 @@ class _NodeData:
     query_extra: tuple = ()  # query constraints resolved at this node
 
 
-def _prepare_nodes(program, a_mask, nice, query: Optional[WVI]):
+def _prepare_nodes(program, a_mask, nice, query: Optional[WVI], primal):
     """Attach bag programs, delegated rules, and query constraints to the
     introduce nodes of a nice decomposition."""
-    asg = assign_compatible_sets(program, a_mask, nice)
+    asg = assign_compatible_sets(program, a_mask, nice, primal)
     comp_of_atom = {}
     for idx, atoms in enumerate(asg.components):
         for a in atoms:
@@ -315,15 +320,17 @@ def _nested_verify(depth, base_rules, extra, table, wvi, assumption, ctx):
     return _nested_count(depth + 1, sub, assumption, ctx)[0]
 
 
-def _run_tables(depth, program, a_mask, assumption, query, ctx):
+def _run_tables(depth, program, a_mask, assumption, query, ctx, primal=None):
     """Dynamic programming over a nice decomposition of the nested primal
     graph; returns the count and the query count (the count again when no
     query is given)."""
-    nice = make_nice(build_td(nested_primal_graph(program, a_mask), ctx.heuristic, ctx.seed))
+    nice = make_nice(
+        build_td(nested_primal_graph(program, a_mask, primal), ctx.heuristic, ctx.seed)
+    )
     if depth == 0:
         ctx.stats.dp_width = nice.width
         ctx.stats.dp_nodes = nice.node_count
-    data = _prepare_nodes(program, a_mask, nice, query)
+    data = _prepare_nodes(program, a_mask, nice, query, primal)
     with_q = query is not None
     tables = {}
     for t in nice.postorder():
@@ -438,6 +445,12 @@ def _nested_count(depth, program, assumption, ctx, query=None):
         if (assumption.true | assumption.undecided) & gone:
             return 0, 0
         assumption = assumption.restrict(info.ats_mask)
+    # Likewise for query literals: such an atom is false in every answer
+    # set, so a positive literal fails and a negative one always holds.
+    if query is not None and query.domain & ~info.ats_mask:
+        if query.true & ~info.ats_mask:
+            return _nested_count(depth, program, assumption, ctx)[0], 0
+        query = query.restrict(info.ats_mask)
     if info.eats_mask == 0:
         count = _verify_assumption(program, assumption, ctx)
         return _base_case(program, assumption, query, ctx, count)
@@ -446,7 +459,8 @@ def _nested_count(depth, program, assumption, ctx, query=None):
         # Past the cap the base solver takes the subproblem whatever its
         # width, so no decomposition is built; depth 0 builds one for stats.
         return _base_case(program, assumption, query, ctx)
-    primal_td = build_td(primal_graph(program), ctx.heuristic, ctx.seed)
+    primal = primal_graph(program)  # the one build for this subproblem
+    primal_td = build_td(primal, ctx.heuristic, ctx.seed)
     if depth == 0:
         ctx.stats.primal_width = primal_td.width
         ctx.stats.eats_size = info.eats_mask.bit_count()
@@ -455,11 +469,12 @@ def _nested_count(depth, program, assumption, ctx, query=None):
     a_mask = info.eats_mask
     if primal_td.width >= thr.abstr:
         a_mask = choose_abstraction(
-            a_mask, program, thr.abstr, thr.abstraction_budget, ctx.seed, ctx.heuristic
+            a_mask, program, thr.abstr, thr.abstraction_budget, ctx.seed,
+            ctx.heuristic, primal,
         )
     if depth == 0:
         ctx.stats.abstraction_size = a_mask.bit_count()
-    return _run_tables(depth, program, a_mask, assumption, query, ctx)
+    return _run_tables(depth, program, a_mask, assumption, query, ctx, primal)
 
 
 def _make_ctx(thresholds, backend, heuristic, seed, stats, jobs):

@@ -103,19 +103,24 @@ def epistemic_primal_graph(program: Program) -> TaggedGraph:
     return g
 
 
-def nested_primal_graph(program: Program, a_mask: int) -> TaggedGraph:
+def nested_primal_graph(
+    program: Program, a_mask: int, primal: TaggedGraph | None = None
+) -> TaggedGraph:
     """Abstraction of the primal graph onto the epistemic atoms in a_mask.
 
     Two abstraction vertices are joined iff the primal graph connects them
     by a path whose interior avoids abstraction vertices.  (Interior
     vertices may be objective, or epistemic atoms left out of the
     abstraction; allowing the latter keeps every compatible set's
-    neighborhood a clique, so it always fits in one bag.)
+    neighborhood a clique, so it always fits in one bag.)  ``primal`` is
+    the program's primal graph when the caller already has it; it is only
+    read.
     """
     info = classify_atoms(program)
     if a_mask & ~info.eats_mask:
         raise WvcountError("abstraction atoms must be epistemic atoms")
-    primal = primal_graph(program)
+    if primal is None:
+        primal = primal_graph(program)
     g = TaggedGraph()
     targets = {(a, E_TAG) for a in bits(a_mask)}
     for v in sorted(targets):
@@ -154,10 +159,11 @@ class CompatAssignment:
     nested_bag_atoms: dict[int, int]
 
 
-def _primal_components(program: Program, a_mask: int):
+def _primal_components(program: Program, a_mask: int, primal=None):
     """Connected components of the primal graph after removing the
     abstraction e-vertices, projected to atoms, with their A-neighbors."""
-    primal = primal_graph(program)
+    if primal is None:
+        primal = primal_graph(program)
     removed = {(a, E_TAG) for a in bits(a_mask)}
     seen = set()
     comps = []
@@ -183,25 +189,44 @@ def _primal_components(program: Program, a_mask: int):
     return comps
 
 
-def assign_compatible_sets(program: Program, a_mask: int, td) -> CompatAssignment:
+def assign_compatible_sets(
+    program: Program, a_mask: int, td, primal: TaggedGraph | None = None
+) -> CompatAssignment:
     """Assign every compatible set to the first eligible node in post-order.
 
     Eligibility means the node's bag covers all the component's
     A-neighbors; on a nice decomposition only introduce nodes are
     eligible, because nested verification happens at introductions.
+
+    The eligible nodes are indexed once: each atom maps to the ascending
+    post-order positions of the eligible nodes whose bag holds it.  A
+    component scans only the list of its neighbor with the fewest entries.
+    Every node covering the neighborhood holds that neighbor, so the first
+    covering node on its list is the first covering node in post-order.
+    A component without neighbors goes to the first eligible node.
+    ``primal`` is the program's primal graph when the caller already has
+    it; it is only read.
     """
-    comps = _primal_components(program, a_mask)
+    comps = _primal_components(program, a_mask, primal)
     intr_only = getattr(td, "kind", None) is not None
     order = []
+    holding: dict[int, list[int]] = {}  # atom -> positions in order
     for t in td.postorder():
         if intr_only and td.kind[t] != "intr":
             continue
-        order.append((t, mask_of(atom for atom, _tag in td.bags[t])))
+        bag_mask = mask_of(atom for atom, _tag in td.bags[t])
+        for atom in bits(bag_mask):
+            holding.setdefault(atom, []).append(len(order))
+        order.append((t, bag_mask))
     assignment = CompatAssignment([], [], {}, {})
     for idx, (atoms, nbrs) in enumerate(comps):
         need = mask_of(nbrs)
+        scan = range(len(order))
+        if nbrs:
+            scan = min((holding.get(a, ()) for a in nbrs), key=len)
         home = None
-        for t, bag_mask in order:
+        for pos in scan:
+            t, bag_mask = order[pos]
             if need & ~bag_mask == 0:
                 home = t
                 break

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import brute_plausible_count, running_nice_td, wvi_from_names
 from wvcount.backends import InternalBackend
-from wvcount.bench import gen_random_elp
+from wvcount.bench import gen_random_3cnf, gen_random_elp
 from wvcount.dp import (
     RunStats,
     Thresholds,
@@ -319,6 +319,46 @@ def test_probability_assumption_on_unmentioned_atom():
         assert acceptance_probability(
             prog, q, thresholds=thr, assumption=falsity
         ) == Fraction(hits, total)
+
+
+def test_probability_query_on_unmentioned_atom():
+    # z is false in every answer set: "z" never holds, "-z" always does.
+    prog = parse_program(
+        "a :- not b.\nb :- not a.\nc :- -K a.\nd :- K b, not e.\ne :- not d."
+    )
+    z = 1 << prog.atoms.intern("z")  # no rule mentions z
+    for thr in (None,) + THRESHOLD_GRID:
+        total = count_world_views(prog, thresholds=thr)
+        assert total == 3
+        for q, hits in ((WVI(z, true=z), 0), (WVI(z, false=z), 3)):
+            assert count_world_views(prog, query=q, thresholds=thr) == hits
+            assert acceptance_probability(prog, q, thresholds=thr) == Fraction(
+                hits, total
+            )
+
+
+def test_one_primal_graph_per_subproblem(monkeypatch):
+    # The abstraction search, the nested graph and the compatible sets all
+    # reuse the router's primal graph.
+    import wvcount.dp as dp_mod
+    import wvcount.graphs as graphs_mod
+
+    prog = cnf_to_elp(10, gen_random_3cnf(10, 14, 0))
+    builds = []
+    for mod in (dp_mod, graphs_mod):
+        build = mod.primal_graph
+
+        def spy(program, build=build):
+            builds.append(program)
+            return build(program)
+
+        monkeypatch.setattr(mod, "primal_graph", spy)
+    stats = RunStats()
+    thr = Thresholds(hybrid=99, abstr=2, depth=1)
+    count = count_world_views(prog, thresholds=thr, stats=stats)
+    assert count == count_world_views_bruteforce(prog)
+    assert stats.abstraction_size < stats.eats_size  # the abstraction route
+    assert len(builds) == 1
 
 
 def test_counters_exact_big():

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
-from wvcount.bench import gen_random_elp
+from wvcount.bench import gen_random_3cnf, gen_random_elp, gen_scholarship
 from wvcount.decomp import TreeDecomposition, build_td, make_nice
 from wvcount.errors import WvcountError
 from wvcount.graphs import (
+    CompatAssignment,
+    _primal_components,
     assign_compatible_sets,
     bag_programs,
     epistemic_primal_graph,
@@ -12,7 +16,7 @@ from wvcount.graphs import (
 )
 from wvcount.model import bits, mask_of
 from wvcount.parser import parse_program
-from wvcount.semantics import classify_atoms
+from wvcount.semantics import classify_atoms, cnf_to_elp
 
 
 def edge_names(program, graph):
@@ -284,6 +288,76 @@ def test_compat_owner_is_introduce_node_on_nice_tds(running):
     asg = assign_compatible_sets(running, mask, nice)
     for owner in asg.owner.values():
         assert nice.kind[owner] == "intr"
+
+
+def linear_scan_assignment(program, a_mask, td):
+    """Reference: test every eligible node in post-order, per component."""
+    intr_only = getattr(td, "kind", None) is not None
+    order = [
+        (t, mask_of(atom for atom, _tag in td.bags[t]))
+        for t in td.postorder()
+        if not intr_only or td.kind[t] == "intr"
+    ]
+    asg = CompatAssignment([], [], {}, {})
+    for idx, (atoms, nbrs) in enumerate(_primal_components(program, a_mask)):
+        need = mask_of(nbrs)
+        homes = [t for t, bag_mask in order if need & ~bag_mask == 0]
+        if not homes:
+            raise WvcountError("no eligible node")
+        asg.components.append(atoms)
+        asg.neighbors.append(nbrs)
+        asg.owner[idx] = homes[0]
+        asg.nested_bag_atoms[homes[0]] = asg.nested_bag_atoms.get(
+            homes[0], 0
+        ) | mask_of(atoms)
+    return asg
+
+
+def assignment_or_error(assign, program, a_mask, td):
+    try:
+        return assign(program, a_mask, td)
+    except WvcountError:
+        return "no eligible node"
+
+
+def test_compat_assignment_matches_linear_scan():
+    rng = random.Random(4)
+    programs = [gen_random_elp(n, n // 2, n + 4, seed) for n in (8, 14) for seed in range(6)]
+    programs += [gen_scholarship(12, mode, 1) for mode in ("classic", "many")]
+    programs += [cnf_to_elp(8, gen_random_3cnf(8, 10, seed)) for seed in range(3)]
+    checked = 0
+    for prog in programs:
+        eats = classify_atoms(prog).eats_mask
+        random_mask = mask_of(a for a in bits(eats) if rng.random() < 0.5)
+        for mask in (eats, 0, random_mask):
+            for heuristic in ("min-fill", "min-degree"):
+                plain = build_td(nested_primal_graph(prog, mask), heuristic, 1)
+                for td in (plain, make_nice(plain)):
+                    got = assignment_or_error(assign_compatible_sets, prog, mask, td)
+                    want = assignment_or_error(linear_scan_assignment, prog, mask, td)
+                    assert got == want
+                    checked += isinstance(got, CompatAssignment)
+    assert checked > 100
+
+
+def test_compat_scans_the_shortest_neighbor_list(running):
+    # Component (a, b) has neighbors b and c.  Node 1 is the first on c's
+    # list, the shorter one, but lacks b; node 5 is the first to cover both.
+    t = running.atoms
+
+    def v(name):
+        return (t.id(name), "e")
+
+    td = TreeDecomposition(
+        {1: {v("c"), v("d")}, 2: {v("b")}, 3: {v("b")}, 4: {v("b")}, 5: {v("b"), v("c")}},
+        {1: (), 2: (1,), 3: (2,), 4: (3,), 5: (4,)},
+        5,
+    )
+    mask = mask_by_names(running, ["b", "c", "d"])
+    asg = assign_compatible_sets(running, mask, td)
+    assert asg.neighbors[0] == (t.id("b"), t.id("c"))
+    assert asg.owner == {0: 5, 1: 1}
+    assert asg == linear_scan_assignment(running, mask, td)
 
 
 def test_dot_export(running):
