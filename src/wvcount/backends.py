@@ -126,10 +126,13 @@ class ExternalBackend(BackendBase):
         self.config = config
 
     def _run(self, program: Program) -> str:
+        # Render before the file exists, so an emitter that raises leaves
+        # no temp file behind.
+        text = self.config.emitter(program)
         with tempfile.NamedTemporaryFile(
             "w", suffix=".elp", delete=False
         ) as handle:
-            handle.write(self.config.emitter(program))
+            handle.write(text)
             path = handle.name
         argv = [
             part.replace("{file}", path)
@@ -168,7 +171,7 @@ class ExternalBackend(BackendBase):
             program = with_wvi_constraints(program, wvi)
         out = self._run(program)
         lines = [l.strip() for l in out.splitlines() if l.strip()]
-        if len(lines) != 1 or not lines[0].isdigit():
+        if len(lines) != 1 or not lines[0].isdecimal():
             raise BackendError(
                 "expected a single decimal count on stdout, got %r" % out
             )

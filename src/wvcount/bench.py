@@ -241,7 +241,6 @@ def run_harness(
     oracle: bool = True,
     heuristic: str = "min-fill",
     seed: int = 0,
-    jobs: int = 1,
 ) -> HarnessReport:
     """Count every instance with the DP engine and, when asked, cross-check
     against the brute-force oracle."""
@@ -273,12 +272,4 @@ def run_harness(
             spec.label(), count, expected, agree, stats.primal_width, elapsed
         )
 
-    report = HarnessReport()
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            report.rows = list(pool.map(one, specs))
-    else:
-        report.rows = [one(s) for s in specs]
-    return report
+    return HarnessReport([one(s) for s in specs])

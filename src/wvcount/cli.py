@@ -41,7 +41,6 @@ def _add_common(parser):
         "--heuristic", choices=("min-fill", "min-degree"), default="min-fill"
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--backend", choices=("internal", "external"), default="internal")
     parser.add_argument("--external-cmd", default=None, metavar="CMD")
     parser.add_argument(
@@ -131,7 +130,6 @@ def _cmd_count(args):
         backend=_backend(args, thresholds),
         heuristic=args.heuristic,
         seed=args.seed,
-        jobs=args.jobs,
         stats=stats,
     )
     _emit_result(args, stats, time.perf_counter() - start, count=count)
@@ -151,7 +149,6 @@ def _cmd_prob(args):
         backend=_backend(args, thresholds),
         heuristic=args.heuristic,
         seed=args.seed,
-        jobs=args.jobs,
         stats=stats,
     )
     _emit_result(args, stats, time.perf_counter() - start, probability=probability)
@@ -247,7 +244,6 @@ def _cmd_harness(args):
         oracle=raw.get("oracle", True) and not args.no_oracle,
         heuristic=args.heuristic,
         seed=args.seed,
-        jobs=args.jobs,
     )
     sys.stdout.write(report.render(with_time=args.timings))
     return 1 if report.failures else 0

@@ -17,8 +17,7 @@ returns a world-view count together with its query count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -78,11 +77,6 @@ class RunStats:
     nested_calls: int = 0
     max_depth: int = 0
 
-    def merge(self, other: "RunStats"):
-        self.backend_calls += other.backend_calls
-        self.nested_calls += other.nested_calls
-        self.max_depth = max(self.max_depth, other.max_depth)
-
 
 @dataclass
 class _Ctx:
@@ -91,10 +85,6 @@ class _Ctx:
     heuristic: str
     seed: int
     stats: RunStats
-    jobs: int = 1
-
-    def task_copy(self) -> "_Ctx":
-        return replace(self, stats=RunStats(), jobs=1)
 
 
 def _element_true(el: Epistemic, tmask: int, fmask: int) -> bool:
@@ -372,8 +362,8 @@ def _intr_table(depth, program, nd, atom, child, assumption, with_q, ctx):
             if _rows_ok(nd.checks, nt, nf):
                 guesses.append(((nt, nf), c, q))
 
-    def evaluate(entry, task_ctx):
-        (nt, nf), c, q = entry
+    table = {}
+    for (nt, nf), c, q in guesses:
         wvi = WVI(nd.bag_mask, nt, nf)
         # The node answers for every atom it owns: decided ones must be
         # known in the nested world views, undecided ones genuinely open.
@@ -381,31 +371,23 @@ def _intr_table(depth, program, nd, atom, child, assumption, with_q, ctx):
         mult = 1
         if nd.nested or sub_assumption.domain:
             mult = _nested_verify(
-                depth, nd.nested, (), program.atoms, wvi, sub_assumption, task_ctx
+                depth, nd.nested, (), program.atoms, wvi, sub_assumption, ctx
             )
         c2 = c * mult
         if c2 == 0:
-            return None
+            continue
         if not with_q:
-            return ((nt, nf), (c2, c2))
+            table[nt, nf] = (c2, c2)
+            continue
         if nd.query_extra:
             qmult = _nested_verify(
                 depth, nd.nested, nd.query_extra, program.atoms, wvi,
-                sub_assumption, task_ctx,
+                sub_assumption, ctx,
             )
         else:
             qmult = mult
-        return ((nt, nf), (c2, q * qmult))
-
-    if ctx.jobs > 1 and depth == 0 and nd.nested:
-        task_ctxs = [ctx.task_copy() for _ in guesses]
-        with ThreadPoolExecutor(max_workers=ctx.jobs) as pool:
-            results = list(pool.map(evaluate, guesses, task_ctxs))
-        for tc in task_ctxs:
-            ctx.stats.merge(tc.stats)
-    else:
-        results = [evaluate(g, ctx) for g in guesses]
-    return {key: val for item in results if item is not None for key, val in [item]}
+        table[nt, nf] = (c2, q * qmult)
+    return table
 
 
 def _base_case(program, assumption, query, ctx, count=None):
@@ -477,13 +459,13 @@ def _nested_count(depth, program, assumption, ctx, query=None):
     return _run_tables(depth, program, a_mask, assumption, query, ctx, primal)
 
 
-def _make_ctx(thresholds, backend, heuristic, seed, stats, jobs):
+def _make_ctx(thresholds, backend, heuristic, seed, stats):
     from .backends import InternalBackend
 
     thresholds = thresholds or Thresholds()
     if backend is None:
         backend = InternalBackend(thresholds.answer_cap, thresholds.wv_cap)
-    return _Ctx(thresholds, backend, heuristic, seed, stats or RunStats(), jobs)
+    return _Ctx(thresholds, backend, heuristic, seed, stats or RunStats())
 
 
 def count_world_views(
@@ -504,8 +486,10 @@ def count_world_views(
     which the count is an unconditional world-view count.  An assumption
     WVI restricts the count to world views matching it exactly on its
     domain, undecidedness included.
+
+    ``jobs`` is accepted and ignored: counting runs in one thread.
     """
-    ctx = _make_ctx(thresholds, backend, heuristic, seed, stats, jobs)
+    ctx = _make_ctx(thresholds, backend, heuristic, seed, stats)
     target = program
     if query is not None and query.domain:
         target = with_query_constraints(program, query)
@@ -526,8 +510,11 @@ def acceptance_probability(
     """Probability that a world view agrees with the query, as an exact
     fraction: the query count over the count, from one run of the router.
     Raises ``NoWorldViews`` exactly when ``count_world_views`` under the
-    same assumption is 0."""
-    ctx = _make_ctx(thresholds, backend, heuristic, seed, stats, jobs)
+    same assumption is 0.
+
+    ``jobs`` is accepted and ignored: counting runs in one thread.
+    """
+    ctx = _make_ctx(thresholds, backend, heuristic, seed, stats)
     total_c, total_q = _nested_count(0, program, assumption, ctx, query)
     if total_c == 0:
         raise NoWorldViews("program has no world views")

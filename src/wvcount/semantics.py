@@ -81,8 +81,6 @@ def _answer_sets_whole(program: Program, memo=None) -> list[int]:
     ``memo`` maps a compiled program (its dense local masks) to its local
     answer sets.  Programs that differ only in their atom names share an
     entry, and each hit maps the cached sets back to its own atoms.
-    Threads may share a memo without a lock: two that miss on one key both
-    enumerate it and store equal lists, which are never mutated.
     """
     if any(r.ats_mask == 0 for r in program.rules):
         return []  # a bare constraint has no model

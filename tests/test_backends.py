@@ -1,5 +1,6 @@
 import stat
 import sys
+import tempfile
 import textwrap
 
 import pytest
@@ -148,12 +149,27 @@ def test_external_timeout(tmp_path, running):
 
 
 def test_external_rejects_garbage(tmp_path, running):
-    noisy = script(tmp_path, "noisy.py", "print('models: many')\n")
+    # "\u00b2" (superscript two) passes str.isdigit but is no decimal count
+    for name, line in (("noisy.py", "models: many"), ("super.py", "\u00b2")):
+        noisy = script(tmp_path, name, "print(%r)\n" % line)
+        backend = ExternalBackend(
+            BackendConfig(command="%s %s {file}" % (sys.executable, noisy), parse="count")
+        )
+        with pytest.raises(BackendError):
+            backend.count_wv(running)
+
+
+def test_external_emitter_failure_leaves_no_temp_file(tmp_path, monkeypatch, running):
+    def broken(program):
+        raise ValueError("cannot render")
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     backend = ExternalBackend(
-        BackendConfig(command="%s %s {file}" % (sys.executable, noisy), parse="count")
+        BackendConfig(command="cat {file}", parse="count", emitter=broken)
     )
-    with pytest.raises(BackendError):
+    with pytest.raises(ValueError):
         backend.count_wv(running)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_external_exit_code_is_not_a_count(tmp_path, running):

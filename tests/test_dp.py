@@ -379,18 +379,11 @@ def test_stats_and_determinism(running):
     assert s1.primal_width >= 1 and s1.dp_nodes > 0
 
 
-def test_jobs_do_not_change_results(running):
-    assert count_world_views(running, jobs=4) == 3
-    for seed in (3, 4, 5):
-        prog = gen_random_elp(8, 4, 10, seed)
-        assert count_world_views(prog, jobs=3) == count_world_views(prog)
-
-
 def test_elp_tables_root_single_row_and_positive_counts(running):
     import wvcount.dp as dp_mod
     from wvcount.dp import _make_ctx, _run_tables
 
-    ctx = _make_ctx(Thresholds(hybrid=99, abstr=99, depth=1), None, "min-fill", 0, None, 1)
+    ctx = _make_ctx(Thresholds(hybrid=99, abstr=99, depth=1), None, "min-fill", 0, None)
     info = classify_atoms(running)
     captured = []
     orig = dp_mod._intr_table
@@ -510,18 +503,3 @@ def test_reused_backend_agrees_with_oracle():
         for thr in THRESHOLD_GRID:
             assert count_world_views(prog, thresholds=thr, backend=backend) == expected
     assert backend._memo
-
-
-def test_pool_threads_share_the_memo():
-    import sys
-
-    backend = InternalBackend()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for seed in range(6):
-            prog = gen_random_elp(8, 5, 10, seed)
-            got = count_world_views(prog, jobs=8, backend=backend)
-            assert got == count_world_views_bruteforce(prog)
-    finally:
-        sys.setswitchinterval(interval)
