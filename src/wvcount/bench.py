@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .dp import RunStats, Thresholds, count_world_views
-from .errors import WvcountError
+from .errors import ParseError, WvcountError
 from .model import (
     EMPTY_WVI,
     AtomTable,
@@ -193,8 +193,12 @@ class GenSpec:
         if self.family == "file":
             from .parser import parse_program
 
-            with open(self.path, "r", encoding="utf-8") as handle:
-                return parse_program(handle.read())
+            try:
+                with open(self.path, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+            except (OSError, TypeError) as exc:
+                raise ParseError("cannot read %s: %s" % (self.path, exc)) from exc
+            return parse_program(text)
         raise WvcountError("unknown generator family %r" % self.family)
 
 

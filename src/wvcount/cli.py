@@ -57,14 +57,21 @@ def _add_common(parser):
     )
 
 
+class _UsageError(Exception):
+    """An option value that parses but is invalid; exits 2 like argparse."""
+
+
 def _thresholds(args) -> Thresholds:
-    return Thresholds(
-        hybrid=args.threshold_hybrid,
-        abstr=args.threshold_abstr,
-        depth=args.max_depth,
-        answer_cap=args.cap_atoms,
-        wv_cap=args.cap_epistemic,
-    )
+    try:
+        return Thresholds(
+            hybrid=args.threshold_hybrid,
+            abstr=args.threshold_abstr,
+            depth=args.max_depth,
+            answer_cap=args.cap_atoms,
+            wv_cap=args.cap_epistemic,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _backend(args, thresholds):
@@ -81,16 +88,16 @@ def _backend(args, thresholds):
     return StackedBackend(ExternalBackend(config), internal)
 
 
+def _read_text(path):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ParseError("cannot read %s: %s" % (path, exc)) from exc
+
+
 def _load_program(path):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ParseError("cannot read %s: %s" % (path, exc)) from exc
-    return parse_program(text)
+    return parse_program(sys.stdin.read() if path == "-" else _read_text(path))
 
 
 def _emit_result(args, stats: RunStats, seconds, count=None, probability=None):
@@ -183,6 +190,9 @@ def _cmd_graph(args):
         info = classify_atoms(program)
         if args.abstraction:
             atoms = [a.strip() for a in args.abstraction.split(",") if a.strip()]
+            for a in atoms:
+                if a not in program.atoms:
+                    raise ParseError("abstraction atom %r does not occur in the program" % a)
             mask = mask_of(program.atoms.id(a) for a in atoms)
         else:
             mask = info.eats_mask
@@ -214,7 +224,7 @@ def _cmd_td(args):
 
 
 def _cmd_gen(args):
-    program = GenSpec(
+    spec = GenSpec(
         family=args.family,
         n=args.n,
         atoms=args.atoms,
@@ -223,7 +233,11 @@ def _cmd_gen(args):
         num_vars=args.vars,
         clauses=args.clauses,
         seed=args.seed,
-    ).build()
+    )
+    try:
+        program = spec.build()
+    except ValueError as exc:  # generator parameters out of range
+        raise _UsageError(str(exc)) from exc
     text = program_to_text(program)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -234,9 +248,11 @@ def _cmd_gen(args):
 
 
 def _cmd_harness(args):
-    with open(args.spec, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
-    specs = [GenSpec(**entry) for entry in raw.get("instances", [])]
+    try:
+        raw = json.loads(_read_text(args.spec))
+        specs = [GenSpec(**entry) for entry in raw.get("instances", [])]
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ParseError("bad harness spec %s: %s" % (args.spec, exc)) from exc
     thresholds = _thresholds(args)
     report = run_harness(
         specs,
@@ -320,6 +336,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
     except ParseError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 3

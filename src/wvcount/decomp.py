@@ -72,7 +72,8 @@ class NiceTD(TreeDecomposition):
         return out
 
 
-def _fill_count(adj, v):
+def fill_count(adj, v):
+    """Number of edges that eliminating ``v`` adds between its neighbors."""
     nbrs = list(adj[v])
     missing = 0
     for i in range(len(nbrs)):
@@ -101,7 +102,7 @@ def build_td(graph, heuristic: str = "min-fill", seed: int = 0) -> TreeDecomposi
     def score(v):
         if heuristic == "min-degree":
             return len(adj[v])
-        return _fill_count(adj, v)
+        return fill_count(adj, v)
 
     heap = [(score(v), salt[v], v) for v in vertices]
     heapq.heapify(heap)

@@ -21,17 +21,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .decomp import NiceTD, build_td, make_nice
+from .decomp import NiceTD, build_td, fill_count, make_nice
 from .errors import NoWorldViews
 from .graphs import (
+    E_TAG,
     assign_compatible_sets,
     epistemic_primal_graph,
     nested_primal_graph,
     primal_graph,
 )
-from .model import EMPTY_WVI, Epistemic, Program, Rule, WVI, bits, mask_of
+from .model import EMPTY_WVI, Program, Rule, WVI, bits, mask_of
 from .semantics import (
     classify_atoms,
+    epistemic_masks,
     epistemic_reduct,
     query_constraint,
     with_query_constraints,
@@ -87,21 +89,32 @@ class _Ctx:
     stats: RunStats
 
 
-def _element_true(el: Epistemic, tmask: int, fmask: int) -> bool:
-    bit = 1 << el.literal.atom
-    holds = (tmask & bit) if el.literal.positive else (fmask & bit)
-    value = not holds
-    if el.negated:
-        value = not value
-    return value
-
-
-def _rows_ok(check_rules, tmask, fmask) -> bool:
-    """No purely-epistemic rule reduces to a violated constraint."""
-    for r in check_rules:
-        if all(_element_true(el, tmask, fmask) for el in r.body):
+def _rows_ok(checks, tmask, fmask) -> bool:
+    """No purely-epistemic rule reduces to a violated constraint.  Each
+    check is a rule's ``epistemic_masks``; the row ``(tmask, fmask)``
+    satisfies the rule iff one of the four mask tests kills its body."""
+    for kill_t, kill_f, need_t, need_f in checks:
+        if not (tmask & kill_t or fmask & kill_f or need_t & ~tmask or need_f & ~fmask):
             return False
     return True
+
+
+def _checks_by_atom(program: Program, a_mask: int):
+    """Each purely-epistemic rule over ``a_mask`` atoms, as its epistemic
+    atoms and ``epistemic_masks``, listed under every one of its atoms."""
+    by_atom: dict[int, list[tuple[int, tuple]]] = {}
+    for r in program.rules:
+        if r.purely_epistemic and r.eats_mask & ~a_mask == 0:
+            check = (r.eats_mask, epistemic_masks(r))
+            for a in bits(r.eats_mask):
+                by_atom.setdefault(a, []).append(check)
+    return by_atom
+
+
+def _node_checks(by_atom, atom: int, bag_mask: int) -> tuple:
+    """The checks an introduce node of ``atom`` runs: the rules on
+    ``atom`` that the bag completes."""
+    return tuple(masks for eats, masks in by_atom.get(atom, ()) if eats & ~bag_mask == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +128,7 @@ def plausible_tables(program: Program, nice: NiceTD):
     introduce node only rules completed by the introduced atom need
     checking; earlier rows already satisfy the rest of the bag program.
     """
-    info = classify_atoms(program)
-    pe_by_atom: dict[int, list[Rule]] = {}
-    for idx in info.purely_epistemic:
-        r = program.rules[idx]
-        for a in bits(r.eats_mask):
-            pe_by_atom.setdefault(a, []).append(r)
+    checks_by_atom = _checks_by_atom(program, program.eats_mask)
     tables = {}
     for t in nice.postorder():
         kind = nice.kind[t]
@@ -130,9 +138,7 @@ def plausible_tables(program: Program, nice: NiceTD):
             atom = nice.action[t][0]
             bit = 1 << atom
             bag_mask = mask_of(a for a, _tag in nice.bags[t])
-            checks = [
-                r for r in pe_by_atom.get(atom, ()) if r.eats_mask & ~bag_mask == 0
-            ]
+            checks = _node_checks(checks_by_atom, atom, bag_mask)
             out = {}
             for (tm, fm), c in tables[nice.children[t][0]].items():
                 for nt, nf in ((tm, fm), (tm | bit, fm), (tm, fm | bit)):
@@ -185,35 +191,43 @@ def choose_abstraction(
     width target, greedily dropping the atom whose removal leaves the
     fewest edges, then greedily re-adding atoms that still fit.  The
     budget bounds candidate evaluations, keeping the search deterministic.
-    Every candidate's nested graph is abstracted from one primal graph:
-    ``primal`` when given, else one built here.
+
+    Dropping atom x from the abstraction turns ``(x, e)`` into an interior
+    vertex, so the nested graph of the smaller mask is the current one
+    with ``(x, e)`` eliminated.  The shrink phase builds the nested graph
+    once, scores each candidate as ``edges - deg(x) + fill(x)`` and
+    eliminates the chosen vertex; each re-add candidate is built afresh.
+    All builds read one primal graph: ``primal`` when given, else one
+    built here.
     """
     if a_mask == 0:
         return 0
     if primal is None:
         primal = primal_graph(program)
 
-    def width_of(mask):
-        return build_td(nested_primal_graph(program, mask, primal), heuristic, seed).width
-
     steps = 0
     cur = a_mask
-    while cur.bit_count() > 1 and steps <= budget and width_of(cur) >= target_width:
-        best_key = None
-        best = cur
-        for atom in bits(cur):
-            cand = cur & ~(1 << atom)
-            key = (nested_primal_graph(program, cand, primal).edge_count(), atom)
-            steps += 1
-            if best_key is None or key < best_key:
-                best_key, best = key, cand
-        cur = best
+    graph = None  # the nested graph of cur, built on the first round
+    while cur.bit_count() > 1 and steps <= budget:
+        if graph is None:
+            graph = nested_primal_graph(program, cur, primal)
+        if build_td(graph, heuristic, seed).width < target_width:
+            break
+        edges = graph.edge_count()
+        _edges_left, drop = min(
+            (edges - len(graph.adj[(a, E_TAG)]) + fill_count(graph.adj, (a, E_TAG)), a)
+            for a in bits(cur)
+        )
+        steps += cur.bit_count()
+        cur &= ~(1 << drop)
+        graph.eliminate((drop, E_TAG))
     for atom in bits(a_mask & ~cur):
         if steps > budget:
             break
         cand = cur | (1 << atom)
         steps += 1
-        if width_of(cand) < target_width:
+        width = build_td(nested_primal_graph(program, cand, primal), heuristic, seed).width
+        if width < target_width:
             cur = cand
     return cur
 
@@ -225,7 +239,7 @@ def choose_abstraction(
 @dataclass
 class _NodeData:
     bag_mask: int = 0
-    checks: tuple = ()
+    checks: tuple = ()  # epistemic_masks of the bag's purely-epistemic rules
     nested: tuple = ()  # rules verified by recursion at this node
     owned_mask: int = 0  # the node's nested bag atoms (owned components)
     query_extra: tuple = ()  # query constraints resolved at this node
@@ -246,11 +260,7 @@ def _prepare_nodes(program, a_mask, nice, query: Optional[WVI], primal):
             continue  # lives entirely on bag atoms; plausibility checks cover it
         owner = asg.owner[comp_of_atom[next(bits(anchor))]]
         nested_by_node.setdefault(owner, []).append(r)
-    pe_by_atom: dict[int, list[Rule]] = {}
-    for r in program.rules:
-        if r.purely_epistemic and r.eats_mask & ~a_mask == 0:
-            for a in bits(r.eats_mask):
-                pe_by_atom.setdefault(a, []).append(r)
+    checks_by_atom = _checks_by_atom(program, a_mask)
     query_by_atom: dict[int, list[Rule]] = {}
     query_by_node: dict[int, list[Rule]] = {}
     if query is not None:
@@ -269,9 +279,7 @@ def _prepare_nodes(program, a_mask, nice, query: Optional[WVI], primal):
         bag_mask = mask_of(a for a, _tag in nice.bags[t])
         data[t] = _NodeData(
             bag_mask=bag_mask,
-            checks=tuple(
-                r for r in pe_by_atom.get(atom, ()) if r.eats_mask & ~bag_mask == 0
-            ),
+            checks=_node_checks(checks_by_atom, atom, bag_mask),
             nested=tuple(nested_by_node.get(t, ())),
             owned_mask=asg.nested_bag_atoms.get(t, 0),
             query_extra=tuple(

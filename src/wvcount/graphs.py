@@ -52,6 +52,13 @@ class TaggedGraph:
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj.values()) // 2
 
+    def eliminate(self, v):
+        """Join the neighbors of ``v`` into a clique and remove ``v``."""
+        nbrs = self.adj.pop(v)
+        for u in nbrs:
+            self.adj[u].discard(v)
+            self.adj[u] |= nbrs - {u}
+
     def to_dot(self, table, name="g") -> str:
         """DOT rendering: e-vertices as open circles labeled x^e, a-vertices filled."""
         lines = ["graph %s {" % name]

@@ -260,6 +260,32 @@ def is_plausible(wvi: WVI, program: Program) -> bool:
     return True
 
 
+def epistemic_masks(rule: Rule) -> tuple[int, int, int, int]:
+    """Compile a rule's epistemic body to ``(kill_t, kill_f, need_t, need_f)``.
+
+    Under a guess with true atoms ``t`` and false atoms ``f`` the
+    epistemic elements all hold, so the rule keeps its plain residue,
+    iff ``not (t & kill_t or f & kill_f or need_t & ~t or need_f & ~f)``.
+    Objective elements are ignored.
+    """
+    kill_t = kill_f = need_t = need_f = 0
+    for el in rule.body:
+        if not isinstance(el, Epistemic):
+            continue
+        bit = 1 << el.literal.atom
+        if el.negated:  # "- not l" is false unless l is decided
+            if el.literal.positive:
+                need_t |= bit
+            else:
+                need_f |= bit
+        else:  # "not l" is false exactly when l is decided
+            if el.literal.positive:
+                kill_t |= bit
+            else:
+                kill_f |= bit
+    return kill_t, kill_f, need_t, need_f
+
+
 def enumerate_world_views(
     program: Program, eats_cap: int = 12, atoms_cap: int = 24, memo=None
 ) -> list[WVI]:
@@ -268,8 +294,9 @@ def enumerate_world_views(
     via the answer sets of its epistemic reduct.
 
     The guess domain covers every epistemic atom, so a rule either dies in
-    the reduct or keeps exactly its plain residue; rule survival compiles
-    to four mask tests and answer sets are cached per survivor set.
+    the reduct or keeps exactly its plain residue; rule survival is the
+    four-mask test of ``epistemic_masks`` and answer sets are cached per
+    survivor set.
     """
     info = classify_atoms(program)
     eats_list = sorted(bits(info.eats_mask))
@@ -284,23 +311,8 @@ def enumerate_world_views(
         if r.eats_mask == 0:
             plain_rules.append(r)
             continue
-        kill_t = kill_f = need_t = need_f = 0
-        for el in r.body:
-            if not isinstance(el, Epistemic):
-                continue
-            bit = 1 << el.literal.atom
-            if el.negated:  # "- not l" is false unless l is decided
-                if el.literal.positive:
-                    need_t |= bit
-                else:
-                    need_f |= bit
-            else:  # "not l" is false exactly when l is decided
-                if el.literal.positive:
-                    kill_t |= bit
-                else:
-                    kill_f |= bit
         residue = Rule(r.head, tuple(el for el in r.body if isinstance(el, Objective)))
-        ep_rules.append((kill_t, kill_f, need_t, need_f, residue))
+        ep_rules.append(epistemic_masks(r) + (residue,))
     rest = info.ats_mask & ~info.eats_mask
     cache: dict[int, list[int]] = {}
     out = []

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import RUNNING_PATH
 from wvcount.cli import main
 
@@ -131,6 +133,33 @@ def test_exit_input_error(tmp_path):
     assert main(["count", str(bad)]) == 3
     assert main(["count", str(tmp_path / "missing.elp")]) == 3
     assert main(["count", RUNNING_PATH, "--query", "zz"]) == 3
+
+
+def test_exit_usage_on_invalid_option_values(capsys):
+    for args in (
+        ["count", RUNNING_PATH, "--threshold-abstr", "50"],
+        ["count", RUNNING_PATH, "--max-depth", "-1"],
+        ["gen", "random", "--atoms", "3", "--epistemic", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_exit_input_error_on_bad_atoms_and_harness_files(tmp_path, capsys):
+    assert main(["graph", RUNNING_PATH, "--kind", "nested", "--abstraction", "nosuch"]) == 3
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{bad")
+    unknown_key = tmp_path / "key.json"
+    unknown_key.write_text(json.dumps({"instances": [{"family": "classic", "nosuch": 1}]}))
+    missing_path = tmp_path / "file.json"
+    missing_path.write_text(
+        json.dumps({"instances": [{"family": "file", "path": str(tmp_path / "none.elp")}]})
+    )
+    for spec in (tmp_path / "missing.json", malformed, unknown_key, missing_path):
+        assert main(["harness", str(spec)]) == 3
+    assert capsys.readouterr().err.count("input error:") == 5
 
 
 def test_exit_cap_exceeded(tmp_path):

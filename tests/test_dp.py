@@ -6,6 +6,7 @@ import pytest
 from conftest import brute_plausible_count, running_nice_td, wvi_from_names
 from wvcount.backends import InternalBackend
 from wvcount.bench import gen_random_3cnf, gen_random_elp
+from wvcount.decomp import build_td
 from wvcount.dp import (
     RunStats,
     Thresholds,
@@ -18,6 +19,7 @@ from wvcount.dp import (
     plausible_tables,
 )
 from wvcount.errors import NoWorldViews
+from wvcount.graphs import nested_primal_graph
 from wvcount.model import EMPTY_WVI, WVI, Rule, bits, mask_of
 from wvcount.parser import parse_program
 from wvcount.semantics import (
@@ -129,6 +131,52 @@ def test_choose_abstraction_never_empty(running):
     info = classify_atoms(running)
     chosen = choose_abstraction(info.eats_mask, running, target_width=0, seed=0)
     assert chosen != 0
+
+
+def rebuild_per_candidate_abstraction(a_mask, program, target_width, budget, seed, heuristic):
+    """Reference greedy: builds the nested graph of every candidate."""
+
+    def width_of(mask):
+        return build_td(nested_primal_graph(program, mask), heuristic, seed).width
+
+    steps = 0
+    cur = a_mask
+    while cur.bit_count() > 1 and steps <= budget and width_of(cur) >= target_width:
+        best_key = None
+        best = cur
+        for atom in bits(cur):
+            cand = cur & ~(1 << atom)
+            key = (nested_primal_graph(program, cand).edge_count(), atom)
+            steps += 1
+            if best_key is None or key < best_key:
+                best_key, best = key, cand
+        cur = best
+    for atom in bits(a_mask & ~cur):
+        if steps > budget:
+            break
+        cand = cur | (1 << atom)
+        steps += 1
+        if width_of(cand) < target_width:
+            cur = cand
+    return cur
+
+
+def test_choose_abstraction_matches_rebuild_per_candidate():
+    programs = [gen_random_elp(12, 6, 14, seed) for seed in range(6)]
+    programs += [cnf_to_elp(10, gen_random_3cnf(10, 16, seed)) for seed in range(3)]
+    shrunk = 0
+    for prog in programs:
+        eats = classify_atoms(prog).eats_mask
+        for target in range(9):
+            for budget in (0, 3, 10, 256):
+                for heuristic in ("min-fill", "min-degree"):
+                    got = choose_abstraction(eats, prog, target, budget, 1, heuristic)
+                    want = rebuild_per_candidate_abstraction(
+                        eats, prog, target, budget, 1, heuristic
+                    )
+                    assert got == want
+                    shrunk += got != eats
+    assert shrunk > 100
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +407,29 @@ def test_one_primal_graph_per_subproblem(monkeypatch):
     assert count == count_world_views_bruteforce(prog)
     assert stats.abstraction_size < stats.eats_size  # the abstraction route
     assert len(builds) == 1
+
+
+def test_nested_graphs_built_once_per_abstraction_pass(monkeypatch):
+    # The shrink phase eliminates vertices from one nested graph; only the
+    # re-add candidates and the tables build their own.
+    import wvcount.dp as dp_mod
+
+    prog = cnf_to_elp(10, gen_random_3cnf(10, 14, 0))
+    builds = []
+    build = dp_mod.nested_primal_graph
+
+    def spy(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dp_mod, "nested_primal_graph", spy)
+    stats = RunStats()
+    thr = Thresholds(hybrid=99, abstr=2, depth=1)
+    count = count_world_views(prog, thresholds=thr, stats=stats)
+    assert count == count_world_views_bruteforce(prog)
+    dropped = stats.eats_size - stats.abstraction_size
+    assert dropped > 0  # the abstraction route
+    assert len(builds) <= 2 + dropped
 
 
 def test_counters_exact_big():

@@ -160,6 +160,24 @@ def test_nested_supergraph_of_epistemic_on_random_programs():
         assert epi <= nested
 
 
+def test_dropping_an_atom_eliminates_its_vertex():
+    # nested(M - x) is nested(M) with (x, e) eliminated: a path through x
+    # splits at its first and last visit to x.
+    programs = [gen_random_elp(9, 5, 12, seed) for seed in range(8)]
+    programs += [cnf_to_elp(6, gen_random_3cnf(6, 9, seed)) for seed in range(3)]
+    checked = 0
+    for prog in programs:
+        eats = sorted(bits(classify_atoms(prog).eats_mask))
+        for pick in range(1 << len(eats)):
+            mask = mask_of(a for i, a in enumerate(eats) if pick >> i & 1)
+            for x in bits(mask):
+                g = nested_primal_graph(prog, mask)
+                g.eliminate((x, "e"))
+                assert g.adj == nested_primal_graph(prog, mask & ~(1 << x)).adj
+                checked += 1
+    assert checked > 1000
+
+
 def test_nested_rejects_non_epistemic_abstraction(running):
     with pytest.raises(WvcountError):
         nested_primal_graph(running, 1 << 30 | 1)

@@ -5,7 +5,17 @@ import pytest
 from conftest import brute_cnf_models, brute_plausible_count, wvi_from_names
 from wvcount.bench import gen_random_3cnf, gen_random_elp
 from wvcount.errors import BruteForceCapExceeded, NoWorldViews, NotPlainError
-from wvcount.model import EMPTY_WVI, Program, Rule, WVI, bits, mask_of
+from wvcount.model import (
+    EMPTY_WVI,
+    AtomTable,
+    Epistemic,
+    Literal,
+    Program,
+    Rule,
+    WVI,
+    bits,
+    mask_of,
+)
 from wvcount.parser import parse_program, program_to_text
 from wvcount.semantics import (
     _answer_sets_whole,
@@ -15,6 +25,7 @@ from wvcount.semantics import (
     cnf_to_elp,
     count_world_views_bruteforce,
     enumerate_world_views,
+    epistemic_masks,
     epistemic_reduct,
     gl_reduct,
     is_plausible,
@@ -314,6 +325,26 @@ def test_is_plausible_running(running):
     t = running.atoms
     assert is_plausible(wvi_from_names(t, ["a", "c", "-b", "-d"]), running)
     assert not is_plausible(WVI(mask_of(range(4))), running)
+
+
+def test_epistemic_masks_agree_with_element_evaluation():
+    # The four-mask test against is_plausible's element-by-element walk,
+    # on random purely-epistemic rules over three atoms, repeats included.
+    rng = random.Random(2)
+    table = AtomTable("abc")
+    rows = [WVI(0b111, t, f) for t in range(8) for f in range(8) if t & f == 0]
+    for _ in range(200):
+        body = tuple(
+            Epistemic(rng.random() < 0.5, Literal(rng.randrange(3), rng.random() < 0.5))
+            for _ in range(rng.randint(1, 4))
+        )
+        rule = Rule((), body)
+        kill_t, kill_f, need_t, need_f = epistemic_masks(rule)
+        program = Program(table, (rule,))
+        for w in rows:
+            t, f = w.true, w.false
+            survives = not (t & kill_t or f & kill_f or need_t & ~t or need_f & ~f)
+            assert survives == (not is_plausible(w, program))
 
 
 def test_is_plausible_without_pure_rules(plain_core):
