@@ -31,7 +31,10 @@ from .semantics import (
 class BackendBase:
     """The spec-facing entry points every backend shares: each maps a mode
     name to one of the four operations ``count_wv``, ``wv_exists``,
-    ``as_exists`` and ``as_forbid_all`` that the backend provides."""
+    ``as_exists`` and ``as_forbid_all`` that the backend provides.  The
+    counting engine calls ``wv_exists`` on plain subproblems and
+    ``count_wv`` on the rest; the two ASP operations serve ``solve_asp``
+    only."""
 
     def solve_asp(self, program: Program, mode: str, wvi: WVI = EMPTY_WVI) -> bool:
         if mode == "exists":

@@ -251,7 +251,10 @@ def run_harness(
     thresholds = thresholds or Thresholds()
 
     def one(spec: GenSpec) -> HarnessRow:
-        program = spec.build()
+        try:
+            program = spec.build()
+        except ValueError as exc:  # generator parameters out of range
+            raise ParseError("bad harness instance %s: %s" % (spec.label(), exc)) from exc
         stats = RunStats()
         start = time.perf_counter()
         count = count_world_views(

@@ -6,9 +6,9 @@ with one counter (plus a second, query-side counter for probability
 runs).  Introduce nodes guess a third truth value, check the bag's
 purely-epistemic rules, and verify the rules delegated to the node by a
 recursive call; remove nodes project and sum; join nodes match rows and
-multiply.  Recursion bottoms out in direct answer-set checks or a base
-solver, steered by width and depth thresholds that change routing but
-never results.
+multiply.  Recursion bottoms out in one base-solver call per subproblem
+(``_base_case``), steered by width and depth thresholds that change
+routing but never results.
 
 Both drivers take one route: ``count_world_views`` and
 ``acceptance_probability`` call the router ``_nested_count``, which
@@ -40,6 +40,9 @@ from .semantics import (
     with_wvi_constraints,
 )
 
+# Candidate evaluations ``choose_abstraction`` may spend per subproblem.
+ABSTRACTION_BUDGET = 256
+
 
 @dataclass
 class Thresholds:
@@ -57,7 +60,6 @@ class Thresholds:
     depth: int = 1
     answer_cap: int = 24
     wv_cap: int = 12
-    abstraction_budget: int = 256
 
     def __post_init__(self):
         if not (self.hybrid >= self.abstr >= 0):
@@ -182,7 +184,7 @@ def choose_abstraction(
     a_mask: int,
     program: Program,
     target_width: int,
-    budget: int = 256,
+    budget: int = ABSTRACTION_BUDGET,
     seed: int = 0,
     heuristic: str = "min-fill",
     primal=None,
@@ -289,24 +291,6 @@ def _prepare_nodes(program, a_mask, nice, query: Optional[WVI], primal):
     return data
 
 
-def _verify_assumption(program: Program, assumption: WVI, ctx: _Ctx) -> int:
-    """Base case: no epistemic decisions left.
-
-    With every assumed atom decided, the single candidate world view is
-    checked against the answer sets directly (existence plus agreement);
-    undecided assumed atoms additionally require genuinely mixed answer
-    sets, which the world-view existence check covers.
-    """
-    ctx.stats.backend_calls += 1
-    if assumption.undecided == 0:
-        ok = ctx.backend.as_exists(program) and ctx.backend.as_forbid_all(
-            program, assumption
-        )
-    else:
-        ok = ctx.backend.wv_exists(program, assumption)
-    return 1 if ok else 0
-
-
 def _nested_verify(depth, base_rules, extra, table, wvi, assumption, ctx):
     sub = epistemic_reduct(Program(table, base_rules + extra), wvi)
     if not sub.rules and assumption.domain == 0:
@@ -398,11 +382,15 @@ def _intr_table(depth, program, nd, atom, child, assumption, with_q, ctx):
     return table
 
 
-def _base_case(program, assumption, query, ctx, count=None):
-    """``(count, query_count)`` from the backend; ``count`` when known
-    saves its call, and the query side costs a call only when non-zero."""
-    if count is None:
-        ctx.stats.backend_calls += 1
+def _base_case(program, assumption, query, ctx):
+    """``(count, query_count)`` from one backend call: ``wv_exists`` as 0/1
+    for a plain program, which has at most one world view, and
+    ``count_wv`` otherwise.  The query side costs one more ``count_wv``
+    call only when a query is given and the count is non-zero."""
+    ctx.stats.backend_calls += 1
+    if program.is_plain:
+        count = 1 if ctx.backend.wv_exists(program, assumption) else 0
+    else:
         count = ctx.backend.count_wv(program, assumption)
     if query is None or count == 0:
         return count, count
@@ -441,13 +429,12 @@ def _nested_count(depth, program, assumption, ctx, query=None):
         if query.true & ~info.ats_mask:
             return _nested_count(depth, program, assumption, ctx)[0], 0
         query = query.restrict(info.ats_mask)
-    if info.eats_mask == 0:
-        count = _verify_assumption(program, assumption, ctx)
-        return _base_case(program, assumption, query, ctx, count)
     thr = ctx.thresholds
-    if depth and depth >= thr.depth:
-        # Past the cap the base solver takes the subproblem whatever its
-        # width, so no decomposition is built; depth 0 builds one for stats.
+    if info.eats_mask == 0 or (depth and depth >= thr.depth):
+        # A plain subproblem has nothing to decompose, and past the depth
+        # cap the base solver takes the subproblem whatever its width, so
+        # neither builds a decomposition.  An epistemic subproblem at depth
+        # 0 builds one for stats even when the cap is 0.
         return _base_case(program, assumption, query, ctx)
     primal = primal_graph(program)  # the one build for this subproblem
     primal_td = build_td(primal, ctx.heuristic, ctx.seed)
@@ -459,7 +446,7 @@ def _nested_count(depth, program, assumption, ctx, query=None):
     a_mask = info.eats_mask
     if primal_td.width >= thr.abstr:
         a_mask = choose_abstraction(
-            a_mask, program, thr.abstr, thr.abstraction_budget, ctx.seed,
+            a_mask, program, thr.abstr, ABSTRACTION_BUDGET, ctx.seed,
             ctx.heuristic, primal,
         )
     if depth == 0:

@@ -233,10 +233,6 @@ class WVI:
     def undecided(self) -> int:
         return self.domain & ~self.decided
 
-    @property
-    def fully_decided(self) -> bool:
-        return self.undecided == 0
-
     def holds(self, lit: Literal) -> bool:
         bit = 1 << lit.atom
         return bool((self.true if lit.positive else self.false) & bit)
@@ -248,15 +244,6 @@ class WVI:
         if self.false & bit:
             return False
         return None
-
-    def assign(self, atom: int, value: Optional[bool]) -> "WVI":
-        bit = 1 << atom
-        t, f = self.true & ~bit, self.false & ~bit
-        if value is True:
-            t |= bit
-        elif value is False:
-            f |= bit
-        return WVI(self.domain | bit, t, f)
 
     def restrict(self, mask: int) -> "WVI":
         return WVI(self.domain & mask, self.true & mask, self.false & mask)

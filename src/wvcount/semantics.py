@@ -82,8 +82,6 @@ def _answer_sets_whole(program: Program, memo=None) -> list[int]:
     answer sets.  Programs that differ only in their atom names share an
     entry, and each hit maps the cached sets back to its own atoms.
     """
-    if any(r.ats_mask == 0 for r in program.rules):
-        return []  # a bare constraint has no model
     atom_list = sorted(bits(program.ats_mask))
     heads, bpos, bneg = _compile_masks(program.rules, atom_list)
     if memo is None:
@@ -152,8 +150,6 @@ def answer_sets(program: Program, cap: int = 24, memo=None) -> list[int]:
         )
     if any(r.ats_mask == 0 for r in program.rules):
         return []
-    if not program.rules:
-        return [0]
     result = [0]
     for mask, rules in _components(program):
         part = _answer_sets_whole(Program(program.atoms, tuple(rules)), memo)

@@ -12,7 +12,7 @@ from wvcount.backends import (
     InternalBackend,
     StackedBackend,
 )
-from wvcount.dp import Thresholds, count_world_views
+from wvcount.dp import RunStats, Thresholds, count_world_views
 from wvcount.errors import BackendError, BackendTimeout
 from wvcount.model import EMPTY_WVI, WVI
 from wvcount.parser import parse_program
@@ -230,3 +230,37 @@ def test_stacked_routing(running):
     assert not stacked.solve_asp(parse_program("a.\n:- a."), "exists")
     with pytest.raises(ValueError):
         stacked.solve_asp(running, "count_wv")
+
+
+def test_stacked_sat_mode_through_the_router(tmp_path):
+    # Plain subproblems reach the external solver as one wv_exists call
+    # each, on the program with the assumption pinned.
+    checker = script(
+        tmp_path,
+        "sat.py",
+        """
+        import contextlib, io, sys
+        from wvcount.cli import main
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["oracle", sys.argv[1]])
+        print("SAT" if int(out.getvalue()) > 0 else "UNSAT")
+        """,
+    )
+    external = ExternalBackend(
+        BackendConfig(command="%s %s {file}" % (sys.executable, checker), parse="sat")
+    )
+    probes = []
+    sat = external._sat
+
+    def counted_sat(program):
+        probes.append(program)
+        return sat(program)
+
+    external._sat = counted_sat
+    stacked = StackedBackend(external, InternalBackend())
+    prog = parse_program("a | b.\nc :- K a.\n")
+    stats = RunStats()
+    assert count_world_views(prog, backend=stacked, stats=stats) == 1
+    assert count_world_views(prog) == 1
+    assert len(probes) == stats.backend_calls == 3

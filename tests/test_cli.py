@@ -140,6 +140,7 @@ def test_exit_usage_on_invalid_option_values(capsys):
         ["count", RUNNING_PATH, "--threshold-abstr", "50"],
         ["count", RUNNING_PATH, "--max-depth", "-1"],
         ["gen", "random", "--atoms", "3", "--epistemic", "5"],
+        ["gen", "classic", "--n", "0"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(args)
@@ -157,9 +158,19 @@ def test_exit_input_error_on_bad_atoms_and_harness_files(tmp_path, capsys):
     missing_path.write_text(
         json.dumps({"instances": [{"family": "file", "path": str(tmp_path / "none.elp")}]})
     )
-    for spec in (tmp_path / "missing.json", malformed, unknown_key, missing_path):
+    # generator parameters out of range are input errors too, not disagreements
+    too_many_epistemic = tmp_path / "random.json"
+    too_many_epistemic.write_text(
+        json.dumps({"instances": [{"family": "random", "atoms": 3, "epistemic": 5}]})
+    )
+    no_students = tmp_path / "classic.json"
+    no_students.write_text(json.dumps({"instances": [{"family": "classic", "n": 0}]}))
+    for spec in (
+        tmp_path / "missing.json", malformed, unknown_key, missing_path,
+        too_many_epistemic, no_students,
+    ):
         assert main(["harness", str(spec)]) == 3
-    assert capsys.readouterr().err.count("input error:") == 5
+    assert capsys.readouterr().err.count("input error:") == 7
 
 
 def test_exit_cap_exceeded(tmp_path):

@@ -11,7 +11,7 @@ from wvcount.dp import (
     RunStats,
     Thresholds,
     _Ctx,
-    _verify_assumption,
+    _base_case,
     acceptance_probability,
     choose_abstraction,
     count_plausible,
@@ -183,25 +183,86 @@ def test_choose_abstraction_matches_rebuild_per_candidate():
 # base case
 
 
-def test_verify_assumption_decided():
-    ctx = _Ctx(Thresholds(), InternalBackend(), "min-fill", 0, RunStats())
+def _base_ctx(backend=None):
+    return _Ctx(Thresholds(), backend or InternalBackend(), "min-fill", 0, RunStats())
+
+
+def test_base_case_decided():
+    ctx = _base_ctx()
     prog = parse_program("a.")
-    assert _verify_assumption(prog, WVI(1, true=1), ctx) == 1
-    assert _verify_assumption(prog, WVI(1, false=1), ctx) == 0
+    assert _base_case(prog, WVI(1, true=1), None, ctx) == (1, 1)
+    assert _base_case(prog, WVI(1, false=1), None, ctx) == (0, 0)
+    assert ctx.stats.backend_calls == 2
 
 
-def test_verify_assumption_empty():
-    ctx = _Ctx(Thresholds(), InternalBackend(), "min-fill", 0, RunStats())
+def test_base_case_empty():
     prog = parse_program("")
-    assert _verify_assumption(prog, EMPTY_WVI, ctx) == 1
+    assert _base_case(prog, EMPTY_WVI, None, _base_ctx()) == (1, 1)
 
 
-def test_verify_assumption_undecided_needs_mixed():
-    ctx = _Ctx(Thresholds(), InternalBackend(), "min-fill", 0, RunStats())
+def test_base_case_undecided_needs_mixed():
+    ctx = _base_ctx()
     split = parse_program("a | b.")
-    assert _verify_assumption(split, WVI(1), ctx) == 1  # a mixed across sets
+    assert _base_case(split, WVI(1), None, ctx) == (1, 1)  # a mixed across sets
     fact = parse_program("a.")
-    assert _verify_assumption(fact, WVI(1), ctx) == 0
+    assert _base_case(fact, WVI(1), None, ctx) == (0, 0)
+
+
+def test_base_case_matches_existence_and_forbid_all_on_plain_programs():
+    # The reference is the pair of answer-set calls the base case used to
+    # make on a fully decided assumption, and wv_exists otherwise.
+    rng = random.Random(11)
+    decided = undecided = 0
+    for seed in range(60):
+        prog = gen_random_elp(6, 0, 7, seed)
+        backend = InternalBackend()
+        ctx = _base_ctx(backend)
+        for _ in range(8):
+            dom = t = f = 0
+            for atom in range(6):
+                value = rng.choice(("out", "out", None, True, False))
+                if value == "out":
+                    continue
+                dom |= 1 << atom
+                if value is True:
+                    t |= 1 << atom
+                elif value is False:
+                    f |= 1 << atom
+            assumption = WVI(dom, t, f)
+            if assumption.undecided == 0:
+                decided += 1
+                ok = backend.as_exists(prog) and backend.as_forbid_all(prog, assumption)
+            else:
+                undecided += 1
+                ok = backend.wv_exists(prog, assumption)
+            expected = 1 if ok else 0
+            assert _base_case(prog, assumption, None, ctx) == (expected, expected)
+    assert decided > 50 and undecided > 50
+
+
+def test_classic_count_enumerates_once_per_plain_base_case(monkeypatch):
+    import wvcount.backends as backends_mod
+    import wvcount.dp as dp_mod
+    from wvcount.bench import gen_scholarship
+
+    calls = {"enumerations": 0, "plain_cases": 0}
+    answer_sets = backends_mod.answer_sets
+    base_case = dp_mod._base_case
+
+    def spy_answer_sets(program, *args):
+        calls["enumerations"] += 1
+        return answer_sets(program, *args)
+
+    def spy_base_case(program, *args):
+        calls["plain_cases"] += program.is_plain
+        return base_case(program, *args)
+
+    monkeypatch.setattr(backends_mod, "answer_sets", spy_answer_sets)
+    monkeypatch.setattr(dp_mod, "_base_case", spy_base_case)
+    stats = RunStats()
+    assert count_world_views(gen_scholarship(12, "classic", 3), stats=stats) == 1
+    assert calls["plain_cases"] and calls["enumerations"] == calls["plain_cases"]
+    assert stats.backend_calls == calls["plain_cases"]
 
 
 # ---------------------------------------------------------------------------
