@@ -29,7 +29,6 @@ from .parser import parse_program, parse_query, program_to_text
 from .semantics import (
     answer_sets,
     check_compatibility,
-    classify_atoms,
     cnf_to_elp,
     count_world_views_bruteforce,
     enumerate_world_views,

@@ -21,6 +21,8 @@ from .errors import BackendError, BackendTimeout
 from .model import EMPTY_WVI, Literal, Objective, Program, Rule, WVI
 from .parser import program_to_text
 from .semantics import (
+    ANSWER_CAP,
+    WV_CAP,
     answer_sets,
     check_compatibility,
     count_world_views_bruteforce,
@@ -60,7 +62,7 @@ class InternalBackend(BackendBase):
     one is passed in, so the memo spans one run.
     """
 
-    def __init__(self, answer_cap: int = 24, wv_cap: int = 12):
+    def __init__(self, answer_cap: int = ANSWER_CAP, wv_cap: int = WV_CAP):
         self.answer_cap = answer_cap
         self.wv_cap = wv_cap
         self._memo = {}
@@ -76,18 +78,12 @@ class InternalBackend(BackendBase):
         return True
 
     def wv_exists(self, program: Program, wvi: WVI) -> bool:
-        if program.is_plain:
-            # A plain program has at most one world view; the WVI extends
-            # to it exactly when compatibility holds over its domain.
-            return check_compatibility(
-                wvi, answer_sets(program, self.answer_cap, self._memo)
-            )
-        adjoined = with_wvi_constraints(program, wvi)
-        return (
-            count_world_views_bruteforce(
-                adjoined, EMPTY_WVI, self.wv_cap, self.answer_cap, self._memo
-            )
-            > 0
+        if not program.is_plain:
+            return self.count_wv(program, wvi) > 0
+        # A plain program has at most one world view; the WVI extends to
+        # it exactly when compatibility holds over its domain.
+        return check_compatibility(
+            wvi, answer_sets(program, self.answer_cap, self._memo)
         )
 
     def count_wv(self, program: Program, wvi: WVI = EMPTY_WVI) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .dp import RunStats, Thresholds, count_world_views
@@ -29,7 +29,7 @@ from .model import (
     Rule,
     bits,
 )
-from .semantics import cnf_to_elp, classify_atoms, count_world_views_bruteforce
+from .semantics import cnf_to_elp, count_world_views_bruteforce
 
 
 def _interview_rule(interview: int, elig: int) -> Rule:
@@ -131,9 +131,7 @@ def gen_random_elp(atoms: int, epistemic_atoms: int, rules: int, seed: int) -> P
             continue
         out.append(Rule(tuple(head), tuple(body)))
     program = Program(table, tuple(out))
-    info = classify_atoms(program)
-    missing = info.eats_mask & ~info.aats_mask
-    for a in bits(missing):
+    for a in bits(program.eats_mask & ~program.aats_mask):
         out.append(Rule((a,), (Objective(Literal(a, True)),)))
     return Program(table, tuple(out))
 
@@ -161,6 +159,15 @@ class GenSpec:
     clauses: int = 0
     seed: int = 0
     path: Optional[str] = None
+
+    def __post_init__(self):
+        # Each field must have exactly its declared type: a harness file
+        # could give "3", 1.5 or true where an int goes.
+        allowed = {"str": (str,), "int": (int,), "Optional[str]": (str, type(None))}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) not in allowed[f.type]:
+                raise ValueError("%s must be %s, not %r" % (f.name, f.type, value))
 
     def label(self) -> str:
         if self.family == "file":

@@ -26,17 +26,13 @@ from .errors import (
 from .graphs import epistemic_primal_graph, nested_primal_graph, primal_graph
 from .model import EMPTY_WVI, mask_of
 from .parser import parse_program, parse_query, program_to_text
-from .semantics import (
-    classify_atoms,
-    count_world_views_bruteforce,
-    enumerate_world_views,
-)
+from .semantics import count_world_views_bruteforce, enumerate_world_views
 
 
 def _add_common(parser):
-    parser.add_argument("--threshold-hybrid", type=int, default=45, metavar="N")
-    parser.add_argument("--threshold-abstr", type=int, default=8, metavar="N")
-    parser.add_argument("--max-depth", type=int, default=1, metavar="N")
+    parser.add_argument("--threshold-hybrid", type=int, default=Thresholds.hybrid, metavar="N")
+    parser.add_argument("--threshold-abstr", type=int, default=Thresholds.abstr, metavar="N")
+    parser.add_argument("--max-depth", type=int, default=Thresholds.depth, metavar="N")
     parser.add_argument(
         "--heuristic", choices=("min-fill", "min-degree"), default="min-fill"
     )
@@ -48,8 +44,8 @@ def _add_common(parser):
     )
     parser.add_argument("--external-timeout", type=float, default=60.0)
     parser.add_argument("--format", choices=("text", "structured"), default="text")
-    parser.add_argument("--cap-atoms", type=int, default=24, metavar="N")
-    parser.add_argument("--cap-epistemic", type=int, default=12, metavar="N")
+    parser.add_argument("--cap-atoms", type=int, default=Thresholds.answer_cap, metavar="N")
+    parser.add_argument("--cap-epistemic", type=int, default=Thresholds.wv_cap, metavar="N")
     parser.add_argument(
         "--timings",
         action="store_true",
@@ -180,35 +176,33 @@ def _cmd_oracle(args):
     return 0
 
 
+def _graph(program, kind, abstraction=None):
+    """The program's primal, epistemic or nested graph; the nested one
+    abstracts onto the named atoms, or onto every epistemic atom."""
+    if kind == "primal":
+        return primal_graph(program)
+    if kind == "epistemic":
+        return epistemic_primal_graph(program)
+    mask = program.eats_mask
+    if abstraction:
+        atoms = [a.strip() for a in abstraction.split(",") if a.strip()]
+        for a in atoms:
+            if a not in program.atoms:
+                raise ParseError("abstraction atom %r does not occur in the program" % a)
+        mask = mask_of(program.atoms.id(a) for a in atoms)
+    return nested_primal_graph(program, mask)
+
+
 def _cmd_graph(args):
     program = _load_program(args.file)
-    if args.kind == "primal":
-        graph = primal_graph(program)
-    elif args.kind == "epistemic":
-        graph = epistemic_primal_graph(program)
-    else:
-        info = classify_atoms(program)
-        if args.abstraction:
-            atoms = [a.strip() for a in args.abstraction.split(",") if a.strip()]
-            for a in atoms:
-                if a not in program.atoms:
-                    raise ParseError("abstraction atom %r does not occur in the program" % a)
-            mask = mask_of(program.atoms.id(a) for a in atoms)
-        else:
-            mask = info.eats_mask
-        graph = nested_primal_graph(program, mask)
+    graph = _graph(program, args.kind, args.abstraction)
     sys.stdout.write(graph.to_dot(program.atoms, name=args.kind))
     return 0
 
 
 def _cmd_td(args):
     program = _load_program(args.file)
-    if args.graph == "primal":
-        graph = primal_graph(program)
-    elif args.graph == "epistemic":
-        graph = epistemic_primal_graph(program)
-    else:
-        graph = nested_primal_graph(program, classify_atoms(program).eats_mask)
+    graph = _graph(program, args.graph)
     td = build_td(graph, args.heuristic, args.seed)
     assert validate_td(graph, td)
     nice = make_nice(td)

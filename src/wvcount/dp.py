@@ -32,7 +32,8 @@ from .graphs import (
 )
 from .model import EMPTY_WVI, Program, Rule, WVI, bits, mask_of
 from .semantics import (
-    classify_atoms,
+    ANSWER_CAP,
+    WV_CAP,
     epistemic_masks,
     epistemic_reduct,
     query_constraint,
@@ -58,8 +59,8 @@ class Thresholds:
     hybrid: int = 45
     abstr: int = 8
     depth: int = 1
-    answer_cap: int = 24
-    wv_cap: int = 12
+    answer_cap: int = ANSWER_CAP
+    wv_cap: int = WV_CAP
 
     def __post_init__(self):
         if not (self.hybrid >= self.abstr >= 0):
@@ -168,8 +169,7 @@ def count_plausible(program: Program, heuristic: str = "min-fill", seed: int = 0
     decomposition of the epistemic primal graph."""
     if any(r.ats_mask == 0 for r in program.rules):
         return 0  # a bare falsity constraint admits nothing
-    info = classify_atoms(program)
-    if info.eats_mask == 0:
+    if program.is_plain:
         return 1
     nice = make_nice(build_td(epistemic_primal_graph(program), heuristic, seed))
     root_table = plausible_tables(program, nice)[nice.root]
@@ -348,37 +348,34 @@ def _run_tables(depth, program, a_mask, assumption, query, ctx, primal=None):
 
 def _intr_table(depth, program, nd, atom, child, assumption, with_q, ctx):
     bit = 1 << atom
-    guesses = []
+    table = {}
     for (tm, fm), (c, q) in child.items():
         for nt, nf in ((tm, fm), (tm | bit, fm), (tm, fm | bit)):
-            if _rows_ok(nd.checks, nt, nf):
-                guesses.append(((nt, nf), c, q))
-
-    table = {}
-    for (nt, nf), c, q in guesses:
-        wvi = WVI(nd.bag_mask, nt, nf)
-        # The node answers for every atom it owns: decided ones must be
-        # known in the nested world views, undecided ones genuinely open.
-        sub_assumption = assumption.union(wvi).restrict(nd.owned_mask)
-        mult = 1
-        if nd.nested or sub_assumption.domain:
-            mult = _nested_verify(
-                depth, nd.nested, (), program.atoms, wvi, sub_assumption, ctx
-            )
-        c2 = c * mult
-        if c2 == 0:
-            continue
-        if not with_q:
-            table[nt, nf] = (c2, c2)
-            continue
-        if nd.query_extra:
-            qmult = _nested_verify(
-                depth, nd.nested, nd.query_extra, program.atoms, wvi,
-                sub_assumption, ctx,
-            )
-        else:
-            qmult = mult
-        table[nt, nf] = (c2, q * qmult)
+            if not _rows_ok(nd.checks, nt, nf):
+                continue
+            wvi = WVI(nd.bag_mask, nt, nf)
+            # The node answers for every atom it owns: decided ones must be
+            # known in the nested world views, undecided ones genuinely open.
+            sub_assumption = assumption.union(wvi).restrict(nd.owned_mask)
+            mult = 1
+            if nd.nested or sub_assumption.domain:
+                mult = _nested_verify(
+                    depth, nd.nested, (), program.atoms, wvi, sub_assumption, ctx
+                )
+            c2 = c * mult
+            if c2 == 0:
+                continue
+            if not with_q:
+                table[nt, nf] = (c2, c2)
+                continue
+            if nd.query_extra:
+                qmult = _nested_verify(
+                    depth, nd.nested, nd.query_extra, program.atoms, wvi,
+                    sub_assumption, ctx,
+                )
+            else:
+                qmult = mult
+            table[nt, nf] = (c2, q * qmult)
     return table
 
 
@@ -407,30 +404,32 @@ def _nested_count(depth, program, assumption, ctx, query=None):
     ctx.stats.max_depth = max(ctx.stats.max_depth, depth)
     if any(r.ats_mask == 0 for r in program.rules):
         return 0, 0  # a bare falsity constraint, given or left by a reduct
-    info = classify_atoms(program)
-    overlap = assumption.domain & info.eats_mask
+    eats, ats = program.eats_mask, program.ats_mask
+    overlap = assumption.domain & eats
     if overlap:
         # Assumptions about epistemic atoms fold into the program as
         # pinning constraints; the tables then only ever see assumptions
-        # over objective atoms.
+        # over objective atoms.  The constraints mention only atoms in
+        # ``overlap``, which are epistemic already, so ``eats`` and
+        # ``ats`` still describe the rebound program.
         program = with_wvi_constraints(program, assumption.restrict(overlap))
         assumption = assumption.restrict(~overlap)
-    assert assumption.domain & info.eats_mask == 0
+    assert assumption.domain & eats == 0
     # Assumed atoms no rule mentions anymore are underivable: a truth or
     # openness claim on them fails outright, a falsity claim is free.
-    gone = assumption.domain & ~info.ats_mask
+    gone = assumption.domain & ~ats
     if gone:
         if (assumption.true | assumption.undecided) & gone:
             return 0, 0
-        assumption = assumption.restrict(info.ats_mask)
+        assumption = assumption.restrict(ats)
     # Likewise for query literals: such an atom is false in every answer
     # set, so a positive literal fails and a negative one always holds.
-    if query is not None and query.domain & ~info.ats_mask:
-        if query.true & ~info.ats_mask:
+    if query is not None and query.domain & ~ats:
+        if query.true & ~ats:
             return _nested_count(depth, program, assumption, ctx)[0], 0
-        query = query.restrict(info.ats_mask)
+        query = query.restrict(ats)
     thr = ctx.thresholds
-    if info.eats_mask == 0 or (depth and depth >= thr.depth):
+    if eats == 0 or (depth and depth >= thr.depth):
         # A plain subproblem has nothing to decompose, and past the depth
         # cap the base solver takes the subproblem whatever its width, so
         # neither builds a decomposition.  An epistemic subproblem at depth
@@ -440,10 +439,10 @@ def _nested_count(depth, program, assumption, ctx, query=None):
     primal_td = build_td(primal, ctx.heuristic, ctx.seed)
     if depth == 0:
         ctx.stats.primal_width = primal_td.width
-        ctx.stats.eats_size = info.eats_mask.bit_count()
+        ctx.stats.eats_size = eats.bit_count()
     if primal_td.width >= thr.hybrid or depth >= thr.depth:
         return _base_case(program, assumption, query, ctx)
-    a_mask = info.eats_mask
+    a_mask = eats
     if primal_td.width >= thr.abstr:
         a_mask = choose_abstraction(
             a_mask, program, thr.abstr, ABSTRACTION_BUDGET, ctx.seed,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .errors import WvcountError
 from .model import Program, bits, mask_of
-from .semantics import classify_atoms
 
 A_TAG = "a"
 E_TAG = "e"
@@ -79,10 +78,9 @@ def primal_graph(program: Program) -> TaggedGraph:
     epistemic ones as e-vertices, plus an {a,e} link for every epistemic
     atom (its objective twin exists even without an objective occurrence)."""
     g = TaggedGraph()
-    info = classify_atoms(program)
-    for atom in bits(info.aats_mask):
+    for atom in bits(program.aats_mask):
         g.add_vertex((atom, A_TAG))
-    for atom in bits(info.eats_mask):
+    for atom in bits(program.eats_mask):
         g.add_vertex((atom, E_TAG))
         g.add_vertex((atom, A_TAG))
         g.add_edge((atom, A_TAG), (atom, E_TAG))
@@ -99,11 +97,12 @@ def epistemic_primal_graph(program: Program) -> TaggedGraph:
     """E-vertices for all epistemic atoms; edges join atoms sharing a
     purely-epistemic rule."""
     g = TaggedGraph()
-    info = classify_atoms(program)
-    for atom in bits(info.eats_mask):
+    for atom in bits(program.eats_mask):
         g.add_vertex((atom, E_TAG))
-    for idx in info.purely_epistemic:
-        occ = [(a, E_TAG) for a in bits(program.rules[idx].eats_mask)]
+    for r in program.rules:
+        if not r.purely_epistemic:
+            continue
+        occ = [(a, E_TAG) for a in bits(r.eats_mask)]
         for i in range(len(occ)):
             for j in range(i + 1, len(occ)):
                 g.add_edge(occ[i], occ[j])
@@ -123,8 +122,7 @@ def nested_primal_graph(
     the program's primal graph when the caller already has it; it is only
     read.
     """
-    info = classify_atoms(program)
-    if a_mask & ~info.eats_mask:
+    if a_mask & ~program.eats_mask:
         raise WvcountError("abstraction atoms must be epistemic atoms")
     if primal is None:
         primal = primal_graph(program)

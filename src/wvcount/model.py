@@ -153,10 +153,6 @@ class Rule:
     def purely_epistemic(self) -> bool:
         return self.aats_mask == 0
 
-    @property
-    def is_plain(self) -> bool:
-        return self.eats_mask == 0
-
 
 @dataclass(frozen=True, eq=False)
 class Program:
@@ -164,35 +160,30 @@ class Program:
 
     Specializes to a plain program when no epistemic element occurs.
     Derived programs (reducts, adjunctions) share the atom table; atom
-    sets are always computed from the current rules, not the table.
+    sets come from the program's own rules, not the table.  They are
+    computed once, at construction: ``eats_mask`` (atoms under an
+    epistemic element) and ``aats_mask`` (objective atoms) are folded
+    over the rules, and ``ats_mask`` and ``is_plain`` derive from them.
     """
 
     atoms: AtomTable
     rules: tuple[Rule, ...]
 
+    eats_mask: int = field(init=False, repr=False, default=0)
+    aats_mask: int = field(init=False, repr=False, default=0)
+
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
+        eats = aats = 0
+        for r in self.rules:
+            eats |= r.eats_mask
+            aats |= r.aats_mask
+        object.__setattr__(self, "eats_mask", eats)
+        object.__setattr__(self, "aats_mask", aats)
 
     @property
     def ats_mask(self) -> int:
-        m = 0
-        for r in self.rules:
-            m |= r.ats_mask
-        return m
-
-    @property
-    def eats_mask(self) -> int:
-        m = 0
-        for r in self.rules:
-            m |= r.eats_mask
-        return m
-
-    @property
-    def aats_mask(self) -> int:
-        m = 0
-        for r in self.rules:
-            m |= r.aats_mask
-        return m
+        return self.eats_mask | self.aats_mask
 
     @property
     def is_plain(self) -> bool:

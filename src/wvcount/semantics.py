@@ -8,13 +8,13 @@ truth in tests, guarded by explicit size caps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernel
 from .errors import BruteForceCapExceeded, NoWorldViews, NotPlainError
 from .model import (
     EMPTY_WVI,
+    AtomTable,
     Epistemic,
     Literal,
     Objective,
@@ -25,26 +25,10 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class ProgramAtoms:
-    """Atom classification of a program plus its purely-epistemic rules."""
-
-    ats_mask: int
-    eats_mask: int
-    aats_mask: int
-    purely_epistemic: tuple[int, ...]  # rule indices
-
-
-def classify_atoms(program: Program) -> ProgramAtoms:
-    ats = eats = aats = 0
-    pure = []
-    for idx, r in enumerate(program.rules):
-        ats |= r.ats_mask
-        eats |= r.eats_mask
-        aats |= r.aats_mask
-        if r.purely_epistemic:
-            pure.append(idx)
-    return ProgramAtoms(ats, eats, aats, tuple(pure))
+# Default brute-force caps: atoms an answer-set enumeration may span, and
+# epistemic atoms a world-view enumeration may guess over.
+ANSWER_CAP = 24
+WV_CAP = 12
 
 
 def gl_reduct(program: Program, interpretation: int) -> Program:
@@ -132,7 +116,7 @@ def _components(program: Program):
     return [(masks[k], groups[k]) for k in sorted(masks, key=lambda k: masks[k] & -masks[k])]
 
 
-def answer_sets(program: Program, cap: int = 24, memo=None) -> list[int]:
+def answer_sets(program: Program, cap: int = ANSWER_CAP, memo=None) -> list[int]:
     """All answer sets of a plain program, as sorted interpretation masks.
 
     Disconnected parts of the program are enumerated separately and
@@ -283,7 +267,7 @@ def epistemic_masks(rule: Rule) -> tuple[int, int, int, int]:
 
 
 def enumerate_world_views(
-    program: Program, eats_cap: int = 12, atoms_cap: int = 24, memo=None
+    program: Program, eats_cap: int = WV_CAP, atoms_cap: int = ANSWER_CAP, memo=None
 ) -> list[WVI]:
     """All world views of a program, by exhausting the 3^k guesses over its
     epistemic atoms.  Each guess extends uniquely to a WVI over all atoms
@@ -294,8 +278,7 @@ def enumerate_world_views(
     four-mask test of ``epistemic_masks`` and answer sets are cached per
     survivor set.
     """
-    info = classify_atoms(program)
-    eats_list = sorted(bits(info.eats_mask))
+    eats_list = sorted(bits(program.eats_mask))
     if len(eats_list) > eats_cap:
         raise BruteForceCapExceeded(
             "world-view enumeration over %d epistemic atoms exceeds cap %d"
@@ -309,7 +292,7 @@ def enumerate_world_views(
             continue
         residue = Rule(r.head, tuple(el for el in r.body if isinstance(el, Objective)))
         ep_rules.append(epistemic_masks(r) + (residue,))
-    rest = info.ats_mask & ~info.eats_mask
+    rest = program.aats_mask & ~program.eats_mask
     cache: dict[int, list[int]] = {}
     out = []
     for choice in itertools.product((None, True, False), repeat=len(eats_list)):
@@ -343,7 +326,7 @@ def enumerate_world_views(
         for m in sets[1:]:
             and_mask &= m
             or_mask |= m
-        full = WVI(info.ats_mask, t | (and_mask & rest), f | (rest & ~or_mask))
+        full = WVI(program.ats_mask, t | (and_mask & rest), f | (rest & ~or_mask))
         if check_compatibility(full, sets):
             out.append(full)
     return out
@@ -358,8 +341,8 @@ def query_agrees(query: WVI, world_view: WVI) -> bool:
 def count_world_views_bruteforce(
     program: Program,
     query: WVI = EMPTY_WVI,
-    eats_cap: int = 12,
-    atoms_cap: int = 24,
+    eats_cap: int = WV_CAP,
+    atoms_cap: int = ANSWER_CAP,
     memo=None,
 ) -> int:
     wvs = enumerate_world_views(program, eats_cap, atoms_cap, memo)
@@ -367,7 +350,10 @@ def count_world_views_bruteforce(
 
 
 def probability_bruteforce(
-    program: Program, query: WVI = EMPTY_WVI, eats_cap: int = 12, atoms_cap: int = 24
+    program: Program,
+    query: WVI = EMPTY_WVI,
+    eats_cap: int = WV_CAP,
+    atoms_cap: int = ANSWER_CAP,
 ) -> Fraction:
     wvs = enumerate_world_views(program, eats_cap, atoms_cap)
     total = len(wvs)
@@ -384,8 +370,6 @@ def cnf_to_elp(num_vars: int, clauses) -> Program:
     constraint forcing it to be decided, every clause one forbidding all
     three literals to be unknown.  Clauses are DIMACS-style signed ints.
     """
-    from .model import AtomTable
-
     table = AtomTable("x%d" % (i + 1) for i in range(num_vars))
     rules = []
     for v in range(num_vars):

@@ -10,7 +10,7 @@ from wvcount.bench import (
 )
 from wvcount.dp import Thresholds, count_world_views
 from wvcount.parser import parse_program, program_to_text
-from wvcount.semantics import classify_atoms, count_world_views_bruteforce, enumerate_world_views
+from wvcount.semantics import count_world_views_bruteforce, enumerate_world_views
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +90,7 @@ def test_random_elp_contract():
     prog = gen_random_elp(4, 2, 6, seed=1)
     again = parse_program(program_to_text(prog))
     assert program_to_text(again) == program_to_text(prog)
-    info = classify_atoms(prog)
-    assert info.eats_mask & ~info.aats_mask == 0  # epistemic atoms occur plainly
+    assert prog.eats_mask & ~prog.aats_mask == 0  # epistemic atoms occur plainly
 
 
 def test_random_elp_empty():

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from conftest import RUNNING_PATH
-from wvcount.cli import main
+from wvcount.cli import _thresholds, build_parser, main
+from wvcount.dp import Thresholds
 
 
 def run_cli(args, **kwargs):
@@ -148,6 +149,11 @@ def test_exit_usage_on_invalid_option_values(capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_option_defaults_are_the_default_thresholds():
+    args = build_parser().parse_args(["count", "x.elp"])
+    assert _thresholds(args) == Thresholds()
+
+
 def test_exit_input_error_on_bad_atoms_and_harness_files(tmp_path, capsys):
     assert main(["graph", RUNNING_PATH, "--kind", "nested", "--abstraction", "nosuch"]) == 3
     malformed = tmp_path / "malformed.json"
@@ -165,12 +171,21 @@ def test_exit_input_error_on_bad_atoms_and_harness_files(tmp_path, capsys):
     )
     no_students = tmp_path / "classic.json"
     no_students.write_text(json.dumps({"instances": [{"family": "classic", "n": 0}]}))
+    # so are wrong-typed fields: a string, a float, a bool where an int goes
+    wrong_types = []
+    for i, entry in enumerate((
+        {"family": "classic", "n": "3"},
+        {"family": "classic", "n": 3, "seed": 1.5},
+        {"family": "classic", "n": True},
+    )):
+        wrong_types.append(tmp_path / ("typed%d.json" % i))
+        wrong_types[-1].write_text(json.dumps({"instances": [entry]}))
     for spec in (
         tmp_path / "missing.json", malformed, unknown_key, missing_path,
-        too_many_epistemic, no_students,
+        too_many_epistemic, no_students, *wrong_types,
     ):
         assert main(["harness", str(spec)]) == 3
-    assert capsys.readouterr().err.count("input error:") == 7
+    assert capsys.readouterr().err.count("input error:") == 10
 
 
 def test_exit_cap_exceeded(tmp_path):

@@ -23,7 +23,6 @@ from wvcount.graphs import nested_primal_graph
 from wvcount.model import EMPTY_WVI, WVI, Rule, bits, mask_of
 from wvcount.parser import parse_program
 from wvcount.semantics import (
-    classify_atoms,
     cnf_to_elp,
     count_world_views_bruteforce,
     probability_bruteforce,
@@ -82,9 +81,8 @@ def test_count_plausible_running(running):
 
 def test_count_plausible_unconstrained_guesses():
     prog = parse_program("p :- not q.\nq :- not p.\nr :- not r2.\nr2 :- not r.")
-    info = classify_atoms(prog)
     assert not any(r.purely_epistemic for r in prog.rules)
-    assert count_plausible(prog) == 3 ** info.eats_mask.bit_count()
+    assert count_plausible(prog) == 3 ** prog.eats_mask.bit_count()
 
 
 def test_count_plausible_cnf_clause():
@@ -109,27 +107,23 @@ def test_plausible_root_single_row(running):
 
 
 def test_choose_abstraction_running(running):
-    info = classify_atoms(running)
-    chosen = choose_abstraction(info.eats_mask, running, target_width=2, seed=0)
+    chosen = choose_abstraction(running.eats_mask, running, target_width=2, seed=0)
     assert set(running.atoms.mask_to_names(chosen)) == {"b", "c", "d"}
 
 
 def test_choose_abstraction_keeps_sparse_sets():
     prog = parse_program(":- -K a.\n:- -K b.\na.\nb.")
-    info = classify_atoms(prog)
-    chosen = choose_abstraction(info.eats_mask, prog, target_width=1, seed=0)
-    assert chosen == info.eats_mask  # already edgeless, width 0
+    chosen = choose_abstraction(prog.eats_mask, prog, target_width=1, seed=0)
+    assert chosen == prog.eats_mask  # already edgeless, width 0
 
 
 def test_choose_abstraction_singleton():
     prog = parse_program("a.\n:- -K a.")
-    info = classify_atoms(prog)
-    assert choose_abstraction(info.eats_mask, prog, 3, seed=1) == info.eats_mask
+    assert choose_abstraction(prog.eats_mask, prog, 3, seed=1) == prog.eats_mask
 
 
 def test_choose_abstraction_never_empty(running):
-    info = classify_atoms(running)
-    chosen = choose_abstraction(info.eats_mask, running, target_width=0, seed=0)
+    chosen = choose_abstraction(running.eats_mask, running, target_width=0, seed=0)
     assert chosen != 0
 
 
@@ -166,7 +160,7 @@ def test_choose_abstraction_matches_rebuild_per_candidate():
     programs += [cnf_to_elp(10, gen_random_3cnf(10, 16, seed)) for seed in range(3)]
     shrunk = 0
     for prog in programs:
-        eats = classify_atoms(prog).eats_mask
+        eats = prog.eats_mask
         for target in range(9):
             for budget in (0, 3, 10, 256):
                 for heuristic in ("min-fill", "min-degree"):
@@ -516,7 +510,6 @@ def test_elp_tables_root_single_row_and_positive_counts(running):
     from wvcount.dp import _make_ctx, _run_tables
 
     ctx = _make_ctx(Thresholds(hybrid=99, abstr=99, depth=1), None, "min-fill", 0, None)
-    info = classify_atoms(running)
     captured = []
     orig = dp_mod._intr_table
 
@@ -527,7 +520,7 @@ def test_elp_tables_root_single_row_and_positive_counts(running):
 
     dp_mod._intr_table = spy
     try:
-        total, _ = _run_tables(0, running, info.eats_mask, EMPTY_WVI, None, ctx)
+        total, _ = _run_tables(0, running, running.eats_mask, EMPTY_WVI, None, ctx)
     finally:
         dp_mod._intr_table = orig
     assert total == 3
@@ -541,8 +534,7 @@ def test_elp_root_bag_is_empty(running):
     from wvcount.decomp import build_td, make_nice
     from wvcount.graphs import nested_primal_graph
 
-    info = classify_atoms(running)
-    nice = make_nice(build_td(nested_primal_graph(running, info.eats_mask)))
+    nice = make_nice(build_td(nested_primal_graph(running, running.eats_mask)))
     assert nice.bags[nice.root] == frozenset()
 
 

@@ -16,7 +16,7 @@ from wvcount.graphs import (
 )
 from wvcount.model import bits, mask_of
 from wvcount.parser import parse_program
-from wvcount.semantics import classify_atoms, cnf_to_elp
+from wvcount.semantics import cnf_to_elp
 
 
 def edge_names(program, graph):
@@ -142,7 +142,7 @@ def test_nested_primal_empty_abstraction(running):
 
 
 def test_nested_primal_full_abstraction(running):
-    mask = classify_atoms(running).eats_mask
+    mask = running.eats_mask
     g = nested_primal_graph(running, mask)
     epi = e_edges(running, epistemic_primal_graph(running))
     assert epi <= e_edges(running, g)
@@ -154,7 +154,7 @@ def test_nested_primal_full_abstraction(running):
 def test_nested_supergraph_of_epistemic_on_random_programs():
     for seed in range(25):
         prog = gen_random_elp(6, 3, 8, seed)
-        mask = classify_atoms(prog).eats_mask
+        mask = prog.eats_mask
         nested = e_edges(prog, nested_primal_graph(prog, mask))
         epi = e_edges(prog, epistemic_primal_graph(prog))
         assert epi <= nested
@@ -167,7 +167,7 @@ def test_dropping_an_atom_eliminates_its_vertex():
     programs += [cnf_to_elp(6, gen_random_3cnf(6, 9, seed)) for seed in range(3)]
     checked = 0
     for prog in programs:
-        eats = sorted(bits(classify_atoms(prog).eats_mask))
+        eats = sorted(bits(prog.eats_mask))
         for pick in range(1 << len(eats)):
             mask = mask_of(a for i, a in enumerate(eats) if pick >> i & 1)
             for x in bits(mask):
@@ -187,7 +187,7 @@ def test_graphs_simple_and_symmetric(running):
     for g in (
         primal_graph(running),
         epistemic_primal_graph(running),
-        nested_primal_graph(running, classify_atoms(running).eats_mask),
+        nested_primal_graph(running, running.eats_mask),
     ):
         for u, nbrs in g.adj.items():
             assert u not in nbrs
@@ -214,7 +214,7 @@ def test_compat_assignment_example(running):
 
 
 def test_compat_full_abstraction_components(running):
-    mask = classify_atoms(running).eats_mask
+    mask = running.eats_mask
     td = TreeDecomposition({0: {(a, "e") for a in bits(mask)}}, {0: ()}, 0)
     asg = assign_compatible_sets(running, mask, td)
     comps = [tuple(running.atoms.name(a) for a in c) for c in asg.components]
@@ -268,7 +268,7 @@ def test_bag_programs_epistemic_td(running):
         {1: (), 2: (), 3: (1, 2)},
         3,
     )
-    mask = classify_atoms(running).eats_mask
+    mask = running.eats_mask
     asg = assign_compatible_sets(running, mask, td)
     pe1, _ = bag_programs(running, mask, asg, td, 1)
     pe2, _ = bag_programs(running, mask, asg, td, 2)
@@ -281,7 +281,7 @@ def test_bag_programs_epistemic_td(running):
 def test_unique_owner_for_objective_rules():
     for seed in range(25):
         prog = gen_random_elp(7, 3, 9, seed)
-        mask = classify_atoms(prog).eats_mask
+        mask = prog.eats_mask
         nice = make_nice(build_td(nested_primal_graph(prog, mask)))
         asg = assign_compatible_sets(prog, mask, nice)
         membership = []
@@ -301,7 +301,7 @@ def test_unique_owner_for_objective_rules():
 
 
 def test_compat_owner_is_introduce_node_on_nice_tds(running):
-    mask = classify_atoms(running).eats_mask
+    mask = running.eats_mask
     nice = make_nice(build_td(nested_primal_graph(running, mask)))
     asg = assign_compatible_sets(running, mask, nice)
     for owner in asg.owner.values():
@@ -345,7 +345,7 @@ def test_compat_assignment_matches_linear_scan():
     programs += [cnf_to_elp(8, gen_random_3cnf(8, 10, seed)) for seed in range(3)]
     checked = 0
     for prog in programs:
-        eats = classify_atoms(prog).eats_mask
+        eats = prog.eats_mask
         random_mask = mask_of(a for a in bits(eats) if rng.random() < 0.5)
         for mask in (eats, 0, random_mask):
             for heuristic in ("min-fill", "min-degree"):

@@ -21,7 +21,6 @@ from wvcount.semantics import (
     _answer_sets_whole,
     answer_sets,
     check_compatibility,
-    classify_atoms,
     cnf_to_elp,
     count_world_views_bruteforce,
     enumerate_world_views,
@@ -48,20 +47,71 @@ def as_name_sets(program, masks):
 
 
 def test_classify_running(running):
-    info = classify_atoms(running)
-    assert names(running, info.eats_mask) == {"a", "b", "c", "d"}
-    assert info.purely_epistemic == (7, 8, 9, 10, 11)  # the five constraints
+    assert names(running, running.eats_mask) == {"a", "b", "c", "d"}
+    pure = [i for i, r in enumerate(running.rules) if r.purely_epistemic]
+    assert pure == [7, 8, 9, 10, 11]  # the five constraints
+    assert running.ats_mask == running.aats_mask | running.eats_mask
+    assert not running.is_plain
 
 
 def test_classify_plain(plain_core):
-    assert classify_atoms(plain_core).eats_mask == 0
+    assert plain_core.eats_mask == 0
+    assert plain_core.is_plain
+    assert plain_core.ats_mask == plain_core.aats_mask != 0
 
 
 def test_classify_epistemic_only():
     prog = parse_program(":- -K v.")
-    info = classify_atoms(prog)
-    assert names(prog, info.eats_mask) == {"v"}
-    assert info.aats_mask == 0
+    assert names(prog, prog.eats_mask) == {"v"}
+    assert prog.aats_mask == 0
+    assert prog.ats_mask == prog.eats_mask
+    assert not prog.is_plain
+
+
+def assert_masks_fold_rules(program):
+    """The atom sets a program stores equal the fold over its rules."""
+    eats = aats = ats = 0
+    for r in program.rules:
+        eats |= r.eats_mask
+        aats |= r.aats_mask
+        ats |= r.ats_mask
+    assert program.eats_mask == eats
+    assert program.aats_mask == aats
+    assert program.ats_mask == ats
+    assert program.is_plain == (eats == 0)
+
+
+def test_stored_masks_on_random_and_derived_programs():
+    rng = random.Random(7)
+    for seed in range(40):
+        prog = gen_random_elp(8, 4, 10, seed)
+        other = gen_random_elp(8, 3, 5, seed + 100)
+        eats = prog.eats_mask
+        t = f = 0
+        for a in bits(eats):
+            v = rng.choice((None, True, False))
+            if v is True:
+                t |= 1 << a
+            elif v is False:
+                f |= 1 << a
+        full = WVI(eats, t, f)
+        partial = full.restrict(rng.getrandbits(8))
+        query = WVI.from_literals(
+            Literal(a, rng.random() < 0.5) for a in rng.sample(range(8), 2)
+        )
+        derived = [
+            prog,
+            epistemic_reduct(prog, full),
+            epistemic_reduct(prog, partial),
+            prog.with_rules(prog.rules[::2]),
+            prog.with_rules(()),
+            prog.extended(other.rules),
+            with_wvi_constraints(prog, full),
+            with_wvi_constraints(prog, partial),
+            with_query_constraints(prog, query),
+        ]
+        for program in derived:
+            assert_masks_fold_rules(program)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +242,7 @@ def test_epistemic_reduct_undecided_gives_constraint():
 def test_epistemic_reduct_plain_when_domain_covers_eats():
     for seed in range(20):
         prog = gen_random_elp(6, 3, 8, seed)
-        info = classify_atoms(prog)
-        wvi = WVI(domain=info.eats_mask)
+        wvi = WVI(domain=prog.eats_mask)
         assert epistemic_reduct(prog, wvi).is_plain
 
 
@@ -316,9 +365,8 @@ def test_world_views_cap():
 def test_every_world_view_is_plausible():
     for seed in range(30):
         prog = gen_random_elp(6, 3, 8, seed)
-        info = classify_atoms(prog)
         for w in enumerate_world_views(prog):
-            assert is_plausible(w.restrict(info.eats_mask), prog)
+            assert is_plausible(w.restrict(prog.eats_mask), prog)
 
 
 def test_is_plausible_running(running):
