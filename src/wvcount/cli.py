@@ -114,6 +114,7 @@ def _emit_result(args, stats: RunStats, seconds, count=None, probability=None):
         "dp_nodes": stats.dp_nodes,
         "backend_calls": stats.backend_calls,
         "nested_calls": stats.nested_calls,
+        "components": stats.components,
     }
     if args.timings:
         record["wall_time_s"] = round(seconds, 6)
@@ -325,9 +326,30 @@ def build_parser():
     return parser
 
 
+def _attach_query_values(argv):
+    """Rewrite ``--query -b,c`` as ``--query=-b,c``.  argparse takes a
+    separate value that starts with one ``-`` for an option, so a query
+    whose first literal is negative would stop with a usage error."""
+    out = []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        if arg == "--":
+            return out + argv[i:]
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if arg == "--query" and value.startswith("-") and not value.startswith("--"):
+            out.append("--query=" + value)
+            i += 2
+        else:
+            out.append(arg)
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_query_values(argv))
     try:
         return args.func(args)
     except _UsageError as exc:

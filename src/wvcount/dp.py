@@ -12,12 +12,15 @@ routing but never results.
 
 Both drivers take one route: ``count_world_views`` and
 ``acceptance_probability`` call the router ``_nested_count``, which
-returns a world-view count together with its query count.
+returns a world-view count together with its query count.  At every
+depth it splits its subproblem into connected components, counts each
+apart (``_route``) and multiplies; components equal up to renaming are
+counted once per driver call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -34,6 +37,8 @@ from .model import EMPTY_WVI, Program, Rule, WVI, bits, mask_of
 from .semantics import (
     ANSWER_CAP,
     WV_CAP,
+    _components,
+    dense_renaming,
     epistemic_masks,
     epistemic_reduct,
     query_constraint,
@@ -71,7 +76,17 @@ class Thresholds:
 
 @dataclass
 class RunStats:
-    """Observability record for one counting run."""
+    """Observability record for one counting run.
+
+    ``eats_size`` counts the epistemic atoms of the whole depth-0 program
+    and ``components`` the connected components it splits into.  The
+    structural fields fold over the depth-0 components counted before the
+    first zero, memo hits included: ``primal_width`` and ``dp_width`` are
+    the maximum, ``dp_nodes`` and ``abstraction_size`` the sum, and a
+    field stays -1 only if no component reached its stage.
+    ``backend_calls`` and ``nested_calls`` count the calls made, so a memo
+    hit adds nothing to them.
+    """
 
     primal_width: int = -1
     dp_width: int = -1
@@ -81,6 +96,25 @@ class RunStats:
     backend_calls: int = 0
     nested_calls: int = 0
     max_depth: int = 0
+    components: int = 0
+
+
+@dataclass
+class _Figures:
+    """The structural ``RunStats`` fields of one depth-0 component."""
+
+    primal_width: int = -1
+    dp_width: int = -1
+    dp_nodes: int = 0
+    abstraction_size: int = -1
+
+
+def _fold(stats: RunStats, figures: _Figures) -> None:
+    stats.primal_width = max(stats.primal_width, figures.primal_width)
+    stats.dp_width = max(stats.dp_width, figures.dp_width)
+    stats.dp_nodes += figures.dp_nodes
+    if figures.abstraction_size >= 0:
+        stats.abstraction_size = max(stats.abstraction_size, 0) + figures.abstraction_size
 
 
 @dataclass
@@ -90,6 +124,8 @@ class _Ctx:
     heuristic: str
     seed: int
     stats: RunStats
+    # Component key -> (count, query count, figures); one per driver call.
+    memo: dict = field(default_factory=dict)
 
 
 def _rows_ok(checks, tmask, fmask) -> bool:
@@ -302,16 +338,17 @@ def _nested_verify(depth, base_rules, extra, table, wvi, assumption, ctx):
     return _nested_count(depth + 1, sub, assumption, ctx)[0]
 
 
-def _run_tables(depth, program, a_mask, assumption, query, ctx, primal=None):
+def _run_tables(depth, program, a_mask, assumption, query, ctx, primal=None, figures=None):
     """Dynamic programming over a nice decomposition of the nested primal
     graph; returns the count and the query count (the count again when no
-    query is given)."""
+    query is given).  ``figures``, when given, takes the decomposition's
+    width and node count."""
     nice = make_nice(
         build_td(nested_primal_graph(program, a_mask, primal), ctx.heuristic, ctx.seed)
     )
-    if depth == 0:
-        ctx.stats.dp_width = nice.width
-        ctx.stats.dp_nodes = nice.node_count
+    if figures is not None:
+        figures.dp_width = nice.width
+        figures.dp_nodes = nice.node_count
     data = _prepare_nodes(program, a_mask, nice, query, primal)
     with_q = query is not None
     tables = {}
@@ -399,7 +436,9 @@ def _nested_count(depth, program, assumption, ctx, query=None):
     """Count the world views of ``program`` that agree exactly with the
     assumption on its domain, and those of them that also agree with
     ``query``; returns ``(count, query_count)``, the two equal when no
-    query is given.  The one router of both drivers.
+    query is given.  The one router of both drivers: it resolves the
+    assumption and query literals, then counts each connected component
+    with ``_route``, once per component up to renaming.
     """
     ctx.stats.max_depth = max(ctx.stats.max_depth, depth)
     if any(r.ats_mask == 0 for r in program.rules):
@@ -428,6 +467,64 @@ def _nested_count(depth, program, assumption, ctx, query=None):
         if query.true & ~ats:
             return _nested_count(depth, program, assumption, ctx)[0], 0
         query = query.restrict(ats)
+    parts = _components(program)
+    if depth == 0:
+        ctx.stats.eats_size = eats.bit_count()
+        ctx.stats.components = len(parts)
+    if len(parts) <= 1:
+        figures = _Figures()
+        result = _route(depth, program, assumption, query, ctx, figures)
+        if depth == 0:
+            _fold(ctx.stats, figures)
+        return result
+    # The world views of a disjoint union are the products of its parts'
+    # world views, and compatibility and query agreement are tested atom
+    # by atom, so both counts multiply over the components.
+    count = query_count = 1
+    for mask, rules in parts:
+        sub_assumption = assumption.restrict(mask)
+        sub_query = None
+        if query is not None and query.domain & mask:
+            sub_query = query.restrict(mask)
+        key = _component_key(depth, mask, rules, sub_assumption, sub_query)
+        entry = ctx.memo.get(key)
+        if entry is None:
+            figures = _Figures()
+            part = Program(program.atoms, tuple(rules))
+            c, q = _route(depth, part, sub_assumption, sub_query, ctx, figures)
+            entry = ctx.memo[key] = (c, q, figures)
+        c, q, figures = entry
+        if depth == 0:
+            _fold(ctx.stats, figures)
+        if c == 0:
+            return 0, 0
+        count *= c
+        query_count *= q
+    return count, query_count
+
+
+def _component_key(depth, mask, rules, assumption, query):
+    """A component's memo key, equal for components that differ only by an
+    order-preserving renaming of their atoms: its rules, assumption and
+    query over ``dense_renaming`` masks, and the depth."""
+    local = dense_renaming(mask)[1]
+    return (
+        depth,
+        tuple(
+            tuple(map(local, (r.head_mask, r.pos_mask, r.neg_mask) + epistemic_masks(r)))
+            for r in rules
+        ),
+        (local(assumption.domain), local(assumption.true), local(assumption.false)),
+        None if query is None else (local(query.domain), local(query.true), local(query.false)),
+    )
+
+
+def _route(depth, program, assumption, query, ctx, figures):
+    """Count one connected subproblem: the base solver when it is plain,
+    past the depth cap or too wide, else tables over a decomposition of an
+    abstraction of it.  At depth 0, ``figures`` takes its widths, table
+    nodes and abstraction size."""
+    eats = program.eats_mask
     thr = ctx.thresholds
     if eats == 0 or (depth and depth >= thr.depth):
         # A plain subproblem has nothing to decompose, and past the depth
@@ -438,8 +535,7 @@ def _nested_count(depth, program, assumption, ctx, query=None):
     primal = primal_graph(program)  # the one build for this subproblem
     primal_td = build_td(primal, ctx.heuristic, ctx.seed)
     if depth == 0:
-        ctx.stats.primal_width = primal_td.width
-        ctx.stats.eats_size = eats.bit_count()
+        figures.primal_width = primal_td.width
     if primal_td.width >= thr.hybrid or depth >= thr.depth:
         return _base_case(program, assumption, query, ctx)
     a_mask = eats
@@ -449,8 +545,11 @@ def _nested_count(depth, program, assumption, ctx, query=None):
             ctx.heuristic, primal,
         )
     if depth == 0:
-        ctx.stats.abstraction_size = a_mask.bit_count()
-    return _run_tables(depth, program, a_mask, assumption, query, ctx, primal)
+        figures.abstraction_size = a_mask.bit_count()
+    return _run_tables(
+        depth, program, a_mask, assumption, query, ctx, primal,
+        figures if depth == 0 else None,
+    )
 
 
 def _make_ctx(thresholds, backend, heuristic, seed, stats):

@@ -44,7 +44,17 @@ def gl_reduct(program: Program, interpretation: int) -> Program:
     return program.with_rules(rules)
 
 
-def _compile_masks(rules, atom_list):
+def dense_renaming(atom_mask: int):
+    """Dense local atom numbers for the atoms of ``atom_mask``: its i-th
+    lowest atom becomes atom i.  Returns the atom list and the function
+    that maps a mask over those atoms to its local mask.  Two programs
+    that differ by an order-preserving renaming of their atoms compile to
+    equal local masks."""
+    atom_list = list(bits(atom_mask))
+    low = atom_mask & -atom_mask
+    if low and atom_mask & (atom_mask + low) == 0:  # one run of consecutive ids
+        shift = low.bit_length() - 1
+        return atom_list, lambda mask: mask >> shift
     remap = {atom: i for i, atom in enumerate(atom_list)}
 
     def local(mask):
@@ -53,21 +63,21 @@ def _compile_masks(rules, atom_list):
             out |= 1 << remap[a]
         return out
 
-    heads = [local(r.head_mask) for r in rules]
-    bpos = [local(r.pos_mask) for r in rules]
-    bneg = [local(r.neg_mask) for r in rules]
-    return heads, bpos, bneg
+    return atom_list, local
 
 
 def _answer_sets_whole(program: Program, memo=None) -> list[int]:
     """Single enumeration over all atoms, without component splitting.
 
-    ``memo`` maps a compiled program (its dense local masks) to its local
-    answer sets.  Programs that differ only in their atom names share an
-    entry, and each hit maps the cached sets back to its own atoms.
+    ``memo`` maps a compiled program (its rules' ``dense_renaming`` masks)
+    to its local answer sets.  Programs that differ only in their atom
+    names share an entry, and each hit maps the cached sets back to its
+    own atoms.
     """
-    atom_list = sorted(bits(program.ats_mask))
-    heads, bpos, bneg = _compile_masks(program.rules, atom_list)
+    atom_list, local = dense_renaming(program.ats_mask)
+    heads = [local(r.head_mask) for r in program.rules]
+    bpos = [local(r.pos_mask) for r in program.rules]
+    bneg = [local(r.neg_mask) for r in program.rules]
     if memo is None:
         local_sets = kernel.answer_sets_masks(heads, bpos, bneg, len(atom_list))
     else:
@@ -87,33 +97,35 @@ def _answer_sets_whole(program: Program, memo=None) -> list[int]:
 
 
 def _components(program: Program):
-    """Partition rules by atom connectivity; returns (atom_mask, rules) pairs."""
-    parent = {}
+    """Partition rules by atom connectivity; returns (atom_mask, rules)
+    pairs in the order of their lowest atoms.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for r in program.rules:
-        atoms = list(bits(r.ats_mask))
-        for a in atoms:
-            parent.setdefault(a, a)
-        for a in atoms[1:]:
-            union(atoms[0], a)
-    groups: dict[int, list[Rule]] = {}
-    masks: dict[int, int] = {}
-    for r in program.rules:
-        root = find(next(bits(r.ats_mask)))
-        groups.setdefault(root, []).append(r)
-        masks[root] = masks.get(root, 0) | r.ats_mask
-    return [(masks[k], groups[k]) for k in sorted(masks, key=lambda k: masks[k] & -masks[k])]
+    A union-find over atoms with path halving: each rule joins its atoms
+    to the root of its first one.  The finds are written inline because
+    the counting router runs this on every subproblem.
+    """
+    parent: dict[int, int] = {}
+    masks = [r.ats_mask for r in program.rules]
+    for m in masks:
+        root = -1
+        for a in bits(m):
+            while parent.setdefault(a, a) != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            if root < 0:
+                root = a
+            elif a != root:
+                parent[a] = root
+    groups: dict[int, list] = {}
+    for r, m in zip(program.rules, masks):
+        a = (m & -m).bit_length() - 1
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        group = groups.setdefault(a, [0, []])
+        group[0] |= m
+        group[1].append(r)
+    return sorted(groups.values(), key=lambda g: g[0] & -g[0])
 
 
 def answer_sets(program: Program, cap: int = ANSWER_CAP, memo=None) -> list[int]:

@@ -41,6 +41,17 @@ def test_oracle(capsys):
     assert capsys.readouterr().out == "2\n"
 
 
+def test_query_may_start_with_a_negative_literal(capsys):
+    # argparse reads a separate "-b,c" as an option; both forms must work.
+    expected_out = {"prob": "1/3 (0.333333)\n", "count": "1\n", "oracle": "1\n"}
+    for command, expected in expected_out.items():
+        for query_args in (["--query", "-b,c"], ["--query=-b,c"]):
+            assert main([command, RUNNING_PATH] + query_args) == 0
+            assert capsys.readouterr().out == expected
+    run = run_cli(["prob", RUNNING_PATH, "--query", "-b,c"])
+    assert (run.returncode, run.stdout) == (0, "1/3 (0.333333)\n")
+
+
 def test_wvs(capsys):
     assert main(["wvs", RUNNING_PATH]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -221,10 +232,16 @@ def test_exit_backend_failure(tmp_path):
     )
 
 
-def test_byte_reproducibility():
+def test_byte_reproducibility(tmp_path):
     env = dict(os.environ, PYTHONHASHSEED="random")
+    many = str(tmp_path / "many.elp")
+    assert main(["gen", "many", "--n", "12", "--seed", "5", "--out", many]) == 0
+    split = run_cli(["count", many, "--format", "structured"], env=env)
+    assert json.loads(split.stdout)["components"] > 1
     for args in (
         ["count", RUNNING_PATH, "--seed", "3", "--format", "structured"],
+        ["count", many, "--format", "structured"],
+        ["prob", many, "--query", "-rank_high_1,rank_high_4", "--format", "structured"],
         ["prob", RUNNING_PATH, "--query", "a,-b", "--seed", "3"],
         ["wvs", RUNNING_PATH],
         ["graph", RUNNING_PATH, "--kind", "primal"],

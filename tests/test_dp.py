@@ -1,17 +1,19 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import brute_plausible_count, running_nice_td, wvi_from_names
 from wvcount.backends import InternalBackend
-from wvcount.bench import gen_random_3cnf, gen_random_elp
+from wvcount.bench import gen_random_3cnf, gen_random_elp, gen_scholarship
 from wvcount.decomp import build_td
 from wvcount.dp import (
     RunStats,
     Thresholds,
     _Ctx,
     _base_case,
+    _make_ctx,
     acceptance_probability,
     choose_abstraction,
     count_plausible,
@@ -20,12 +22,14 @@ from wvcount.dp import (
 )
 from wvcount.errors import NoWorldViews
 from wvcount.graphs import nested_primal_graph
-from wvcount.model import EMPTY_WVI, WVI, Rule, bits, mask_of
+from wvcount.model import EMPTY_WVI, WVI, AtomTable, Literal, Program, Rule, bits, mask_of
 from wvcount.parser import parse_program
 from wvcount.semantics import (
     cnf_to_elp,
     count_world_views_bruteforce,
+    enumerate_world_views,
     probability_bruteforce,
+    query_agrees,
 )
 
 THRESHOLD_GRID = (
@@ -627,3 +631,148 @@ def test_reused_backend_agrees_with_oracle():
         for thr in THRESHOLD_GRID:
             assert count_world_views(prog, thresholds=thr, backend=backend) == expected
     assert backend._memo
+
+
+# ---------------------------------------------------------------------------
+# connected components
+
+
+def with_renamed_copy(program, rng=None):
+    """``program`` beside a copy of itself over fresh atoms, numbered after
+    the program's.  The copy keeps the atoms' order unless ``rng`` is
+    given, which shuffles it, so the two halves are then equal only up to
+    a renaming that reorders atoms."""
+    names = program.atoms.names
+    n = len(names)
+    order = list(range(n))
+    if rng is not None:
+        rng.shuffle(order)
+    copy_names = [None] * n
+    for a, b in enumerate(order):
+        copy_names[b] = names[a] + "_copy"
+    table = AtomTable(names + copy_names)
+
+    def move(literal):
+        return Literal(n + order[literal.atom], literal.positive)
+
+    copy = tuple(
+        Rule(
+            tuple(n + order[a] for a in r.head),
+            tuple(replace(el, literal=move(el.literal)) for el in r.body),
+        )
+        for r in program.rules
+    )
+    return Program(table, program.rules + copy)
+
+
+def test_disjoint_union_count_is_the_square():
+    rng = random.Random(4)
+    for seed in range(16):
+        prog = gen_random_elp(6, 3, 8, seed)
+        union = with_renamed_copy(prog, rng if seed % 2 else None)
+        single = count_world_views_bruteforce(prog)
+        assert count_world_views_bruteforce(union) == single**2
+        for thr in THRESHOLD_GRID:
+            half, whole = RunStats(), RunStats()
+            assert count_world_views(prog, thresholds=thr, stats=half) == single
+            assert count_world_views(union, thresholds=thr, stats=whole) == single**2
+            assert whole.components == 2 * half.components
+            assert whole.eats_size == 2 * half.eats_size
+            if single and seed % 2 == 0:  # the copy's parts hit the memo
+                assert whole.dp_nodes == 2 * half.dp_nodes
+                assert whole.primal_width == half.primal_width
+                assert whole.dp_width == half.dp_width
+                assert whole.abstraction_size == max(2 * half.abstraction_size, -1)
+
+
+def test_disjoint_union_queries_and_assumptions(running):
+    # Query literals span both halves; the assumption is read off a world
+    # view of the union or drawn at random, over atoms of either half.
+    rng = random.Random(9)
+    pair = parse_program("hi :- not lo.\nlo :- not hi.\nup :- K hi.")
+    programs = [running, pair] + [
+        prog
+        for prog in (gen_random_elp(6, 3, 8, seed) for seed in range(12))
+        if count_world_views_bruteforce(prog)
+    ]
+    with_hits = split_prob = 0
+    for i, prog in enumerate(programs):
+        union = with_renamed_copy(prog, rng if i % 2 else None)
+        views = enumerate_world_views(union)
+        n = len(prog.atoms)
+        atoms = sorted(bits(prog.ats_mask))
+        for _ in range(6):
+            ends = (rng.choice(atoms), n + rng.choice(atoms))
+            query = WVI(mask_of(ends), true=mask_of(x for x in ends if rng.random() < 0.5))
+            picked = rng.sample(sorted(bits(union.ats_mask)), 2)
+            source = rng.choice(views)
+            values = {
+                x: source.value(x) if rng.random() < 0.7 else rng.choice((True, False, None))
+                for x in picked
+            }
+            assumed = WVI(
+                mask_of(picked),
+                mask_of(x for x in picked if values[x] is True),
+                mask_of(x for x in picked if values[x] is False),
+            )
+            agreeing = [v for v in views if all(v.value(x) == values[x] for x in picked)]
+            total = len(agreeing)
+            hits = sum(1 for v in agreeing if query_agrees(query, v))
+            expected_prob = Fraction(sum(1 for v in views if query_agrees(query, v)), len(views))
+            with_hits += hits > 0
+            split_prob += 0 < expected_prob < 1
+            for thr in (None,) + THRESHOLD_GRID:
+                assert count_world_views(union, thresholds=thr, assumption=assumed) == total
+                assert count_world_views(
+                    union, query=query, thresholds=thr, assumption=assumed
+                ) == hits
+                if total:
+                    assert acceptance_probability(
+                        union, query, thresholds=thr, assumption=assumed
+                    ) == Fraction(hits, total)
+                else:
+                    with pytest.raises(NoWorldViews):
+                        acceptance_probability(union, query, thresholds=thr, assumption=assumed)
+                assert acceptance_probability(union, query, thresholds=thr) == expected_prob
+    assert with_hits >= 10 and split_prob >= 3
+
+
+def test_isomorphic_components_hit_the_memo():
+    runs = {}
+    for n in (50, 500):
+        stats = RunStats()
+        assert count_world_views(gen_scholarship(n, "classic"), stats=stats) == 1
+        assert stats.components == stats.eats_size == n
+        runs[n] = stats
+    # Each student is one of three components up to renaming, so the
+    # backend is called as often for 500 students as for 50, while the
+    # folded figures grow with the students.
+    assert runs[50].backend_calls == runs[500].backend_calls
+    assert runs[50].nested_calls == runs[500].nested_calls
+    assert runs[500].dp_nodes == 10 * runs[50].dp_nodes
+    assert runs[500].abstraction_size == 10 * runs[50].abstraction_size
+
+
+def test_component_memo_lives_for_one_call():
+    prog = gen_scholarship(60, "many", 3)
+    query = WVI.from_literals(
+        Literal(prog.atoms.id(name), True)
+        for name in prog.atoms.names
+        if name.startswith("rank_high_")
+    )
+    runs = []
+    for _ in range(2):
+        count_stats, prob_stats = RunStats(), RunStats()
+        runs.append(
+            (
+                count_world_views(prog, stats=count_stats),
+                acceptance_probability(prog, query, stats=prob_stats),
+                count_stats,
+                prob_stats,
+            )
+        )
+    assert runs[0] == runs[1]
+    assert runs[0][2].components > 1 and runs[0][2].backend_calls > 0
+    first = _make_ctx(None, None, "min-fill", 0, None)
+    second = _make_ctx(None, None, "min-fill", 0, None)
+    assert first.memo == {} and first.memo is not second.memo
