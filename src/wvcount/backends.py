@@ -18,7 +18,7 @@ import tempfile
 from dataclasses import dataclass, field
 
 from .errors import BackendError, BackendTimeout
-from .model import EMPTY_WVI, Literal, Objective, Program, Rule, WVI
+from .model import EMPTY_WVI, Program, WVI
 from .parser import program_to_text
 from .semantics import (
     ANSWER_CAP,
@@ -30,31 +30,12 @@ from .semantics import (
 )
 
 
-class BackendBase:
-    """The spec-facing entry points every backend shares: each maps a mode
-    name to one of the four operations ``count_wv``, ``wv_exists``,
-    ``as_exists`` and ``as_forbid_all`` that the backend provides.  The
-    counting engine calls ``wv_exists`` on plain subproblems and
-    ``count_wv`` on the rest; the two ASP operations serve ``solve_asp``
-    only."""
-
-    def solve_asp(self, program: Program, mode: str, wvi: WVI = EMPTY_WVI) -> bool:
-        if mode == "exists":
-            return self.as_exists(program)
-        if mode == "forbid_all":
-            return self.as_forbid_all(program, wvi)
-        raise ValueError("unknown ASP mode %r" % mode)
-
-    def solve_elp(self, program: Program, mode: str, wvi: WVI = EMPTY_WVI):
-        if mode == "wv_exists":
-            return self.wv_exists(program, wvi)
-        if mode == "count_wv":
-            return self.count_wv(program, wvi)
-        raise ValueError("unknown ELP mode %r" % mode)
-
-
-class InternalBackend(BackendBase):
+class InternalBackend:
     """Brute-force solver over the in-process semantics, capped.
+
+    The counting engine calls ``wv_exists`` on plain subproblems and
+    ``count_wv`` on the rest.  ``as_exists`` and ``as_forbid_all`` answer
+    answer-set questions on plain programs; the engine does not call them.
 
     The backend keeps one answer-set memo for its whole life: a plain
     component enumerated once is not enumerated again, whichever atoms it
@@ -118,7 +99,7 @@ class BackendConfig:
             raise ValueError("parse mode must be 'count' or 'sat'")
 
 
-class ExternalBackend(BackendBase):
+class ExternalBackend:
     """Subprocess adapter for one external solver role."""
 
     def __init__(self, config: BackendConfig):
@@ -187,22 +168,8 @@ class ExternalBackend(BackendBase):
             program = with_wvi_constraints(program, wvi)
         return self._sat(program)
 
-    def as_exists(self, program: Program) -> bool:
-        return self._sat(program)
 
-    def as_forbid_all(self, program: Program, wvi: WVI) -> bool:
-        # One existence probe per literal: a violating answer set for "a"
-        # is one without a, kept alive by the constraint ":- a".
-        for lit in wvi.decided_literals():
-            probe = program.extended(
-                (Rule((), (Objective(Literal(lit.atom, lit.positive)),)),)
-            )
-            if self._sat(probe):
-                return False
-        return True
-
-
-class StackedBackend(BackendBase):
+class StackedBackend:
     """External backend for the operations its parse mode supports, with
     the internal backend covering the rest."""
 
@@ -212,7 +179,3 @@ class StackedBackend(BackendBase):
         counting = external.config.parse == "count"
         self.count_wv = external.count_wv if counting else internal.count_wv
         self.wv_exists = internal.wv_exists if counting else external.wv_exists
-        self.as_exists = internal.as_exists if counting else external.as_exists
-        self.as_forbid_all = (
-            internal.as_forbid_all if counting else external.as_forbid_all
-        )

@@ -1,21 +1,22 @@
 """Table algorithms and nested dynamic programming drivers.
 
 Counting runs over nice tree decompositions of graph abstractions.  Rows
-pair a partial world view interpretation over the bag's epistemic atoms
-with one counter (plus a second, query-side counter for probability
-runs).  Introduce nodes guess a third truth value, check the bag's
-purely-epistemic rules, and verify the rules delegated to the node by a
-recursive call; remove nodes project and sum; join nodes match rows and
-multiply.  Recursion bottoms out in one base-solver call per subproblem
-(``_base_case``), steered by width and depth thresholds that change
-routing but never results.
+map a partial world view interpretation over the bag's epistemic atoms
+to a count.  Both table algorithms share one pass (``_table_pass``):
+remove nodes project and sum, join nodes match rows and multiply.  Their
+introduce nodes guess a third truth value and check the bag's
+purely-epistemic rules; the nested algorithm also verifies the rules
+delegated to the node by a recursive call.  Recursion bottoms out in one
+base-solver call per subproblem (``_base_case``), steered by width and
+depth thresholds that change routing but never results.
 
-Both drivers take one route: ``count_world_views`` and
-``acceptance_probability`` call the router ``_nested_count``, which
-returns a world-view count together with its query count.  At every
+Both drivers take one route, the router ``_nested_count``.  At every
 depth it splits its subproblem into connected components, counts each
 apart (``_route``) and multiplies; components equal up to renaming are
-counted once per driver call.
+counted once per driver call.  A query is resolved at the depth-0 split
+only: each component it touches is counted again with the query's
+constraints adjoined, so ``acceptance_probability`` gets its two counts
+from one run of the router.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .semantics import (
     dense_renaming,
     epistemic_masks,
     epistemic_reduct,
-    query_constraint,
     with_query_constraints,
     with_wvi_constraints,
 )
@@ -85,7 +85,11 @@ class RunStats:
     the maximum, ``dp_nodes`` and ``abstraction_size`` the sum, and a
     field stays -1 only if no component reached its stage.
     ``backend_calls`` and ``nested_calls`` count the calls made, so a memo
-    hit adds nothing to them.
+    hit adds nothing to them.  For ``acceptance_probability`` the
+    structural fields describe the program without the query, whose
+    constraints only join the recount of each component they touch at the
+    depth-0 split; the call counters and ``max_depth`` include those
+    recounts.
     """
 
     primal_width: int = -1
@@ -124,7 +128,7 @@ class _Ctx:
     heuristic: str
     seed: int
     stats: RunStats
-    # Component key -> (count, query count, figures); one per driver call.
+    # Component key -> (count, figures); one per driver call.
     memo: dict = field(default_factory=dict)
 
 
@@ -157,36 +161,25 @@ def _node_checks(by_atom, atom: int, bag_mask: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Plausible-WVI counting (tables over the epistemic primal graph)
+# The shared table pass, and plausible-WVI counting over the epistemic primal graph
 
 
-def plausible_tables(program: Program, nice: NiceTD):
-    """Run the plausible-counting table algorithm; returns node -> table.
+def _table_pass(nice: NiceTD, introduce):
+    """Run a table algorithm over ``nice``; returns node -> table.
 
-    Tables map (true_mask, false_mask) row keys to counters.  At an
-    introduce node only rules completed by the introduced atom need
-    checking; earlier rows already satisfy the rest of the bag program.
+    Tables map (true_mask, false_mask) row keys to counts.  Leaves hold
+    the empty row, remove nodes project and sum, join nodes match rows and
+    multiply; ``introduce(t, child_table)`` builds an introduce node's.
     """
-    checks_by_atom = _checks_by_atom(program, program.eats_mask)
     tables = {}
     for t in nice.postorder():
         kind = nice.kind[t]
         if kind == "leaf":
             tables[t] = {(0, 0): 1}
         elif kind == "intr":
-            atom = nice.action[t][0]
-            bit = 1 << atom
-            bag_mask = mask_of(a for a, _tag in nice.bags[t])
-            checks = _node_checks(checks_by_atom, atom, bag_mask)
-            out = {}
-            for (tm, fm), c in tables[nice.children[t][0]].items():
-                for nt, nf in ((tm, fm), (tm | bit, fm), (tm, fm | bit)):
-                    if _rows_ok(checks, nt, nf):
-                        out[(nt, nf)] = c
-            tables[t] = out
+            tables[t] = introduce(t, tables[nice.children[t][0]])
         elif kind == "rem":
-            atom = nice.action[t][0]
-            keep = ~(1 << atom)
+            keep = ~(1 << nice.action[t][0])
             out = {}
             for (tm, fm), c in tables[nice.children[t][0]].items():
                 key = (tm & keep, fm & keep)
@@ -194,10 +187,30 @@ def plausible_tables(program: Program, nice: NiceTD):
             tables[t] = out
         else:  # join
             left, right = (tables[c] for c in nice.children[t])
-            tables[t] = {
-                key: c1 * right[key] for key, c1 in left.items() if key in right
-            }
+            tables[t] = {key: c1 * right[key] for key, c1 in left.items() if key in right}
     return tables
+
+
+def plausible_tables(program: Program, nice: NiceTD):
+    """Run the plausible-counting table algorithm; returns node -> table.
+
+    At an introduce node only rules completed by the introduced atom need
+    checking; earlier rows already satisfy the rest of the bag program.
+    """
+    checks_by_atom = _checks_by_atom(program, program.eats_mask)
+
+    def introduce(t, child):
+        atom = nice.action[t][0]
+        bit = 1 << atom
+        checks = _node_checks(checks_by_atom, atom, mask_of(a for a, _tag in nice.bags[t]))
+        return {
+            (nt, nf): c
+            for (tm, fm), c in child.items()
+            for nt, nf in ((tm, fm), (tm | bit, fm), (tm, fm | bit))
+            if _rows_ok(checks, nt, nf)
+        }
+
+    return _table_pass(nice, introduce)
 
 
 def count_plausible(program: Program, heuristic: str = "min-fill", seed: int = 0) -> int:
@@ -208,8 +221,7 @@ def count_plausible(program: Program, heuristic: str = "min-fill", seed: int = 0
     if program.is_plain:
         return 1
     nice = make_nice(build_td(epistemic_primal_graph(program), heuristic, seed))
-    root_table = plausible_tables(program, nice)[nice.root]
-    return sum(root_table.values())
+    return sum(plausible_tables(program, nice)[nice.root].values())
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +292,13 @@ class _NodeData:
     checks: tuple = ()  # epistemic_masks of the bag's purely-epistemic rules
     nested: tuple = ()  # rules verified by recursion at this node
     owned_mask: int = 0  # the node's nested bag atoms (owned components)
-    query_extra: tuple = ()  # query constraints resolved at this node
 
 
-def _prepare_nodes(program, a_mask, nice, query: Optional[WVI], primal):
-    """Attach bag programs, delegated rules, and query constraints to the
-    introduce nodes of a nice decomposition."""
+def _prepare_nodes(program, a_mask, nice, primal):
+    """Attach bag programs and delegated rules to the introduce nodes of a
+    nice decomposition."""
     asg = assign_compatible_sets(program, a_mask, nice, primal)
-    comp_of_atom = {}
-    for idx, atoms in enumerate(asg.components):
-        for a in atoms:
-            comp_of_atom[a] = idx
+    comp_of_atom = {a: idx for idx, atoms in enumerate(asg.components) for a in atoms}
     nested_by_node: dict[int, list[Rule]] = {}
     for r in program.rules:
         anchor = r.aats_mask | (r.eats_mask & ~a_mask)
@@ -299,36 +307,22 @@ def _prepare_nodes(program, a_mask, nice, query: Optional[WVI], primal):
         owner = asg.owner[comp_of_atom[next(bits(anchor))]]
         nested_by_node.setdefault(owner, []).append(r)
     checks_by_atom = _checks_by_atom(program, a_mask)
-    query_by_atom: dict[int, list[Rule]] = {}
-    query_by_node: dict[int, list[Rule]] = {}
-    if query is not None:
-        for lit in query.decided_literals():
-            constraint = query_constraint(lit)
-            if a_mask & (1 << lit.atom):
-                query_by_atom.setdefault(lit.atom, []).append(constraint)
-            else:
-                owner = asg.owner[comp_of_atom[lit.atom]]
-                query_by_node.setdefault(owner, []).append(constraint)
     data = {}
     for t in nice.postorder():
         if nice.kind[t] != "intr":
             continue
-        atom = nice.action[t][0]
         bag_mask = mask_of(a for a, _tag in nice.bags[t])
         data[t] = _NodeData(
             bag_mask=bag_mask,
-            checks=_node_checks(checks_by_atom, atom, bag_mask),
+            checks=_node_checks(checks_by_atom, nice.action[t][0], bag_mask),
             nested=tuple(nested_by_node.get(t, ())),
             owned_mask=asg.nested_bag_atoms.get(t, 0),
-            query_extra=tuple(
-                query_by_node.get(t, []) + query_by_atom.get(atom, [])
-            ),
         )
     return data
 
 
-def _nested_verify(depth, base_rules, extra, table, wvi, assumption, ctx):
-    sub = epistemic_reduct(Program(table, base_rules + extra), wvi)
+def _nested_verify(depth, rules, table, wvi, assumption, ctx):
+    sub = epistemic_reduct(Program(table, rules), wvi)
     if not sub.rules and assumption.domain == 0:
         return 1
     # An empty reduct still needs its assumption checked: literals whose
@@ -338,55 +332,28 @@ def _nested_verify(depth, base_rules, extra, table, wvi, assumption, ctx):
     return _nested_count(depth + 1, sub, assumption, ctx)[0]
 
 
-def _run_tables(depth, program, a_mask, assumption, query, ctx, primal=None, figures=None):
+def _run_tables(depth, program, a_mask, assumption, ctx, primal=None, figures=None):
     """Dynamic programming over a nice decomposition of the nested primal
-    graph; returns the count and the query count (the count again when no
-    query is given).  ``figures``, when given, takes the decomposition's
-    width and node count."""
+    graph; returns the count.  ``figures``, when given, takes the
+    decomposition's width and node count."""
     nice = make_nice(
         build_td(nested_primal_graph(program, a_mask, primal), ctx.heuristic, ctx.seed)
     )
     if figures is not None:
         figures.dp_width = nice.width
         figures.dp_nodes = nice.node_count
-    data = _prepare_nodes(program, a_mask, nice, query, primal)
-    with_q = query is not None
-    tables = {}
-    for t in nice.postorder():
-        kind = nice.kind[t]
-        if kind == "leaf":
-            tables[t] = {(0, 0): (1, 1)}
-        elif kind == "intr":
-            tables[t] = _intr_table(
-                depth, program, data[t], nice.action[t][0],
-                tables[nice.children[t][0]], assumption, with_q, ctx,
-            )
-        elif kind == "rem":
-            keep = ~(1 << nice.action[t][0])
-            out = {}
-            for (tm, fm), (c, q) in tables[nice.children[t][0]].items():
-                key = (tm & keep, fm & keep)
-                oc, oq = out.get(key, (0, 0))
-                out[key] = (oc + c, oq + q)
-            tables[t] = out
-        else:  # join
-            left, right = (tables[c] for c in nice.children[t])
-            out = {}
-            for key, (c1, q1) in left.items():
-                if key in right:
-                    c2, q2 = right[key]
-                    out[key] = (c1 * c2, q1 * q2)
-            tables[t] = out
-    root = tables[nice.root]
-    total_c = sum(c for c, _q in root.values())
-    total_q = sum(q for _c, q in root.values())
-    return total_c, total_q
+    data = _prepare_nodes(program, a_mask, nice, primal)
+
+    def introduce(t, child):
+        return _intr_table(depth, program, data[t], nice.action[t][0], child, assumption, ctx)
+
+    return sum(_table_pass(nice, introduce)[nice.root].values())
 
 
-def _intr_table(depth, program, nd, atom, child, assumption, with_q, ctx):
+def _intr_table(depth, program, nd, atom, child, assumption, ctx):
     bit = 1 << atom
     table = {}
-    for (tm, fm), (c, q) in child.items():
+    for (tm, fm), c in child.items():
         for nt, nf in ((tm, fm), (tm | bit, fm), (tm, fm | bit)):
             if not _rows_ok(nd.checks, nt, nf):
                 continue
@@ -397,39 +364,32 @@ def _intr_table(depth, program, nd, atom, child, assumption, with_q, ctx):
             mult = 1
             if nd.nested or sub_assumption.domain:
                 mult = _nested_verify(
-                    depth, nd.nested, (), program.atoms, wvi, sub_assumption, ctx
+                    depth, nd.nested, program.atoms, wvi, sub_assumption, ctx
                 )
-            c2 = c * mult
-            if c2 == 0:
-                continue
-            if not with_q:
-                table[nt, nf] = (c2, c2)
-                continue
-            if nd.query_extra:
-                qmult = _nested_verify(
-                    depth, nd.nested, nd.query_extra, program.atoms, wvi,
-                    sub_assumption, ctx,
-                )
-            else:
-                qmult = mult
-            table[nt, nf] = (c2, q * qmult)
+            if mult:
+                table[nt, nf] = c * mult
     return table
 
 
-def _base_case(program, assumption, query, ctx):
-    """``(count, query_count)`` from one backend call: ``wv_exists`` as 0/1
-    for a plain program, which has at most one world view, and
-    ``count_wv`` otherwise.  The query side costs one more ``count_wv``
-    call only when a query is given and the count is non-zero."""
+def _base_case(program, assumption, ctx):
+    """The count from one backend call: ``wv_exists`` as 0/1 for a plain
+    program, which has at most one world view, and ``count_wv``
+    otherwise."""
     ctx.stats.backend_calls += 1
     if program.is_plain:
-        count = 1 if ctx.backend.wv_exists(program, assumption) else 0
-    else:
-        count = ctx.backend.count_wv(program, assumption)
-    if query is None or count == 0:
-        return count, count
-    ctx.stats.backend_calls += 1
-    return count, ctx.backend.count_wv(with_query_constraints(program, query), assumption)
+        return 1 if ctx.backend.wv_exists(program, assumption) else 0
+    return ctx.backend.count_wv(program, assumption)
+
+
+def _pin(program, assumption):
+    """Fold the assumption's epistemic atoms into ``program`` as pinning
+    constraints, so the tables only see assumptions over objective atoms.
+    The constraints mention only epistemic atoms: the atom masks stay."""
+    overlap = assumption.domain & program.eats_mask
+    if overlap:
+        program = with_wvi_constraints(program, assumption.restrict(overlap))
+        assumption = assumption.restrict(~overlap)
+    return program, assumption
 
 
 def _nested_count(depth, program, assumption, ctx, query=None):
@@ -438,22 +398,15 @@ def _nested_count(depth, program, assumption, ctx, query=None):
     ``query``; returns ``(count, query_count)``, the two equal when no
     query is given.  The one router of both drivers: it resolves the
     assumption and query literals, then counts each connected component
-    with ``_route``, once per component up to renaming.
+    with ``_route``, once per component up to renaming.  A component the
+    query touches is counted a second time, with the query's constraints
+    adjoined; nothing below this split sees a query.
     """
     ctx.stats.max_depth = max(ctx.stats.max_depth, depth)
     if any(r.ats_mask == 0 for r in program.rules):
         return 0, 0  # a bare falsity constraint, given or left by a reduct
-    eats, ats = program.eats_mask, program.ats_mask
-    overlap = assumption.domain & eats
-    if overlap:
-        # Assumptions about epistemic atoms fold into the program as
-        # pinning constraints; the tables then only ever see assumptions
-        # over objective atoms.  The constraints mention only atoms in
-        # ``overlap``, which are epistemic already, so ``eats`` and
-        # ``ats`` still describe the rebound program.
-        program = with_wvi_constraints(program, assumption.restrict(overlap))
-        assumption = assumption.restrict(~overlap)
-    assert assumption.domain & eats == 0
+    program, assumption = _pin(program, assumption)
+    ats = program.ats_mask
     # Assumed atoms no rule mentions anymore are underivable: a truth or
     # openness claim on them fails outright, a falsity claim is free.
     gone = assumption.domain & ~ats
@@ -469,44 +422,57 @@ def _nested_count(depth, program, assumption, ctx, query=None):
         query = query.restrict(ats)
     parts = _components(program)
     if depth == 0:
-        ctx.stats.eats_size = eats.bit_count()
+        ctx.stats.eats_size = program.eats_mask.bit_count()
         ctx.stats.components = len(parts)
-    if len(parts) <= 1:
-        figures = _Figures()
-        result = _route(depth, program, assumption, query, ctx, figures)
-        if depth == 0:
-            _fold(ctx.stats, figures)
-        return result
     # The world views of a disjoint union are the products of its parts'
     # world views, and compatibility and query agreement are tested atom
-    # by atom, so both counts multiply over the components.
+    # by atom, so both counts multiply over the components.  A single
+    # component (or none) is the program itself, counted unmemoized.
+    whole = len(parts) <= 1
     count = query_count = 1
-    for mask, rules in parts:
+    for mask, rules in ((ats, None),) if whole else parts:
         sub_assumption = assumption.restrict(mask)
-        sub_query = None
-        if query is not None and query.domain & mask:
-            sub_query = query.restrict(mask)
-        key = _component_key(depth, mask, rules, sub_assumption, sub_query)
-        entry = ctx.memo.get(key)
-        if entry is None:
-            figures = _Figures()
-            part = Program(program.atoms, tuple(rules))
-            c, q = _route(depth, part, sub_assumption, sub_query, ctx, figures)
-            entry = ctx.memo[key] = (c, q, figures)
-        c, q, figures = entry
+        c, figures = _count_part(depth, program, mask, rules, sub_assumption, ctx)
         if depth == 0:
             _fold(ctx.stats, figures)
         if c == 0:
             return 0, 0
+        q = c
+        if query is not None and query.domain & mask:
+            # The query's constraints can make an objective atom epistemic,
+            # so an assumption on it must be pinned again.
+            part = program if whole else program.with_rules(rules)
+            q_part, q_assumption = _pin(
+                with_query_constraints(part, query.restrict(mask)), sub_assumption
+            )
+            q_rules = None if whole else q_part.rules
+            q, _figures = _count_part(depth, q_part, mask, q_rules, q_assumption, ctx)
         count *= c
         query_count *= q
     return count, query_count
 
 
-def _component_key(depth, mask, rules, assumption, query):
+def _count_part(depth, program, mask, rules, assumption, ctx):
+    """Count the connected component of ``program`` made of ``rules`` with
+    ``_route``; returns the count and the component's figures.  Components
+    equal up to renaming are counted once per driver call.  With ``rules``
+    None, the component is ``program`` itself, counted unmemoized."""
+    if rules is None:
+        figures = _Figures()
+        return _route(depth, program, assumption, ctx, figures), figures
+    key = _component_key(depth, mask, rules, assumption)
+    entry = ctx.memo.get(key)
+    if entry is None:
+        figures = _Figures()
+        count = _route(depth, program.with_rules(rules), assumption, ctx, figures)
+        entry = ctx.memo[key] = (count, figures)
+    return entry
+
+
+def _component_key(depth, mask, rules, assumption):
     """A component's memo key, equal for components that differ only by an
-    order-preserving renaming of their atoms: its rules, assumption and
-    query over ``dense_renaming`` masks, and the depth."""
+    order-preserving renaming of their atoms: its rules and assumption
+    over ``dense_renaming`` masks, and the depth."""
     local = dense_renaming(mask)[1]
     return (
         depth,
@@ -515,41 +481,36 @@ def _component_key(depth, mask, rules, assumption, query):
             for r in rules
         ),
         (local(assumption.domain), local(assumption.true), local(assumption.false)),
-        None if query is None else (local(query.domain), local(query.true), local(query.false)),
     )
 
 
-def _route(depth, program, assumption, query, ctx, figures):
+def _route(depth, program, assumption, ctx, figures):
     """Count one connected subproblem: the base solver when it is plain,
     past the depth cap or too wide, else tables over a decomposition of an
-    abstraction of it.  At depth 0, ``figures`` takes its widths, table
-    nodes and abstraction size."""
+    abstraction of it.  ``figures`` takes its widths, table nodes and
+    abstraction size."""
     eats = program.eats_mask
+    assert assumption.domain & eats == 0  # _pin folded those atoms in
     thr = ctx.thresholds
     if eats == 0 or (depth and depth >= thr.depth):
         # A plain subproblem has nothing to decompose, and past the depth
         # cap the base solver takes the subproblem whatever its width, so
         # neither builds a decomposition.  An epistemic subproblem at depth
         # 0 builds one for stats even when the cap is 0.
-        return _base_case(program, assumption, query, ctx)
+        return _base_case(program, assumption, ctx)
     primal = primal_graph(program)  # the one build for this subproblem
     primal_td = build_td(primal, ctx.heuristic, ctx.seed)
-    if depth == 0:
-        figures.primal_width = primal_td.width
+    figures.primal_width = primal_td.width
     if primal_td.width >= thr.hybrid or depth >= thr.depth:
-        return _base_case(program, assumption, query, ctx)
+        return _base_case(program, assumption, ctx)
     a_mask = eats
     if primal_td.width >= thr.abstr:
         a_mask = choose_abstraction(
             a_mask, program, thr.abstr, ABSTRACTION_BUDGET, ctx.seed,
             ctx.heuristic, primal,
         )
-    if depth == 0:
-        figures.abstraction_size = a_mask.bit_count()
-    return _run_tables(
-        depth, program, a_mask, assumption, query, ctx, primal,
-        figures if depth == 0 else None,
-    )
+    figures.abstraction_size = a_mask.bit_count()
+    return _run_tables(depth, program, a_mask, assumption, ctx, primal, figures)
 
 
 def _make_ctx(thresholds, backend, heuristic, seed, stats):
@@ -583,10 +544,9 @@ def count_world_views(
     ``jobs`` is accepted and ignored: counting runs in one thread.
     """
     ctx = _make_ctx(thresholds, backend, heuristic, seed, stats)
-    target = program
     if query is not None and query.domain:
-        target = with_query_constraints(program, query)
-    return _nested_count(0, target, assumption, ctx)[0]
+        program = with_query_constraints(program, query)
+    return _nested_count(0, program, assumption, ctx)[0]
 
 
 def acceptance_probability(

@@ -195,18 +195,15 @@ def with_wvi_constraints(program: Program, wvi: WVI) -> Program:
     return program.extended(extra)
 
 
-def query_constraint(lit: Literal) -> Rule:
-    """The constraint for one decided query literal: a positive literal
-    must be known true, a negative one must not be known true (undecided
-    is acceptable)."""
-    if lit.positive:
-        return Rule((), (Epistemic(False, lit),))
-    return Rule((), (Epistemic(True, Literal(lit.atom, True)),))
-
-
 def with_query_constraints(program: Program, query: WVI) -> Program:
-    """Adjoin one ``query_constraint`` per decided query literal."""
-    return program.extended(query_constraint(lit) for lit in query.decided_literals())
+    """Adjoin one constraint per decided query literal on its atom ``a``:
+    ``:- not a.`` for a positive literal (``a`` must be known true) and
+    ``:- K a.`` for a negative one (``a`` must not be known true;
+    undecided is acceptable)."""
+    return program.extended(
+        Rule((), (Epistemic(not lit.positive, Literal(lit.atom)),))
+        for lit in query.decided_literals()
+    )
 
 
 def check_compatibility(wvi: WVI, answer_set_masks) -> bool:

@@ -31,31 +31,27 @@ def script(tmp_path, name, body):
 
 def test_internal_as_exists(plain_core):
     backend = InternalBackend()
-    assert backend.solve_asp(plain_core, "exists")
+    assert backend.as_exists(plain_core)
     empty_constraint = parse_program("a.\n:- a.")
-    assert not backend.solve_asp(empty_constraint, "exists")
+    assert not backend.as_exists(empty_constraint)
 
 
 def test_internal_forbid_all(plain_core):
     backend = InternalBackend()
     # answer set {b,c} lacks a
-    assert not backend.solve_asp(
-        plain_core, "forbid_all", wvi_from_names(plain_core.atoms, ["a"])
-    )
-    assert backend.solve_asp(plain_core, "forbid_all", EMPTY_WVI)
+    assert not backend.as_forbid_all(plain_core, wvi_from_names(plain_core.atoms, ["a"]))
+    assert backend.as_forbid_all(plain_core, EMPTY_WVI)
 
 
 def test_internal_wv_exists(running):
     backend = InternalBackend()
-    assert backend.solve_elp(running, "wv_exists", wvi_from_names(running.atoms, ["a"]))
-    assert not backend.solve_elp(
-        running, "wv_exists", wvi_from_names(running.atoms, ["c", "d"])
-    )
+    assert backend.wv_exists(running, wvi_from_names(running.atoms, ["a"]))
+    assert not backend.wv_exists(running, wvi_from_names(running.atoms, ["c", "d"]))
 
 
 def test_internal_count(running):
     backend = InternalBackend()
-    assert backend.solve_elp(running, "count_wv", EMPTY_WVI) == 3
+    assert backend.count_wv(running, EMPTY_WVI) == 3
     assert backend.count_wv(running, wvi_from_names(running.atoms, ["a"])) == 2
 
 
@@ -126,7 +122,6 @@ def test_external_sat_marker(tmp_path, running):
         BackendConfig(command="%s %s {file}" % (sys.executable, sat), parse="sat")
     )
     assert backend.wv_exists(running, EMPTY_WVI)
-    assert backend.as_exists(running)
 
     unsat = script(tmp_path, "unsat.py", "print('UNSAT')\n")
     backend2 = ExternalBackend(
@@ -192,29 +187,6 @@ def test_external_wrong_mode_errors(running):
         backend2.count_wv(running)
 
 
-def test_external_forbid_all_via_probes(tmp_path, plain_core):
-    # real probing through the package's own answer-set check
-    checker = script(
-        tmp_path,
-        "asp.py",
-        """
-        import sys
-        from wvcount.parser import parse_program
-        from wvcount.semantics import answer_sets
-        prog = parse_program(open(sys.argv[1]).read())
-        print("SAT" if answer_sets(prog) else "UNSAT")
-        """,
-    )
-    backend = ExternalBackend(
-        BackendConfig(command="%s %s {file}" % (sys.executable, checker), parse="sat")
-    )
-    table = plain_core.atoms
-    assert not backend.as_forbid_all(plain_core, wvi_from_names(table, ["a"]))
-    fact = parse_program("x.")
-    assert backend.as_forbid_all(fact, wvi_from_names(fact.atoms, ["x"]))
-    assert backend.as_exists(plain_core)
-
-
 def test_stacked_routing(running):
     cmd = "%s -m wvcount.cli oracle {file}" % sys.executable
     stacked = StackedBackend(
@@ -222,14 +194,11 @@ def test_stacked_routing(running):
         InternalBackend(),
     )
     assert stacked.count_wv(running, EMPTY_WVI) == 3
-    # sat-side ops fall back to the internal backend
-    assert stacked.as_exists(parse_program("a."))
-    # the spec entry points dispatch to whichever side serves the mode
-    assert stacked.solve_elp(running, "count_wv", EMPTY_WVI) == 3
-    assert stacked.solve_elp(running, "wv_exists", wvi_from_names(running.atoms, ["a"]))
-    assert not stacked.solve_asp(parse_program("a.\n:- a."), "exists")
-    with pytest.raises(ValueError):
-        stacked.solve_asp(running, "count_wv")
+    assert stacked.count_wv == stacked.external.count_wv
+    # the sat-side op falls back to the internal backend
+    assert stacked.wv_exists == stacked.internal.wv_exists
+    assert stacked.wv_exists(running, wvi_from_names(running.atoms, ["a"]))
+    assert not stacked.wv_exists(parse_program("a.\n:- a."), EMPTY_WVI)
 
 
 def test_stacked_sat_mode_through_the_router(tmp_path):

@@ -188,22 +188,22 @@ def _base_ctx(backend=None):
 def test_base_case_decided():
     ctx = _base_ctx()
     prog = parse_program("a.")
-    assert _base_case(prog, WVI(1, true=1), None, ctx) == (1, 1)
-    assert _base_case(prog, WVI(1, false=1), None, ctx) == (0, 0)
+    assert _base_case(prog, WVI(1, true=1), ctx) == 1
+    assert _base_case(prog, WVI(1, false=1), ctx) == 0
     assert ctx.stats.backend_calls == 2
 
 
 def test_base_case_empty():
     prog = parse_program("")
-    assert _base_case(prog, EMPTY_WVI, None, _base_ctx()) == (1, 1)
+    assert _base_case(prog, EMPTY_WVI, _base_ctx()) == 1
 
 
 def test_base_case_undecided_needs_mixed():
     ctx = _base_ctx()
     split = parse_program("a | b.")
-    assert _base_case(split, WVI(1), None, ctx) == (1, 1)  # a mixed across sets
+    assert _base_case(split, WVI(1), ctx) == 1  # a mixed across sets
     fact = parse_program("a.")
-    assert _base_case(fact, WVI(1), None, ctx) == (0, 0)
+    assert _base_case(fact, WVI(1), ctx) == 0
 
 
 def test_base_case_matches_existence_and_forbid_all_on_plain_programs():
@@ -234,7 +234,7 @@ def test_base_case_matches_existence_and_forbid_all_on_plain_programs():
                 undecided += 1
                 ok = backend.wv_exists(prog, assumption)
             expected = 1 if ok else 0
-            assert _base_case(prog, assumption, None, ctx) == (expected, expected)
+            assert _base_case(prog, assumption, ctx) == expected
     assert decided > 50 and undecided > 50
 
 
@@ -524,13 +524,13 @@ def test_elp_tables_root_single_row_and_positive_counts(running):
 
     dp_mod._intr_table = spy
     try:
-        total, _ = _run_tables(0, running, running.eats_mask, EMPTY_WVI, None, ctx)
+        total = _run_tables(0, running, running.eats_mask, EMPTY_WVI, ctx)
     finally:
         dp_mod._intr_table = orig
     assert total == 3
     # stored rows always carry a positive counter
     for table in captured:
-        for c, _q in table.values():
+        for c in table.values():
             assert c >= 1
 
 
@@ -735,6 +735,39 @@ def test_disjoint_union_queries_and_assumptions(running):
                         acceptance_probability(union, query, thresholds=thr, assumption=assumed)
                 assert acceptance_probability(union, query, thresholds=thr) == expected_prob
     assert with_hits >= 10 and split_prob >= 3
+
+
+def test_probability_with_assumption_and_query_on_one_objective_atom():
+    # The query's constraint makes the objective atom epistemic, so the
+    # assumption on it must be pinned again before the query side counts.
+    from wvcount.semantics import _components
+
+    rng = random.Random(23)
+    seen = {True: 0, False: 0}  # nonzero counts, by "the query's component is the program"
+    for g in range(24):
+        prog = gen_random_elp(7, 3, 9, g)
+        objective = sorted(bits(prog.aats_mask & ~prog.eats_mask))
+        for target in (prog, with_renamed_copy(prog)):
+            whole = len(_components(target)) == 1
+            views = enumerate_world_views(target)
+            for _ in range(3):
+                x = rng.choice(objective)
+                value = rng.choice((True, False, None))
+                assumed = WVI(1 << x, (1 << x) * (value is True), (1 << x) * (value is False))
+                query = WVI(1 << x, true=(1 << x) * (rng.random() < 0.5))
+                agreeing = [v for v in views if v.value(x) == value]
+                hits = sum(1 for v in agreeing if query_agrees(query, v))
+                if agreeing:
+                    seen[whole] += 1
+                for thr in THRESHOLD_GRID:
+                    if agreeing:
+                        assert acceptance_probability(
+                            target, query, thresholds=thr, assumption=assumed
+                        ) == Fraction(hits, len(agreeing))
+                    else:
+                        with pytest.raises(NoWorldViews):
+                            acceptance_probability(target, query, thresholds=thr, assumption=assumed)
+    assert seen[True] >= 5 and seen[False] >= 5
 
 
 def test_isomorphic_components_hit_the_memo():
