@@ -72,6 +72,8 @@ class Thresholds:
             raise ValueError("need hybrid >= abstr >= 0")
         if self.depth < 0:
             raise ValueError("depth threshold must be nonnegative")
+        if self.answer_cap < 0 or self.wv_cap < 0:
+            raise ValueError("caps must be nonnegative")
 
 
 @dataclass

@@ -151,6 +151,8 @@ def test_exit_usage_on_invalid_option_values(capsys):
     for args in (
         ["count", RUNNING_PATH, "--threshold-abstr", "50"],
         ["count", RUNNING_PATH, "--max-depth", "-1"],
+        ["count", RUNNING_PATH, "--cap-atoms", "-1"],
+        ["count", RUNNING_PATH, "--cap-epistemic", "-3"],
         ["gen", "random", "--atoms", "3", "--epistemic", "5"],
         ["gen", "classic", "--n", "0"],
     ):
@@ -204,6 +206,9 @@ def test_exit_cap_exceeded(tmp_path):
     text = "".join("x%d :- not y%d.\ny%d.\n" % (i, i, i) for i in range(13))
     big.write_text(text)
     assert main(["wvs", str(big)]) == 5
+    # cap 0 is legal: the running example needs an answer-set enumeration
+    assert main(["count", RUNNING_PATH, "--cap-atoms", "0"]) == 5
+    assert main(["count", RUNNING_PATH, "--cap-epistemic", "0"]) == 0
 
 
 def test_exit_no_world_views(tmp_path):

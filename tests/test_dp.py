@@ -547,6 +547,12 @@ def test_threshold_validation():
         Thresholds(hybrid=2, abstr=5)
     with pytest.raises(ValueError):
         Thresholds(depth=-1)
+    with pytest.raises(ValueError):
+        Thresholds(answer_cap=-1)
+    with pytest.raises(ValueError):
+        Thresholds(wv_cap=-3)
+    # a zero cap is legal: it only makes every enumeration exceed it
+    Thresholds(answer_cap=0, wv_cap=0)
 
 
 def test_no_decomposition_at_the_depth_cap(monkeypatch, running):
@@ -619,6 +625,22 @@ def test_answer_set_memo_lives_for_one_run(monkeypatch):
     per_run = len(calls)
     assert count_world_views(prog) == first
     assert per_run > 0 and len(calls) == 2 * per_run
+
+
+def test_engine_agrees_with_definitional_kernel(monkeypatch):
+    # The oracle shares the engine's kernel, so engine-vs-oracle checks
+    # cannot see a kernel fault; recount with answer sets taken from the
+    # definition instead.
+    import wvcount.kernel as kernel_mod
+    from test_kernel import answer_sets_by_definition
+
+    programs = [gen_random_elp(8, 4, 10, g) for g in range(20)]
+    routings = (Thresholds(), THRESHOLD_GRID[1])
+    expected = [[count_world_views(p, thresholds=thr) for thr in routings] for p in programs]
+    assert any(row[0] for row in expected)
+    monkeypatch.setattr(kernel_mod, "answer_sets_masks", answer_sets_by_definition)
+    for prog, row in zip(programs, expected):
+        assert [count_world_views(prog, thresholds=thr) for thr in routings] == row
 
 
 def test_reused_backend_agrees_with_oracle():
