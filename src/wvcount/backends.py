@@ -17,25 +17,20 @@ import subprocess
 import tempfile
 from dataclasses import dataclass, field
 
+from . import semantics
 from .errors import BackendError, BackendTimeout
 from .model import EMPTY_WVI, Program, WVI
 from .parser import program_to_text
-from .semantics import (
-    ANSWER_CAP,
-    WV_CAP,
-    answer_sets,
-    check_compatibility,
-    count_world_views_bruteforce,
-    with_wvi_constraints,
-)
+from .semantics import ANSWER_CAP, WV_CAP, answer_sets, with_wvi_constraints
 
 
 class InternalBackend:
     """Brute-force solver over the in-process semantics, capped.
 
-    The counting engine calls ``wv_exists`` on plain subproblems and
-    ``count_wv`` on the rest.  ``as_exists`` and ``as_forbid_all`` answer
-    answer-set questions on plain programs; the engine does not call them.
+    The counting engine calls ``count_wv`` only, on plain and epistemic
+    subproblems alike.  ``wv_exists`` is that count read as a truth
+    value; ``as_exists`` and ``as_forbid_all`` answer answer-set
+    questions on plain programs.  The engine calls none of the three.
 
     The backend keeps one answer-set memo for its whole life: a plain
     component enumerated once is not enumerated again, whichever atoms it
@@ -59,20 +54,20 @@ class InternalBackend:
         return True
 
     def wv_exists(self, program: Program, wvi: WVI) -> bool:
-        if not program.is_plain:
-            return self.count_wv(program, wvi) > 0
-        # A plain program has at most one world view; the WVI extends to
-        # it exactly when compatibility holds over its domain.
-        return check_compatibility(
-            wvi, answer_sets(program, self.answer_cap, self._memo)
-        )
+        return self.count_wv(program, wvi) > 0
 
     def count_wv(self, program: Program, wvi: WVI = EMPTY_WVI) -> int:
-        if program.is_plain:
-            return 1 if self.wv_exists(program, wvi) else 0
-        adjoined = with_wvi_constraints(program, wvi)
-        return count_world_views_bruteforce(
-            adjoined, EMPTY_WVI, self.wv_cap, self.answer_cap, self._memo
+        """World views agreeing with ``wvi`` exactly on its domain, an atom
+        the program never mentions being false.  ``wv_cap`` bounds the
+        program's own epistemic atoms; a plain program is one guess."""
+        dom = wvi.domain
+        unmentioned = dom & ~program.ats_mask
+        # Looked up on the module, so a wrapper patched onto it sees the call.
+        wvs = semantics.enumerate_world_views(program, self.wv_cap, self.answer_cap, self._memo)
+        return sum(
+            1
+            for w in wvs
+            if w.true & dom == wvi.true and (w.false | unmentioned) & dom == wvi.false
         )
 
 
@@ -170,12 +165,19 @@ class ExternalBackend:
 
 
 class StackedBackend:
-    """External backend for the operations its parse mode supports, with
-    the internal backend covering the rest."""
+    """The one router of base cases by program kind.  The external solver
+    takes what its parse mode expresses: epistemic subproblems in
+    ``count`` mode, plain ones in ``sat`` mode (``wv_exists`` as 0 or 1).
+    The internal backend takes the rest."""
 
     def __init__(self, external: ExternalBackend, internal: InternalBackend):
         self.external = external
         self.internal = internal
-        counting = external.config.parse == "count"
-        self.count_wv = external.count_wv if counting else internal.count_wv
-        self.wv_exists = internal.wv_exists if counting else external.wv_exists
+
+    def count_wv(self, program: Program, wvi: WVI = EMPTY_WVI) -> int:
+        counting = self.external.config.parse == "count"
+        if program.is_plain == counting:
+            return self.internal.count_wv(program, wvi)
+        if counting:
+            return self.external.count_wv(program, wvi)
+        return 1 if self.external.wv_exists(program, wvi) else 0

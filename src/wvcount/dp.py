@@ -374,12 +374,9 @@ def _intr_table(depth, program, nd, atom, child, assumption, ctx):
 
 
 def _base_case(program, assumption, ctx):
-    """The count from one backend call: ``wv_exists`` as 0/1 for a plain
-    program, which has at most one world view, and ``count_wv``
-    otherwise."""
+    """The count from one backend call, ``count_wv``, plain program or
+    not; routing by program kind is the backend's business."""
     ctx.stats.backend_calls += 1
-    if program.is_plain:
-        return 1 if ctx.backend.wv_exists(program, assumption) else 0
     return ctx.backend.count_wv(program, assumption)
 
 

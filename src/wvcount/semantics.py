@@ -352,9 +352,8 @@ def count_world_views_bruteforce(
     query: WVI = EMPTY_WVI,
     eats_cap: int = WV_CAP,
     atoms_cap: int = ANSWER_CAP,
-    memo=None,
 ) -> int:
-    wvs = enumerate_world_views(program, eats_cap, atoms_cap, memo)
+    wvs = enumerate_world_views(program, eats_cap, atoms_cap)
     return sum(1 for w in wvs if query_agrees(query, w))
 
 

@@ -1,3 +1,4 @@
+import random
 import stat
 import sys
 import tempfile
@@ -12,10 +13,16 @@ from wvcount.backends import (
     InternalBackend,
     StackedBackend,
 )
+from wvcount.bench import gen_random_elp
 from wvcount.dp import RunStats, Thresholds, count_world_views
-from wvcount.errors import BackendError, BackendTimeout
+from wvcount.errors import BackendError, BackendTimeout, BruteForceCapExceeded
 from wvcount.model import EMPTY_WVI, WVI
 from wvcount.parser import parse_program
+from wvcount.semantics import (
+    count_world_views_bruteforce,
+    enumerate_world_views,
+    with_wvi_constraints,
+)
 
 
 def script(tmp_path, name, body):
@@ -66,6 +73,66 @@ def test_internal_plain_shortcut(plain_core):
     assert backend.count_wv(plain_core) == 1
     # undecided domain atom must be genuinely mixed
     assert backend.wv_exists(plain_core, WVI(domain=1))
+
+
+def pinned_count(program, wvi):
+    """The reference: the world views of the program with ``wvi`` pinned
+    by epistemic constraints, counted by the oracle."""
+    return count_world_views_bruteforce(with_wvi_constraints(program, wvi))
+
+
+def mask_draw(rng, mask):
+    """A random submask of ``mask``."""
+    return sum(1 << a for a in range(mask.bit_length()) if mask >> a & 1 and rng.random() < 0.5)
+
+
+def test_internal_count_equals_pinned_count():
+    rng = random.Random(3)
+    seen = {"agree": 0, "undecided": 0, "unmentioned": 0}
+    for epistemic in (0, 3):
+        for seed in range(30):
+            prog = gen_random_elp(6, epistemic, 7, seed)
+            extra = [prog.atoms.intern("z1"), prog.atoms.intern("z2")]
+            wvs = enumerate_world_views(prog)
+            backend = InternalBackend()
+            for _ in range(5):
+                dom = 0
+                for atom in rng.sample(list(range(6)) + extra, rng.randint(0, 4)):
+                    dom |= 1 << atom
+                if wvs and rng.random() < 0.5:
+                    # a world view restricted to the domain, so some agree
+                    w = rng.choice(wvs)
+                    t, f = w.true & dom, (w.false | dom & ~w.domain) & dom
+                else:
+                    t = mask_draw(rng, dom)
+                    f = mask_draw(rng, dom & ~t)
+                wvi = WVI(dom, t, f)
+                expected = pinned_count(prog, wvi)
+                assert backend.count_wv(prog, wvi) == expected
+                assert backend.wv_exists(prog, wvi) == (expected > 0)
+                seen["agree"] += expected > 0
+                seen["undecided"] += wvi.undecided != 0
+                seen["unmentioned"] += dom & ~prog.ats_mask != 0
+    assert min(seen.values()) > 30, seen
+
+
+def test_wv_cap_bounds_the_programs_own_epistemic_atoms():
+    # The program's epistemic atoms are a and c; pinning the assumption
+    # adds d, one past a cap of 2.  The guesses span a and c only.
+    prog = parse_program("a | b.\nc :- K a.\nd :- not c.")
+    assumption = wvi_from_names(prog.atoms, ["d", "-c"])
+    assert InternalBackend(wv_cap=2).count_wv(prog, assumption) == 1
+    with pytest.raises(BruteForceCapExceeded):
+        count_world_views_bruteforce(with_wvi_constraints(prog, assumption), eats_cap=2)
+    with pytest.raises(BruteForceCapExceeded):
+        InternalBackend(wv_cap=1).count_wv(prog, assumption)
+    # the same through the router, with the base solver taking depth 0
+    thr = Thresholds(hybrid=0, abstr=0, wv_cap=2)
+    assert count_world_views(prog, thresholds=thr, assumption=assumption) == 1
+    with pytest.raises(BruteForceCapExceeded):
+        count_world_views(
+            prog, thresholds=Thresholds(hybrid=0, abstr=0, wv_cap=1), assumption=assumption
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -187,24 +254,10 @@ def test_external_wrong_mode_errors(running):
         backend2.count_wv(running)
 
 
-def test_stacked_routing(running):
-    cmd = "%s -m wvcount.cli oracle {file}" % sys.executable
-    stacked = StackedBackend(
-        ExternalBackend(BackendConfig(command=cmd, parse="count")),
-        InternalBackend(),
-    )
-    assert stacked.count_wv(running, EMPTY_WVI) == 3
-    assert stacked.count_wv == stacked.external.count_wv
-    # the sat-side op falls back to the internal backend
-    assert stacked.wv_exists == stacked.internal.wv_exists
-    assert stacked.wv_exists(running, wvi_from_names(running.atoms, ["a"]))
-    assert not stacked.wv_exists(parse_program("a.\n:- a."), EMPTY_WVI)
-
-
-def test_stacked_sat_mode_through_the_router(tmp_path):
-    # Plain subproblems reach the external solver as one wv_exists call
-    # each, on the program with the assumption pinned.
-    checker = script(
+def oracle_sat_checker(tmp_path):
+    """A sat-mode solver script: SAT iff this package's oracle counts at
+    least one world view."""
+    return script(
         tmp_path,
         "sat.py",
         """
@@ -216,6 +269,53 @@ def test_stacked_sat_mode_through_the_router(tmp_path):
         print("SAT" if int(out.getvalue()) > 0 else "UNSAT")
         """,
     )
+
+
+def spy_on_solvers(stacked):
+    """Record which solver answers each ``count_wv`` of ``stacked``."""
+    calls = []
+    for owner, name, who in (
+        (stacked.external, "count_wv", "external"),
+        (stacked.external, "wv_exists", "external"),
+        (stacked.internal, "count_wv", "internal"),
+    ):
+        def spy(program, wvi=EMPTY_WVI, method=getattr(owner, name), who=who):
+            calls.append(who)
+            return method(program, wvi)
+
+        setattr(owner, name, spy)
+    return calls
+
+
+def test_stacked_routing(tmp_path, running, plain_core):
+    unsat = parse_program("a.\n:- a.")
+    a = wvi_from_names(running.atoms, ["a"])
+    oracle = "%s -m wvcount.cli oracle {file}" % sys.executable
+    checker = "%s %s {file}" % (sys.executable, oracle_sat_checker(tmp_path))
+    # count mode: epistemic subproblems go out, plain ones stay internal;
+    # sat mode: plain ones go out as 0/1, epistemic ones stay internal
+    for parse, command, plain_to, epistemic_to in (
+        ("count", oracle, "internal", "external"),
+        ("sat", checker, "external", "internal"),
+    ):
+        stacked = StackedBackend(
+            ExternalBackend(BackendConfig(command=command, parse=parse)),
+            InternalBackend(),
+        )
+        calls = spy_on_solvers(stacked)
+        assert stacked.count_wv(running, EMPTY_WVI) == 3
+        assert stacked.count_wv(running, a) == 2
+        assert calls == [epistemic_to] * 2
+        calls.clear()
+        assert stacked.count_wv(plain_core, WVI(domain=1)) == 1
+        assert stacked.count_wv(unsat, EMPTY_WVI) == 0
+        assert calls == [plain_to] * 2
+
+
+def test_stacked_sat_mode_through_the_router(tmp_path):
+    # Plain subproblems reach the external solver as one wv_exists call
+    # each, on the program with the assumption pinned.
+    checker = oracle_sat_checker(tmp_path)
     external = ExternalBackend(
         BackendConfig(command="%s %s {file}" % (sys.executable, checker), parse="sat")
     )

@@ -20,11 +20,13 @@ from wvcount.dp import (
     count_world_views,
     plausible_tables,
 )
-from wvcount.errors import NoWorldViews
+from wvcount.errors import BruteForceCapExceeded, NoWorldViews
 from wvcount.graphs import nested_primal_graph
 from wvcount.model import EMPTY_WVI, WVI, AtomTable, Literal, Program, Rule, bits, mask_of
 from wvcount.parser import parse_program
 from wvcount.semantics import (
+    answer_sets,
+    check_compatibility,
     cnf_to_elp,
     count_world_views_bruteforce,
     enumerate_world_views,
@@ -208,7 +210,8 @@ def test_base_case_undecided_needs_mixed():
 
 def test_base_case_matches_existence_and_forbid_all_on_plain_programs():
     # The reference is the pair of answer-set calls the base case used to
-    # make on a fully decided assumption, and wv_exists otherwise.
+    # make on a fully decided assumption, and the compatibility of the
+    # assumption with the answer sets otherwise.
     rng = random.Random(11)
     decided = undecided = 0
     for seed in range(60):
@@ -232,30 +235,42 @@ def test_base_case_matches_existence_and_forbid_all_on_plain_programs():
                 ok = backend.as_exists(prog) and backend.as_forbid_all(prog, assumption)
             else:
                 undecided += 1
-                ok = backend.wv_exists(prog, assumption)
+                ok = check_compatibility(assumption, answer_sets(prog))
             expected = 1 if ok else 0
             assert _base_case(prog, assumption, ctx) == expected
     assert decided > 50 and undecided > 50
 
 
+def test_plain_components_are_enumerated_apart():
+    # One backend call on the whole plain program would enumerate the
+    # product of its parts' answer sets and cap all 60 atoms at once; the
+    # component split counts one part and reuses it for the other 29.
+    prog = parse_program("".join("a%d | b%d.\n" % (i, i) for i in range(30)))
+    stats = RunStats()
+    assert count_world_views(prog, stats=stats) == 1
+    assert stats.backend_calls == 1
+    with pytest.raises(BruteForceCapExceeded):
+        count_world_views_bruteforce(prog)
+
+
 def test_classic_count_enumerates_once_per_plain_base_case(monkeypatch):
-    import wvcount.backends as backends_mod
     import wvcount.dp as dp_mod
+    import wvcount.semantics as semantics_mod
     from wvcount.bench import gen_scholarship
 
     calls = {"enumerations": 0, "plain_cases": 0}
-    answer_sets = backends_mod.answer_sets
+    answer_sets = semantics_mod.answer_sets
     base_case = dp_mod._base_case
 
-    def spy_answer_sets(program, *args):
+    def spy_answer_sets(program, *args, **kwargs):
         calls["enumerations"] += 1
-        return answer_sets(program, *args)
+        return answer_sets(program, *args, **kwargs)
 
     def spy_base_case(program, *args):
         calls["plain_cases"] += program.is_plain
         return base_case(program, *args)
 
-    monkeypatch.setattr(backends_mod, "answer_sets", spy_answer_sets)
+    monkeypatch.setattr(semantics_mod, "answer_sets", spy_answer_sets)
     monkeypatch.setattr(dp_mod, "_base_case", spy_base_case)
     stats = RunStats()
     assert count_world_views(gen_scholarship(12, "classic", 3), stats=stats) == 1
