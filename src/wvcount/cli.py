@@ -161,7 +161,8 @@ def _cmd_prob(args):
 
 def _cmd_wvs(args):
     program = _load_program(args.file)
-    for wv in enumerate_world_views(program, args.cap_epistemic, args.cap_atoms):
+    thresholds = _thresholds(args)
+    for wv in enumerate_world_views(program, thresholds.wv_cap, thresholds.answer_cap):
         print(wv.text(program.atoms))
     return 0
 
@@ -169,9 +170,10 @@ def _cmd_wvs(args):
 def _cmd_oracle(args):
     program = _load_program(args.file)
     query = parse_query(args.query, program.atoms) if args.query else EMPTY_WVI
+    thresholds = _thresholds(args)
     print(
         count_world_views_bruteforce(
-            program, query, args.cap_epistemic, args.cap_atoms
+            program, query, thresholds.wv_cap, thresholds.answer_cap
         )
     )
     return 0
@@ -246,13 +248,16 @@ def _cmd_harness(args):
     try:
         raw = json.loads(_read_text(args.spec))
         specs = [GenSpec(**entry) for entry in raw.get("instances", [])]
+        oracle = raw.get("oracle", True)
+        if type(oracle) is not bool:
+            raise ValueError("oracle must be true or false, not %r" % (oracle,))
     except (ValueError, TypeError, AttributeError) as exc:
         raise ParseError("bad harness spec %s: %s" % (args.spec, exc)) from exc
     thresholds = _thresholds(args)
     report = run_harness(
         specs,
         thresholds=thresholds,
-        oracle=raw.get("oracle", True) and not args.no_oracle,
+        oracle=oracle and not args.no_oracle,
         heuristic=args.heuristic,
         seed=args.seed,
     )

@@ -12,11 +12,14 @@ depth thresholds that change routing but never results.
 
 Both drivers take one route, the router ``_nested_count``.  At every
 depth it splits its subproblem into connected components, counts each
-apart (``_route``) and multiplies; components equal up to renaming are
-counted once per driver call.  A query is resolved at the depth-0 split
-only: each component it touches is counted again with the query's
+apart (``_route``) and multiplies.  Every component, one or many, goes
+through one memo (``_count_part``), so components equal up to renaming
+are counted once per driver call.  A query is resolved at the depth-0
+split only: each component it touches is counted again with the query's
 constraints adjoined, so ``acceptance_probability`` gets its two counts
-from one run of the router.
+from one run of the router.  The router never turns the assumption into
+rules: an introduce node offers an assumed atom only its assumed value,
+and nested calls and the base solver enforce the rest.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .semantics import (
     epistemic_masks,
     epistemic_reduct,
     with_query_constraints,
-    with_wvi_constraints,
 )
 
 # Candidate evaluations ``choose_abstraction`` may spend per subproblem.
@@ -86,12 +88,13 @@ class RunStats:
     first zero, memo hits included: ``primal_width`` and ``dp_width`` are
     the maximum, ``dp_nodes`` and ``abstraction_size`` the sum, and a
     field stays -1 only if no component reached its stage.
-    ``backend_calls`` and ``nested_calls`` count the calls made, so a memo
-    hit adds nothing to them.  For ``acceptance_probability`` the
-    structural fields describe the program without the query, whose
-    constraints only join the recount of each component they touch at the
-    depth-0 split; the call counters and ``max_depth`` include those
-    recounts.
+    ``backend_calls`` and ``nested_calls`` count the calls made.  Every
+    component goes through the memo, the whole subproblem too when it is
+    one component, so a memo hit adds nothing to them.  For
+    ``acceptance_probability`` the structural fields describe the program
+    without the query, whose constraints only join the recount of each
+    component they touch at the depth-0 split; the call counters and
+    ``max_depth`` include those recounts.
     """
 
     primal_width: int = -1
@@ -354,9 +357,13 @@ def _run_tables(depth, program, a_mask, assumption, ctx, primal=None, figures=No
 
 def _intr_table(depth, program, nd, atom, child, assumption, ctx):
     bit = 1 << atom
+    options = ((0, 0), (bit, 0), (0, bit))
+    if assumption.domain & bit:  # an assumed atom takes its assumed value only
+        options = ((assumption.true & bit, assumption.false & bit),)
     table = {}
     for (tm, fm), c in child.items():
-        for nt, nf in ((tm, fm), (tm | bit, fm), (tm, fm | bit)):
+        for dt, df in options:
+            nt, nf = tm | dt, fm | df
             if not _rows_ok(nd.checks, nt, nf):
                 continue
             wvi = WVI(nd.bag_mask, nt, nf)
@@ -380,31 +387,20 @@ def _base_case(program, assumption, ctx):
     return ctx.backend.count_wv(program, assumption)
 
 
-def _pin(program, assumption):
-    """Fold the assumption's epistemic atoms into ``program`` as pinning
-    constraints, so the tables only see assumptions over objective atoms.
-    The constraints mention only epistemic atoms: the atom masks stay."""
-    overlap = assumption.domain & program.eats_mask
-    if overlap:
-        program = with_wvi_constraints(program, assumption.restrict(overlap))
-        assumption = assumption.restrict(~overlap)
-    return program, assumption
-
-
 def _nested_count(depth, program, assumption, ctx, query=None):
     """Count the world views of ``program`` that agree exactly with the
     assumption on its domain, and those of them that also agree with
     ``query``; returns ``(count, query_count)``, the two equal when no
     query is given.  The one router of both drivers: it resolves the
     assumption and query literals, then counts each connected component
-    with ``_route``, once per component up to renaming.  A component the
-    query touches is counted a second time, with the query's constraints
-    adjoined; nothing below this split sees a query.
+    through ``_count_part``, once per component up to renaming.  A
+    component the query touches is counted a second time, with the
+    query's constraints adjoined and under the same assumption; nothing
+    below this split sees a query.
     """
     ctx.stats.max_depth = max(ctx.stats.max_depth, depth)
     if any(r.ats_mask == 0 for r in program.rules):
         return 0, 0  # a bare falsity constraint, given or left by a reduct
-    program, assumption = _pin(program, assumption)
     ats = program.ats_mask
     # Assumed atoms no rule mentions anymore are underivable: a truth or
     # openness claim on them fails outright, a falsity claim is free.
@@ -425,11 +421,9 @@ def _nested_count(depth, program, assumption, ctx, query=None):
         ctx.stats.components = len(parts)
     # The world views of a disjoint union are the products of its parts'
     # world views, and compatibility and query agreement are tested atom
-    # by atom, so both counts multiply over the components.  A single
-    # component (or none) is the program itself, counted unmemoized.
-    whole = len(parts) <= 1
+    # by atom, so both counts multiply over the components.
     count = query_count = 1
-    for mask, rules in ((ats, None),) if whole else parts:
+    for mask, rules in parts:
         sub_assumption = assumption.restrict(mask)
         c, figures = _count_part(depth, program, mask, rules, sub_assumption, ctx)
         if depth == 0:
@@ -438,14 +432,10 @@ def _nested_count(depth, program, assumption, ctx, query=None):
             return 0, 0
         q = c
         if query is not None and query.domain & mask:
-            # The query's constraints can make an objective atom epistemic,
-            # so an assumption on it must be pinned again.
-            part = program if whole else program.with_rules(rules)
-            q_part, q_assumption = _pin(
-                with_query_constraints(part, query.restrict(mask)), sub_assumption
-            )
-            q_rules = None if whole else q_part.rules
-            q, _figures = _count_part(depth, q_part, mask, q_rules, q_assumption, ctx)
+            q_rules = with_query_constraints(
+                program.with_rules(rules), query.restrict(mask)
+            ).rules
+            q = _count_part(depth, program, mask, q_rules, sub_assumption, ctx)[0]
         count *= c
         query_count *= q
     return count, query_count
@@ -453,12 +443,9 @@ def _nested_count(depth, program, assumption, ctx, query=None):
 
 def _count_part(depth, program, mask, rules, assumption, ctx):
     """Count the connected component of ``program`` made of ``rules`` with
-    ``_route``; returns the count and the component's figures.  Components
-    equal up to renaming are counted once per driver call.  With ``rules``
-    None, the component is ``program`` itself, counted unmemoized."""
-    if rules is None:
-        figures = _Figures()
-        return _route(depth, program, assumption, ctx, figures), figures
+    ``_route``; returns the count and the component's figures.  Every
+    component goes through this memo, so components equal up to renaming
+    are counted once per driver call."""
     key = _component_key(depth, mask, rules, assumption)
     entry = ctx.memo.get(key)
     if entry is None:
@@ -489,7 +476,6 @@ def _route(depth, program, assumption, ctx, figures):
     abstraction of it.  ``figures`` takes its widths, table nodes and
     abstraction size."""
     eats = program.eats_mask
-    assert assumption.domain & eats == 0  # _pin folded those atoms in
     thr = ctx.thresholds
     if eats == 0 or (depth and depth >= thr.depth):
         # A plain subproblem has nothing to decompose, and past the depth

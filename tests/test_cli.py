@@ -153,6 +153,8 @@ def test_exit_usage_on_invalid_option_values(capsys):
         ["count", RUNNING_PATH, "--max-depth", "-1"],
         ["count", RUNNING_PATH, "--cap-atoms", "-1"],
         ["count", RUNNING_PATH, "--cap-epistemic", "-3"],
+        ["oracle", RUNNING_PATH, "--cap-atoms", "-1"],
+        ["wvs", RUNNING_PATH, "--cap-epistemic", "-3"],
         ["gen", "random", "--atoms", "3", "--epistemic", "5"],
         ["gen", "classic", "--n", "0"],
     ):
@@ -193,12 +195,16 @@ def test_exit_input_error_on_bad_atoms_and_harness_files(tmp_path, capsys):
     )):
         wrong_types.append(tmp_path / ("typed%d.json" % i))
         wrong_types[-1].write_text(json.dumps({"instances": [entry]}))
+    # the oracle switch must be a JSON boolean: "no" would read as true
+    for i, oracle in enumerate(("no", 0, None)):
+        wrong_types.append(tmp_path / ("oracle%d.json" % i))
+        wrong_types[-1].write_text(json.dumps({"instances": [], "oracle": oracle}))
     for spec in (
         tmp_path / "missing.json", malformed, unknown_key, missing_path,
         too_many_epistemic, no_students, *wrong_types,
     ):
         assert main(["harness", str(spec)]) == 3
-    assert capsys.readouterr().err.count("input error:") == 10
+    assert capsys.readouterr().err.count("input error:") == 13
 
 
 def test_exit_cap_exceeded(tmp_path):

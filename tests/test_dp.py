@@ -775,8 +775,8 @@ def test_disjoint_union_queries_and_assumptions(running):
 
 
 def test_probability_with_assumption_and_query_on_one_objective_atom():
-    # The query's constraint makes the objective atom epistemic, so the
-    # assumption on it must be pinned again before the query side counts.
+    # The query's constraint makes the objective atom epistemic, so on the
+    # query side the assumption falls on an epistemic atom.
     from wvcount.semantics import _components
 
     rng = random.Random(23)
@@ -821,6 +821,53 @@ def test_isomorphic_components_hit_the_memo():
     assert runs[50].nested_calls == runs[500].nested_calls
     assert runs[500].dp_nodes == 10 * runs[50].dp_nodes
     assert runs[500].abstraction_size == 10 * runs[50].abstraction_size
+
+
+def test_prob_makes_as_many_backend_calls_as_count(running):
+    # A program that is one connected component is memoized like any
+    # other, so the query side of ``prob`` reuses the base cases of the
+    # count instead of calling the backend for them again.
+    query = wvi_from_names(running.atoms, ["a", "-b"])
+    count_stats, prob_stats = RunStats(), RunStats()
+    assert count_world_views(running, stats=count_stats) == 3
+    assert acceptance_probability(running, query, stats=prob_stats) == Fraction(2, 3)
+    assert count_stats.components == 1
+    assert prob_stats.backend_calls == count_stats.backend_calls
+
+
+def test_one_driver_call_never_routes_a_component_twice(monkeypatch, running):
+    import wvcount.dp as dp_mod
+
+    route = dp_mod._route
+    keys = []
+
+    def spy_route(depth, program, assumption, ctx, figures):
+        keys.append(dp_mod._component_key(depth, program.ats_mask, program.rules, assumption))
+        return route(depth, program, assumption, ctx, figures)
+
+    monkeypatch.setattr(dp_mod, "_route", spy_route)
+    rng = random.Random(31)
+    programs = [running] + [gen_random_elp(8, 4, 10, s) for s in range(6)]
+    routed = 0
+    for prog in programs:
+        atoms = sorted(bits(prog.ats_mask))
+        query = WVI.from_literals(Literal(a, rng.random() < 0.5) for a in rng.sample(atoms, 2))
+        x = rng.choice(atoms)
+        assumed = WVI(1 << x, true=(1 << x) * (rng.random() < 0.5))
+        for thr in (None,) + THRESHOLD_GRID:
+            for run in (
+                lambda: count_world_views(prog, thresholds=thr),
+                lambda: count_world_views(prog, query=query, thresholds=thr, assumption=assumed),
+                lambda: acceptance_probability(prog, query, thresholds=thr),
+            ):
+                keys.clear()
+                try:
+                    run()
+                except NoWorldViews:
+                    pass
+                assert len(set(keys)) == len(keys)
+                routed += len(keys)
+    assert routed > 100
 
 
 def test_component_memo_lives_for_one_call():
