@@ -6,9 +6,10 @@ to a count.  Both table algorithms share one pass (``_table_pass``):
 remove nodes project and sum, join nodes match rows and multiply.  Their
 introduce nodes guess a third truth value and check the bag's
 purely-epistemic rules; the nested algorithm also verifies the rules
-delegated to the node by a recursive call.  Recursion bottoms out in one
-base-solver call per subproblem (``_base_case``), steered by width and
-depth thresholds that change routing but never results.
+delegated to the node by a recursive call on their epistemic reduct,
+compiled once per node.  Recursion bottoms out in one base-solver call
+per subproblem (``_base_case``), steered by width and depth thresholds
+that change routing but never results.
 
 Both drivers take one route, the router ``_nested_count``.  At every
 depth it splits its subproblem into connected components, counts each
@@ -42,9 +43,11 @@ from .semantics import (
     ANSWER_CAP,
     WV_CAP,
     _components,
+    compile_reduct,
     dense_renaming,
     epistemic_masks,
-    epistemic_reduct,
+    epistemic_reduct,  # unused here; perfbench's tracer wraps dp.epistemic_reduct
+    survivors,
     with_query_constraints,
 )
 
@@ -295,7 +298,7 @@ def choose_abstraction(
 class _NodeData:
     bag_mask: int = 0
     checks: tuple = ()  # epistemic_masks of the bag's purely-epistemic rules
-    nested: tuple = ()  # rules verified by recursion at this node
+    nested: tuple = ()  # compile_reduct of the rules verified by recursion here
     owned_mask: int = 0  # the node's nested bag atoms (owned components)
 
 
@@ -320,21 +323,10 @@ def _prepare_nodes(program, a_mask, nice, primal):
         data[t] = _NodeData(
             bag_mask=bag_mask,
             checks=_node_checks(checks_by_atom, nice.action[t][0], bag_mask),
-            nested=tuple(nested_by_node.get(t, ())),
+            nested=compile_reduct(nested_by_node.get(t, ()), bag_mask),
             owned_mask=asg.nested_bag_atoms.get(t, 0),
         )
     return data
-
-
-def _nested_verify(depth, rules, table, wvi, assumption, ctx):
-    sub = epistemic_reduct(Program(table, rules), wvi)
-    if not sub.rules and assumption.domain == 0:
-        return 1
-    # An empty reduct still needs its assumption checked: literals whose
-    # defining rules dropped out are underivable, so e.g. an assumed-true
-    # atom must fail here rather than slip through.
-    ctx.stats.nested_calls += 1
-    return _nested_count(depth + 1, sub, assumption, ctx)[0]
 
 
 def _run_tables(depth, program, a_mask, assumption, ctx, primal=None, figures=None):
@@ -360,21 +352,26 @@ def _intr_table(depth, program, nd, atom, child, assumption, ctx):
     options = ((0, 0), (bit, 0), (0, bit))
     if assumption.domain & bit:  # an assumed atom takes its assumed value only
         options = ((assumption.true & bit, assumption.false & bit),)
+    # The node answers for every atom it owns: decided ones must be known
+    # in the nested world views, undecided ones genuinely open.
+    owned = nd.owned_mask
+    sub_domain = (assumption.domain | nd.bag_mask) & owned
     table = {}
     for (tm, fm), c in child.items():
         for dt, df in options:
             nt, nf = tm | dt, fm | df
             if not _rows_ok(nd.checks, nt, nf):
                 continue
-            wvi = WVI(nd.bag_mask, nt, nf)
-            # The node answers for every atom it owns: decided ones must be
-            # known in the nested world views, undecided ones genuinely open.
-            sub_assumption = assumption.union(wvi).restrict(nd.owned_mask)
+            residues = survivors(nd.nested, nt, nf)[1] if nd.nested else ()
             mult = 1
-            if nd.nested or sub_assumption.domain:
-                mult = _nested_verify(
-                    depth, nd.nested, program.atoms, wvi, sub_assumption, ctx
+            # An empty reduct still checks the assumption: an assumed-true
+            # atom that no residue derives must fail there.
+            if residues or sub_domain:
+                ctx.stats.nested_calls += 1
+                sub = WVI(
+                    sub_domain, (assumption.true | nt) & owned, (assumption.false | nf) & owned
                 )
+                mult = _nested_count(depth + 1, Program(program.atoms, residues), sub, ctx)[0]
             if mult:
                 table[nt, nf] = c * mult
     return table

@@ -203,7 +203,8 @@ def parse_query(text: str, table: AtomTable):
     """Parse a comma-separated query literal list such as ``a,-b``.
 
     Returns a :class:`WVI` whose domain is exactly the listed atoms.
-    Unknown atoms are rejected: queries range over program atoms.
+    Unknown atoms are rejected: queries range over program atoms.  So
+    is an atom listed with both signs, which no WVI can decide.
     """
     from .model import WVI
 
@@ -220,4 +221,6 @@ def parse_query(text: str, table: AtomTable):
             if part not in table:
                 raise ParseError("query atom %r does not occur in the program" % part)
             literals.append(Literal(table.id(part), positive))
+            if literals[-1].negate() in literals:
+                raise ParseError("query names both %s and -%s" % (part, part))
     return WVI.from_literals(literals)

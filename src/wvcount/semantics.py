@@ -164,23 +164,39 @@ def epistemic_reduct(program: Program, wvi: WVI) -> Program:
     from the body, false ones drop the whole rule.  Epistemic literals
     over atoms outside the domain are kept verbatim.
     """
-    rules = []
-    for r in program.rules:
-        body = []
-        dead = False
-        for el in r.body:
-            if isinstance(el, Epistemic) and (wvi.domain >> el.literal.atom) & 1:
-                value = not wvi.holds(el.literal)
-                if el.negated:
-                    value = not value
-                if value:
-                    continue
-                dead = True
-                break
-            body.append(el)
-        if not dead:
-            rules.append(Rule(r.head, tuple(body)))
-    return program.with_rules(rules)
+    compiled = compile_reduct(program.rules, wvi.domain)
+    return program.with_rules(survivors(compiled, wvi.true, wvi.false)[1])
+
+
+def compile_reduct(rules, domain: int) -> tuple:
+    """Compile ``rules`` for epistemic reducts under WVIs over ``domain``:
+    each rule becomes its ``epistemic_masks`` restricted to ``domain`` and
+    its residue, the rule without its epistemic elements over ``domain``.
+    A rule with no epistemic atom in ``domain`` is its own residue.
+    """
+    compiled = []
+    for r in rules:
+        residue = r
+        if r.eats_mask & domain:
+            residue = Rule(r.head, tuple(
+                el for el in r.body
+                if isinstance(el, Objective) or not (domain >> el.literal.atom) & 1
+            ))
+        compiled.append(tuple(m & domain for m in epistemic_masks(r)) + (residue,))
+    return tuple(compiled)
+
+
+def survivors(compiled, t: int, f: int) -> tuple[int, list[Rule]]:
+    """The reduct of ``compile_reduct`` output under the WVI with true atoms
+    ``t`` and false atoms ``f``: ``(alive, residues)``, where bit i of
+    ``alive`` is set iff rule i survives, and their residues in rule order."""
+    alive = 0
+    residues = []
+    for i, (kill_t, kill_f, need_t, need_f, residue) in enumerate(compiled):
+        if not (t & kill_t or f & kill_f or need_t & ~t or need_f & ~f):
+            alive |= 1 << i
+            residues.append(residue)
+    return alive, residues
 
 
 def with_wvi_constraints(program: Program, wvi: WVI) -> Program:
@@ -282,10 +298,9 @@ def enumerate_world_views(
     epistemic atoms.  Each guess extends uniquely to a WVI over all atoms
     via the answer sets of its epistemic reduct.
 
-    The guess domain covers every epistemic atom, so a rule either dies in
-    the reduct or keeps exactly its plain residue; rule survival is the
-    four-mask test of ``epistemic_masks`` and answer sets are cached per
-    survivor set.
+    The reduct is compiled once (``compile_reduct``) over every epistemic
+    atom, so each guess's reduct is a plain program of surviving residues
+    (``survivors``), and answer sets are cached per survivor set.
     """
     eats_list = sorted(bits(program.eats_mask))
     if len(eats_list) > eats_cap:
@@ -293,14 +308,7 @@ def enumerate_world_views(
             "world-view enumeration over %d epistemic atoms exceeds cap %d"
             % (len(eats_list), eats_cap)
         )
-    plain_rules = []
-    ep_rules = []  # (kill_t, kill_f, need_t, need_f, residue)
-    for r in program.rules:
-        if r.eats_mask == 0:
-            plain_rules.append(r)
-            continue
-        residue = Rule(r.head, tuple(el for el in r.body if isinstance(el, Objective)))
-        ep_rules.append(epistemic_masks(r) + (residue,))
+    compiled = compile_reduct(program.rules, program.eats_mask)
     rest = program.aats_mask & ~program.eats_mask
     cache: dict[int, list[int]] = {}
     out = []
@@ -311,23 +319,10 @@ def enumerate_world_views(
                 t |= 1 << atom
             elif v is False:
                 f |= 1 << atom
-        alive = 0
-        bit = 1
-        for kill_t, kill_f, need_t, need_f, _res in ep_rules:
-            if not (t & kill_t or f & kill_f or need_t & ~t or need_f & ~f):
-                alive |= bit
-            bit <<= 1
+        alive, residues = survivors(compiled, t, f)
         sets = cache.get(alive)
         if sets is None:
-            kept = list(plain_rules)
-            picked = alive
-            for entry in ep_rules:
-                if picked & 1:
-                    kept.append(entry[4])
-                picked >>= 1
-            sets = answer_sets(
-                Program(program.atoms, tuple(kept)), cap=atoms_cap, memo=memo
-            )
+            sets = answer_sets(Program(program.atoms, residues), cap=atoms_cap, memo=memo)
             cache[alive] = sets
         if not sets:
             continue

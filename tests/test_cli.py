@@ -145,6 +145,8 @@ def test_exit_input_error(tmp_path):
     assert main(["count", str(bad)]) == 3
     assert main(["count", str(tmp_path / "missing.elp")]) == 3
     assert main(["count", RUNNING_PATH, "--query", "zz"]) == 3
+    for command in ("count", "prob", "oracle"):
+        assert main([command, RUNNING_PATH, "--query", "a,-a"]) == 3
 
 
 def test_exit_usage_on_invalid_option_values(capsys):

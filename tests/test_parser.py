@@ -127,3 +127,5 @@ def test_parse_query(running):
 def test_parse_query_unknown_atom(running):
     with pytest.raises(ParseError, match="does not occur"):
         parse_query("zz", running.atoms)
+    with pytest.raises(ParseError, match="both a and -a"):
+        parse_query("a,-a", running.atoms)
