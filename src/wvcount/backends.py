@@ -21,7 +21,14 @@ from . import semantics
 from .errors import BackendError, BackendTimeout
 from .model import EMPTY_WVI, Program, WVI
 from .parser import program_to_text
-from .semantics import ANSWER_CAP, WV_CAP, answer_sets, with_wvi_constraints
+from .semantics import (
+    ANSWER_CAP,
+    WV_CAP,
+    answer_sets,
+    dense_renaming,
+    rules_key,
+    with_wvi_constraints,
+)
 
 
 class InternalBackend:
@@ -32,16 +39,22 @@ class InternalBackend:
     value; ``as_exists`` and ``as_forbid_all`` answer answer-set
     questions on plain programs.  The engine calls none of the three.
 
-    The backend keeps one answer-set memo for its whole life: a plain
-    component enumerated once is not enumerated again, whichever atoms it
-    is over.  The counting drivers build a fresh backend per call unless
-    one is passed in, so the memo spans one run.
+    The backend keeps two memos for its whole life.  The answer-set memo
+    enumerates a plain component once, whichever atoms it is over.  The
+    world-view memo keeps the world views of each program ``count_wv``
+    has seen, keyed by its rules over ``dense_renaming`` masks
+    (``semantics.rules_key``), as their true and false local masks; each
+    call filters that list by its own assumption.  A program whose
+    enumeration raises is not remembered, so it raises again.  The
+    counting drivers build a fresh backend per call unless one is passed
+    in, so the memos span one run.
     """
 
     def __init__(self, answer_cap: int = ANSWER_CAP, wv_cap: int = WV_CAP):
         self.answer_cap = answer_cap
         self.wv_cap = wv_cap
         self._memo = {}
+        self._wv_memo = {}
 
     def as_exists(self, program: Program) -> bool:
         return bool(answer_sets(program, self.answer_cap, self._memo))
@@ -60,15 +73,24 @@ class InternalBackend:
         """World views agreeing with ``wvi`` exactly on its domain, an atom
         the program never mentions being false.  ``wv_cap`` bounds the
         program's own epistemic atoms; a plain program is one guess."""
-        dom = wvi.domain
-        unmentioned = dom & ~program.ats_mask
-        # Looked up on the module, so a wrapper patched onto it sees the call.
-        wvs = semantics.enumerate_world_views(program, self.wv_cap, self.answer_cap, self._memo)
-        return sum(
-            1
-            for w in wvs
-            if w.true & dom == wvi.true and (w.false | unmentioned) & dom == wvi.false
-        )
+        ats = program.ats_mask
+        if wvi.domain & ~ats & ~wvi.false:
+            return 0  # an unmentioned atom assumed true or undecided
+        local = dense_renaming(ats)[1]
+        key = rules_key(program.rules, local)
+        wvs = self._wv_memo.get(key)
+        if wvs is None:
+            # Looked up on the module, so a wrapper patched onto it sees the call.
+            wvs = [
+                (local(w.true), local(w.false))
+                for w in semantics.enumerate_world_views(
+                    program, self.wv_cap, self.answer_cap, self._memo
+                )
+            ]
+            self._wv_memo[key] = wvs
+        dom = local(wvi.domain & ats)
+        t, f = local(wvi.true), local(wvi.false & ats)
+        return sum(1 for wt, wf in wvs if wt & dom == t and wf & dom == f)
 
 
 @dataclass

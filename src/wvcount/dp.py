@@ -7,9 +7,12 @@ remove nodes project and sum, join nodes match rows and multiply.  Their
 introduce nodes guess a third truth value and check the bag's
 purely-epistemic rules; the nested algorithm also verifies the rules
 delegated to the node by a recursive call on their epistemic reduct,
-compiled once per node.  Recursion bottoms out in one base-solver call
-per subproblem (``_base_case``), steered by width and depth thresholds
-that change routing but never results.
+compiled once per node.  Rows with the same surviving rules share one
+reduct program (``_Subproblem``), and its component split is built on
+the first nested call that gets past the router's early exits.
+Recursion bottoms out in one base-solver call per subproblem
+(``_base_case``), steered by width and depth thresholds that change
+routing but never results.
 
 Both drivers take one route, the router ``_nested_count``.  At every
 depth it splits its subproblem into connected components, counts each
@@ -47,6 +50,7 @@ from .semantics import (
     dense_renaming,
     epistemic_masks,
     epistemic_reduct,  # unused here; perfbench's tracer wraps dp.epistemic_reduct
+    rules_key,
     survivors,
     with_query_constraints,
 )
@@ -300,6 +304,8 @@ class _NodeData:
     checks: tuple = ()  # epistemic_masks of the bag's purely-epistemic rules
     nested: tuple = ()  # compile_reduct of the rules verified by recursion here
     owned_mask: int = 0  # the node's nested bag atoms (owned components)
+    # The survivors alive mask of a row -> the _Subproblem of its reduct.
+    reducts: dict = field(default_factory=dict)
 
 
 def _prepare_nodes(program, a_mask, nice, primal):
@@ -362,16 +368,19 @@ def _intr_table(depth, program, nd, atom, child, assumption, ctx):
             nt, nf = tm | dt, fm | df
             if not _rows_ok(nd.checks, nt, nf):
                 continue
-            residues = survivors(nd.nested, nt, nf)[1] if nd.nested else ()
+            alive, residues = survivors(nd.nested, nt, nf) if nd.nested else (0, ())
             mult = 1
             # An empty reduct still checks the assumption: an assumed-true
             # atom that no residue derives must fail there.
-            if residues or sub_domain:
+            if alive or sub_domain:
                 ctx.stats.nested_calls += 1
                 sub = WVI(
                     sub_domain, (assumption.true | nt) & owned, (assumption.false | nf) & owned
                 )
-                mult = _nested_count(depth + 1, Program(program.atoms, residues), sub, ctx)[0]
+                reduct = nd.reducts.get(alive)
+                if reduct is None:
+                    reduct = nd.reducts[alive] = _Subproblem(Program(program.atoms, residues))
+                mult = _nested_count(depth + 1, reduct.program, sub, ctx, subproblem=reduct)[0]
             if mult:
                 table[nt, nf] = c * mult
     return table
@@ -384,7 +393,31 @@ def _base_case(program, assumption, ctx):
     return ctx.backend.count_wv(program, assumption)
 
 
-def _nested_count(depth, program, assumption, ctx, query=None):
+class _Subproblem:
+    """A program to count and, built on first use, its connected
+    components, each as ``(mask, rules, local, key)``: its atom mask, its
+    rules, the ``dense_renaming`` map of its atoms and its ``rules_key``.
+    An introduce node keeps one per set of surviving rules, and the
+    drivers build one for their program, so none outlives a driver call.
+    """
+
+    __slots__ = ("program", "_parts")
+
+    def __init__(self, program):
+        self.program = program
+        self._parts = None
+
+    @property
+    def parts(self):
+        if self._parts is None:
+            self._parts = []
+            for mask, rules in _components(self.program):
+                local = dense_renaming(mask)[1]
+                self._parts.append((mask, rules, local, rules_key(rules, local)))
+        return self._parts
+
+
+def _nested_count(depth, program, assumption, ctx, query=None, subproblem=None):
     """Count the world views of ``program`` that agree exactly with the
     assumption on its domain, and those of them that also agree with
     ``query``; returns ``(count, query_count)``, the two equal when no
@@ -393,7 +426,8 @@ def _nested_count(depth, program, assumption, ctx, query=None):
     through ``_count_part``, once per component up to renaming.  A
     component the query touches is counted a second time, with the
     query's constraints adjoined and under the same assumption; nothing
-    below this split sees a query.
+    below this split sees a query.  ``subproblem``, when given, is the
+    ``_Subproblem`` of ``program`` and keeps its split for the next call.
     """
     ctx.stats.max_depth = max(ctx.stats.max_depth, depth)
     if any(r.ats_mask == 0 for r in program.rules):
@@ -410,9 +444,11 @@ def _nested_count(depth, program, assumption, ctx, query=None):
     # set, so a positive literal fails and a negative one always holds.
     if query is not None and query.domain & ~ats:
         if query.true & ~ats:
-            return _nested_count(depth, program, assumption, ctx)[0], 0
+            return _nested_count(depth, program, assumption, ctx, subproblem=subproblem)[0], 0
         query = query.restrict(ats)
-    parts = _components(program)
+    if subproblem is None:
+        subproblem = _Subproblem(program)
+    parts = subproblem.parts
     if depth == 0:
         ctx.stats.eats_size = program.eats_mask.bit_count()
         ctx.stats.components = len(parts)
@@ -420,9 +456,10 @@ def _nested_count(depth, program, assumption, ctx, query=None):
     # world views, and compatibility and query agreement are tested atom
     # by atom, so both counts multiply over the components.
     count = query_count = 1
-    for mask, rules in parts:
+    for part in parts:
+        mask, rules, local, _key = part
         sub_assumption = assumption.restrict(mask)
-        c, figures = _count_part(depth, program, mask, rules, sub_assumption, ctx)
+        c, figures = _count_part(depth, program, part, sub_assumption, ctx)
         if depth == 0:
             _fold(ctx.stats, figures)
         if c == 0:
@@ -432,39 +469,34 @@ def _nested_count(depth, program, assumption, ctx, query=None):
             q_rules = with_query_constraints(
                 program.with_rules(rules), query.restrict(mask)
             ).rules
-            q = _count_part(depth, program, mask, q_rules, sub_assumption, ctx)[0]
+            q_part = (mask, q_rules, local, rules_key(q_rules, local))
+            q = _count_part(depth, program, q_part, sub_assumption, ctx)[0]
         count *= c
         query_count *= q
     return count, query_count
 
 
-def _count_part(depth, program, mask, rules, assumption, ctx):
-    """Count the connected component of ``program`` made of ``rules`` with
-    ``_route``; returns the count and the component's figures.  Every
-    component goes through this memo, so components equal up to renaming
-    are counted once per driver call."""
-    key = _component_key(depth, mask, rules, assumption)
-    entry = ctx.memo.get(key)
+def _count_part(depth, program, part, assumption, ctx):
+    """Count a connected component of ``program``, given as a
+    ``_Subproblem`` part, with ``_route``; returns the count and the
+    component's figures.  Every component goes through this memo, so
+    components equal up to renaming are counted once per driver call."""
+    _mask, rules, local, key = part
+    memo_key = _component_key(depth, local, key, assumption)
+    entry = ctx.memo.get(memo_key)
     if entry is None:
         figures = _Figures()
         count = _route(depth, program.with_rules(rules), assumption, ctx, figures)
-        entry = ctx.memo[key] = (count, figures)
+        entry = ctx.memo[memo_key] = (count, figures)
     return entry
 
 
-def _component_key(depth, mask, rules, assumption):
+def _component_key(depth, local, key, assumption):
     """A component's memo key, equal for components that differ only by an
-    order-preserving renaming of their atoms: its rules and assumption
-    over ``dense_renaming`` masks, and the depth."""
-    local = dense_renaming(mask)[1]
-    return (
-        depth,
-        tuple(
-            tuple(map(local, (r.head_mask, r.pos_mask, r.neg_mask) + epistemic_masks(r)))
-            for r in rules
-        ),
-        (local(assumption.domain), local(assumption.true), local(assumption.false)),
-    )
+    order-preserving renaming of their atoms: the depth, the component's
+    ``rules_key`` and its assumption over ``local``, its
+    ``dense_renaming`` map."""
+    return (depth, key, local(assumption.domain), local(assumption.true), local(assumption.false))
 
 
 def _route(depth, program, assumption, ctx, figures):

@@ -66,6 +66,17 @@ def dense_renaming(atom_mask: int):
     return atom_list, local
 
 
+def rules_key(rules, local) -> tuple:
+    """``rules`` as their masks under ``local``, a ``dense_renaming`` map:
+    head, positive and negative body, and the four ``epistemic_masks``.
+    Rule lists that differ by an order-preserving renaming of their atoms
+    get equal keys."""
+    return tuple(
+        tuple(map(local, (r.head_mask, r.pos_mask, r.neg_mask) + epistemic_masks(r)))
+        for r in rules
+    )
+
+
 def _answer_sets_whole(program: Program, memo=None) -> list[int]:
     """Single enumeration over all atoms, without component splitting.
 

@@ -3,6 +3,7 @@ import stat
 import sys
 import tempfile
 import textwrap
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +17,7 @@ from wvcount.backends import (
 from wvcount.bench import gen_random_elp
 from wvcount.dp import RunStats, Thresholds, count_world_views
 from wvcount.errors import BackendError, BackendTimeout, BruteForceCapExceeded
-from wvcount.model import EMPTY_WVI, WVI
+from wvcount.model import EMPTY_WVI, WVI, AtomTable, Epistemic, Literal, Program, Rule
 from wvcount.parser import parse_program
 from wvcount.semantics import (
     count_world_views_bruteforce,
@@ -133,6 +134,88 @@ def test_wv_cap_bounds_the_programs_own_epistemic_atoms():
         count_world_views(
             prog, thresholds=Thresholds(hybrid=0, abstr=0, wv_cap=1), assumption=assumption
         )
+
+
+def renamed(program, order):
+    """``program`` with atom ``a`` renamed to ``order[a]``, over a fresh
+    table with two unmentioned atoms past the last renamed one."""
+    table = AtomTable("r%d" % i for i in range(max(order) + 3))
+
+    def move(literal):
+        return Literal(order[literal.atom], literal.positive)
+
+    return Program(
+        table,
+        tuple(
+            Rule(
+                tuple(order[a] for a in r.head),
+                tuple(replace(el, literal=move(el.literal)) for el in r.body),
+            )
+            for r in program.rules
+        ),
+    )
+
+
+def test_world_view_memo_agrees_with_a_fresh_backend():
+    # One backend serves renamed copies of each program under many
+    # assumptions; it must count what a backend built for the call counts.
+    rng = random.Random(7)
+    backend = InternalBackend()
+    seen = dict.fromkeys(
+        ("agree", "decided", "undecided", "unmentioned true", "unmentioned false",
+         "unmentioned undecided"),
+        0,
+    )
+    programs = []
+    for seed in range(12):
+        prog = gen_random_elp(7, 4, 9, seed)
+        # The same objective rules under flipped epistemic negations.
+        flipped = prog.with_rules(
+            Rule(r.head, tuple(
+                replace(el, negated=not el.negated) if isinstance(el, Epistemic) else el
+                for el in r.body
+            ))
+            for r in prog.rules
+        )
+        programs += [prog, flipped]
+    for prog in programs:
+        n = len(prog.atoms)
+        shuffled = rng.sample(range(n), n)
+        # The first three keep the atoms' order, so they share a memo entry.
+        for order in (range(n), [a + 3 for a in range(n)], [2 * a + 1 for a in range(n)], shuffled):
+            copy = renamed(prog, order)
+            wvs = enumerate_world_views(copy)
+            for _ in range(8):
+                dom = mask_draw(rng, (1 << len(copy.atoms)) - 1)
+                if wvs and rng.random() < 0.5:
+                    w = rng.choice(wvs)
+                    t, f = w.true & dom, (w.false | dom & ~w.domain) & dom
+                else:
+                    t = mask_draw(rng, dom)
+                    f = mask_draw(rng, dom & ~t)
+                wvi = WVI(dom, t, f)
+                expected = InternalBackend().count_wv(copy, wvi)
+                assert backend.count_wv(copy, wvi) == expected
+                unmentioned = dom & ~copy.ats_mask
+                seen["agree"] += expected > 0
+                seen["decided"] += wvi.decided != 0
+                seen["undecided"] += wvi.undecided != 0
+                seen["unmentioned true"] += unmentioned & t != 0
+                seen["unmentioned false"] += unmentioned & f != 0
+                seen["unmentioned undecided"] += unmentioned & wvi.undecided != 0
+    assert min(seen.values()) > 20, seen
+    assert len(backend._wv_memo) <= 2 * len(programs)
+
+
+def test_world_view_memo_never_keeps_a_capped_program():
+    # Three epistemic atoms (a, c, d) against a cap of two: every call
+    # enumerates again and raises again.
+    prog = parse_program("a | b.\nc :- K a.\nd :- not c.\ne :- not d.")
+    backend = InternalBackend(wv_cap=2)
+    for _ in range(2):
+        with pytest.raises(BruteForceCapExceeded):
+            backend.count_wv(prog)
+    assert not backend._wv_memo
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,11 @@ from wvcount.semantics import (
     check_compatibility,
     cnf_to_elp,
     count_world_views_bruteforce,
+    dense_renaming,
     enumerate_world_views,
     probability_bruteforce,
     query_agrees,
+    rules_key,
 )
 
 THRESHOLD_GRID = (
@@ -254,11 +256,15 @@ def test_plain_components_are_enumerated_apart():
 
 
 def test_classic_count_enumerates_once_per_plain_base_case(monkeypatch):
+    # The backend remembers world views per program up to renaming, so a
+    # plain base case costs one enumeration the first time its program
+    # comes up and none after that.
     import wvcount.dp as dp_mod
     import wvcount.semantics as semantics_mod
     from wvcount.bench import gen_scholarship
 
     calls = {"enumerations": 0, "plain_cases": 0}
+    plain_programs = set()
     answer_sets = semantics_mod.answer_sets
     base_case = dp_mod._base_case
 
@@ -267,14 +273,17 @@ def test_classic_count_enumerates_once_per_plain_base_case(monkeypatch):
         return answer_sets(program, *args, **kwargs)
 
     def spy_base_case(program, *args):
-        calls["plain_cases"] += program.is_plain
+        if program.is_plain:
+            calls["plain_cases"] += 1
+            plain_programs.add(rules_key(program.rules, dense_renaming(program.ats_mask)[1]))
         return base_case(program, *args)
 
     monkeypatch.setattr(semantics_mod, "answer_sets", spy_answer_sets)
     monkeypatch.setattr(dp_mod, "_base_case", spy_base_case)
     stats = RunStats()
     assert count_world_views(gen_scholarship(12, "classic", 3), stats=stats) == 1
-    assert calls["plain_cases"] and calls["enumerations"] == calls["plain_cases"]
+    assert calls["enumerations"] == len(plain_programs) > 0
+    assert calls["enumerations"] <= calls["plain_cases"]
     assert stats.backend_calls == calls["plain_cases"]
 
 
@@ -581,12 +590,12 @@ def test_no_decomposition_at_the_depth_cap(monkeypatch, running):
     nested = dp_mod._nested_count
     build = dp_mod.build_td
 
-    def nested_spy(depth, program, assumption, ctx):
+    def nested_spy(depth, program, assumption, ctx, **kwargs):
         if depth >= ctx.thresholds.depth and program.eats_mask:
             capped.append(depth)
         depths.append(depth)
         try:
-            return nested(depth, program, assumption, ctx)
+            return nested(depth, program, assumption, ctx, **kwargs)
         finally:
             depths.pop()
 
@@ -842,7 +851,10 @@ def test_one_driver_call_never_routes_a_component_twice(monkeypatch, running):
     keys = []
 
     def spy_route(depth, program, assumption, ctx, figures):
-        keys.append(dp_mod._component_key(depth, program.ats_mask, program.rules, assumption))
+        local = dense_renaming(program.ats_mask)[1]
+        keys.append(
+            dp_mod._component_key(depth, local, rules_key(program.rules, local), assumption)
+        )
         return route(depth, program, assumption, ctx, figures)
 
     monkeypatch.setattr(dp_mod, "_route", spy_route)
@@ -893,3 +905,56 @@ def test_component_memo_lives_for_one_call():
     first = _make_ctx(None, None, "min-fill", 0, None)
     second = _make_ctx(None, None, "min-fill", 0, None)
     assert first.memo == {} and first.memo is not second.memo
+
+
+def test_reduct_split_is_built_only_past_the_early_exits(monkeypatch):
+    # On this probe 18,980 of 19,098 nested calls end at the router's exit
+    # for assumed atoms the reduct no longer mentions; the component split
+    # of a node's reduct is built only for calls that get past it.
+    import wvcount.dp as dp_mod
+
+    calls = []
+    components = dp_mod._components
+
+    def spy(program):
+        calls.append(program)
+        return components(program)
+
+    monkeypatch.setattr(dp_mod, "_components", spy)
+    stats = RunStats()
+    with pytest.raises(BruteForceCapExceeded):
+        count_world_views(gen_random_elp(40, 20, 70, 3), thresholds=Thresholds(depth=3), stats=stats)
+    assert stats.nested_calls == 19098
+    assert 0 < len(calls) <= 119
+
+
+def test_no_cache_outlives_a_driver_call(monkeypatch):
+    # The backend's world-view memo and the component splits live for one
+    # call: counting one Program object twice enumerates world views and
+    # splits programs as often the second time as the first.
+    import wvcount.dp as dp_mod
+    import wvcount.semantics as semantics_mod
+
+    calls = []
+
+    def spy_on(module, name):
+        fn = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    spy_on(semantics_mod, "enumerate_world_views")
+    spy_on(dp_mod, "_components")
+    programs = [gen_scholarship(30, "many", 3)] + [gen_random_elp(12, 6, 12, g) for g in range(4)]
+    for prog in programs:
+        for thr in (None, Thresholds(hybrid=6, abstr=4)):
+            per_call = []
+            for _ in range(2):
+                calls.clear()
+                count_world_views(prog, thresholds=thr)
+                per_call.append(sorted(calls))
+            assert per_call[0] == per_call[1]
+            assert "enumerate_world_views" in per_call[0] and "_components" in per_call[0]
