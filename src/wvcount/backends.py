@@ -44,10 +44,11 @@ class InternalBackend:
     world-view memo keeps the world views of each program ``count_wv``
     has seen, keyed by its rules over ``dense_renaming`` masks
     (``semantics.rules_key``), as their true and false local masks; each
-    call filters that list by its own assumption.  A program whose
-    enumeration raises is not remembered, so it raises again.  The
-    counting drivers build a fresh backend per call unless one is passed
-    in, so the memos span one run.
+    call filters that list by its own assumption.  A program the counting
+    router built carries its key (``Program.key``); only other programs
+    are keyed here.  A program whose enumeration raises is not
+    remembered, so it raises again.  The counting drivers build a fresh
+    backend per call unless one is passed in, so the memos span one run.
     """
 
     def __init__(self, answer_cap: int = ANSWER_CAP, wv_cap: int = WV_CAP):
@@ -76,8 +77,11 @@ class InternalBackend:
         ats = program.ats_mask
         if wvi.domain & ~ats & ~wvi.false:
             return 0  # an unmentioned atom assumed true or undecided
-        local = dense_renaming(ats)[1]
-        key = rules_key(program.rules, local)
+        if program.key is None:  # a program the counting router did not build
+            local = dense_renaming(ats)[1]
+            key = rules_key(program.rules, local)
+        else:
+            local, key = program.key
         wvs = self._wv_memo.get(key)
         if wvs is None:
             # Looked up on the module, so a wrapper patched onto it sees the call.
@@ -153,7 +157,7 @@ class ExternalBackend:
                 os.killpg(proc.pid, signal.SIGKILL)
             except OSError:
                 pass
-            proc.wait()
+            proc.communicate()  # reaps the process and closes its pipes
             raise BackendTimeout(
                 "external solver exceeded %.1fs" % self.config.timeout
             ) from None

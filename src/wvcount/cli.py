@@ -96,7 +96,9 @@ def _load_program(path):
     return parse_program(sys.stdin.read() if path == "-" else _read_text(path))
 
 
-def _emit_result(args, stats: RunStats, seconds, count=None, probability=None):
+def _emit_result(args, stats: RunStats, seconds, result):
+    """Print a ``count`` result, or a ``prob`` one, in ``args.format``."""
+    count, probability = (None, result) if args.command == "prob" else (result, None)
     if args.format == "text":
         if probability is not None:
             print("%s (%.6f)" % (probability, float(probability)))
@@ -122,31 +124,15 @@ def _emit_result(args, stats: RunStats, seconds, count=None, probability=None):
 
 
 def _cmd_count(args):
+    """``count`` and ``prob``: one driver call.  An empty ``prob`` query
+    reads as no query, which gives the same probability."""
     program = _load_program(args.file)
     query = parse_query(args.query, program.atoms) if args.query else None
     thresholds = _thresholds(args)
     stats = RunStats()
     start = time.perf_counter()
-    count = count_world_views(
-        program,
-        query=query,
-        thresholds=thresholds,
-        backend=_backend(args, thresholds),
-        heuristic=args.heuristic,
-        seed=args.seed,
-        stats=stats,
-    )
-    _emit_result(args, stats, time.perf_counter() - start, count=count)
-    return 0
-
-
-def _cmd_prob(args):
-    program = _load_program(args.file)
-    query = parse_query(args.query, program.atoms)
-    thresholds = _thresholds(args)
-    stats = RunStats()
-    start = time.perf_counter()
-    probability = acceptance_probability(
+    driver = acceptance_probability if args.command == "prob" else count_world_views
+    result = driver(
         program,
         query,
         thresholds=thresholds,
@@ -155,7 +141,7 @@ def _cmd_prob(args):
         seed=args.seed,
         stats=stats,
     )
-    _emit_result(args, stats, time.perf_counter() - start, probability=probability)
+    _emit_result(args, stats, time.perf_counter() - start, result)
     return 0
 
 
@@ -283,7 +269,7 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--query", required=True, metavar="L[,L...]")
     _add_common(p)
-    p.set_defaults(func=_cmd_prob)
+    p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("wvs", help="list world views by brute force")
     p.add_argument("file")

@@ -318,6 +318,7 @@ def _prepare_nodes(program, a_mask, nice, primal):
         anchor = r.aats_mask | (r.eats_mask & ~a_mask)
         if anchor == 0:
             continue  # lives entirely on bag atoms; plausibility checks cover it
+        # Bags hold abstraction atoms only: its reducts keep the anchor atoms.
         owner = asg.owner[comp_of_atom[next(bits(anchor))]]
         nested_by_node.setdefault(owner, []).append(r)
     checks_by_atom = _checks_by_atom(program, a_mask)
@@ -395,10 +396,9 @@ def _base_case(program, assumption, ctx):
 
 class _Subproblem:
     """A program to count and, built on first use, its connected
-    components, each as ``(mask, rules, local, key)``: its atom mask, its
-    rules, the ``dense_renaming`` map of its atoms and its ``rules_key``.
-    An introduce node keeps one per set of surviving rules, and the
-    drivers build one for their program, so none outlives a driver call.
+    components as ``_Part``s.  An introduce node keeps one per set of
+    surviving rules, and the drivers build one for their program, so none
+    outlives a driver call.
     """
 
     __slots__ = ("program", "_parts")
@@ -410,11 +410,22 @@ class _Subproblem:
     @property
     def parts(self):
         if self._parts is None:
-            self._parts = []
-            for mask, rules in _components(self.program):
-                local = dense_renaming(mask)[1]
-                self._parts.append((mask, rules, local, rules_key(rules, local)))
+            self._parts = [_Part(mask, rules) for mask, rules in _components(self.program)]
         return self._parts
+
+
+class _Part:
+    """A connected component: its atom mask, its rules, its ``key`` (the
+    ``dense_renaming`` map of its atoms and its ``rules_key``) and, built
+    on its first memo miss, its ``Program``, which carries the key to the
+    base solver."""
+
+    __slots__ = ("mask", "rules", "key", "program")
+
+    def __init__(self, mask, rules):
+        local = dense_renaming(mask)[1]
+        self.mask, self.rules, self.key = mask, rules, (local, rules_key(rules, local))
+        self.program = None
 
 
 def _nested_count(depth, program, assumption, ctx, query=None, subproblem=None):
@@ -430,8 +441,8 @@ def _nested_count(depth, program, assumption, ctx, query=None, subproblem=None):
     ``_Subproblem`` of ``program`` and keeps its split for the next call.
     """
     ctx.stats.max_depth = max(ctx.stats.max_depth, depth)
-    if any(r.ats_mask == 0 for r in program.rules):
-        return 0, 0  # a bare falsity constraint, given or left by a reduct
+    if depth == 0 and any(r.ats_mask == 0 for r in program.rules):
+        return 0, 0  # a bare falsity constraint; reducts leave none (``_prepare_nodes``)
     ats = program.ats_mask
     # Assumed atoms no rule mentions anymore are underivable: a truth or
     # openness claim on them fails outright, a falsity claim is free.
@@ -442,10 +453,9 @@ def _nested_count(depth, program, assumption, ctx, query=None, subproblem=None):
         assumption = assumption.restrict(ats)
     # Likewise for query literals: such an atom is false in every answer
     # set, so a positive literal fails and a negative one always holds.
-    if query is not None and query.domain & ~ats:
-        if query.true & ~ats:
-            return _nested_count(depth, program, assumption, ctx, subproblem=subproblem)[0], 0
-        query = query.restrict(ats)
+    failed_query = query is not None and query.true & ~ats
+    if query is not None:
+        query = None if failed_query else query.restrict(ats)
     if subproblem is None:
         subproblem = _Subproblem(program)
     parts = subproblem.parts
@@ -457,36 +467,35 @@ def _nested_count(depth, program, assumption, ctx, query=None, subproblem=None):
     # by atom, so both counts multiply over the components.
     count = query_count = 1
     for part in parts:
-        mask, rules, local, _key = part
-        sub_assumption = assumption.restrict(mask)
-        c, figures = _count_part(depth, program, part, sub_assumption, ctx)
+        sub_assumption = assumption.restrict(part.mask)
+        c, figures = _count_part(depth, program.atoms, part, sub_assumption, ctx)
         if depth == 0:
             _fold(ctx.stats, figures)
         if c == 0:
             return 0, 0
         q = c
-        if query is not None and query.domain & mask:
-            q_rules = with_query_constraints(
-                program.with_rules(rules), query.restrict(mask)
-            ).rules
-            q_part = (mask, q_rules, local, rules_key(q_rules, local))
-            q = _count_part(depth, program, q_part, sub_assumption, ctx)[0]
+        if query is not None and query.domain & part.mask:
+            q_part = _Part(part.mask, with_query_constraints(
+                program.with_rules(part.rules), query.restrict(part.mask)
+            ).rules)
+            q = _count_part(depth, program.atoms, q_part, sub_assumption, ctx)[0]
         count *= c
         query_count *= q
-    return count, query_count
+    return count, 0 if failed_query else query_count
 
 
-def _count_part(depth, program, part, assumption, ctx):
-    """Count a connected component of ``program``, given as a
-    ``_Subproblem`` part, with ``_route``; returns the count and the
-    component's figures.  Every component goes through this memo, so
-    components equal up to renaming are counted once per driver call."""
-    _mask, rules, local, key = part
-    memo_key = _component_key(depth, local, key, assumption)
+def _count_part(depth, atoms, part, assumption, ctx):
+    """Count a connected component, given as a ``_Part`` over ``atoms``,
+    with ``_route``; returns the count and the component's figures.
+    Every component goes through this memo, so components equal up to
+    renaming are counted once per driver call."""
+    memo_key = _component_key(depth, *part.key, assumption)
     entry = ctx.memo.get(memo_key)
     if entry is None:
+        if part.program is None:
+            part.program = Program(atoms, part.rules, part.key)
         figures = _Figures()
-        count = _route(depth, program.with_rules(rules), assumption, ctx, figures)
+        count = _route(depth, part.program, assumption, ctx, figures)
         entry = ctx.memo[memo_key] = (count, figures)
     return entry
 

@@ -164,10 +164,13 @@ class Program:
     computed once, at construction: ``eats_mask`` (atoms under an
     epistemic element) and ``aats_mask`` (objective atoms) are folded
     over the rules, and ``ats_mask`` and ``is_plain`` derive from them.
+    ``key`` is set only on a component the counting router built: its
+    ``(local, rules_key)`` pair, which the base solver reads.
     """
 
     atoms: AtomTable
     rules: tuple[Rule, ...]
+    key: Optional[tuple] = field(default=None, repr=False)
 
     eats_mask: int = field(init=False, repr=False, default=0)
     aats_mask: int = field(init=False, repr=False, default=0)

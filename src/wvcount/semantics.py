@@ -22,6 +22,7 @@ from .model import (
     Rule,
     WVI,
     bits,
+    mask_of,
 )
 
 
@@ -77,34 +78,25 @@ def rules_key(rules, local) -> tuple:
     )
 
 
-def _answer_sets_whole(program: Program, memo=None) -> list[int]:
-    """Single enumeration over all atoms, without component splitting.
+def _answer_sets_whole(atom_mask: int, rules, memo=None) -> list[int]:
+    """The answer sets of plain ``rules`` over the atoms of ``atom_mask``,
+    by a single enumeration, without component splitting.
 
-    ``memo`` maps a compiled program (its rules' ``dense_renaming`` masks)
-    to its local answer sets.  Programs that differ only in their atom
-    names share an entry, and each hit maps the cached sets back to its
-    own atoms.
+    ``memo`` maps compiled rules (their ``dense_renaming`` masks) to their
+    local answer sets.  Rule lists that differ only in their atom names
+    share an entry, and each hit maps the cached sets back to its own
+    atoms.
     """
-    atom_list, local = dense_renaming(program.ats_mask)
-    heads = [local(r.head_mask) for r in program.rules]
-    bpos = [local(r.pos_mask) for r in program.rules]
-    bneg = [local(r.neg_mask) for r in program.rules]
-    if memo is None:
-        local_sets = kernel.answer_sets_masks(heads, bpos, bneg, len(atom_list))
-    else:
-        key = (tuple(heads), tuple(bpos), tuple(bneg))
-        local_sets = memo.get(key)
-        if local_sets is None:
-            local_sets = kernel.answer_sets_masks(heads, bpos, bneg, len(atom_list))
-            memo[key] = local_sets
-    out = []
-    for m in local_sets:
-        g = 0
-        for i in bits(m):
-            g |= 1 << atom_list[i]
-        out.append(g)
-    out.sort()
-    return out
+    atom_list, local = dense_renaming(atom_mask)
+    heads = [local(r.head_mask) for r in rules]
+    bpos = [local(r.pos_mask) for r in rules]
+    bneg = [local(r.neg_mask) for r in rules]
+    memo = {} if memo is None else memo
+    key = (tuple(heads), tuple(bpos), tuple(bneg))
+    local_sets = memo.get(key)
+    if local_sets is None:
+        local_sets = memo[key] = kernel.answer_sets_masks(heads, bpos, bneg, len(atom_list))
+    return sorted(mask_of(atom_list[i] for i in bits(m)) for m in local_sets)
 
 
 def _components(program: Program):
@@ -159,7 +151,7 @@ def answer_sets(program: Program, cap: int = ANSWER_CAP, memo=None) -> list[int]
         return []
     result = [0]
     for mask, rules in _components(program):
-        part = _answer_sets_whole(Program(program.atoms, tuple(rules)), memo)
+        part = _answer_sets_whole(mask, rules, memo)
         if not part:
             return []
         result = [base | extra for base in result for extra in part]
@@ -341,9 +333,11 @@ def enumerate_world_views(
         for m in sets[1:]:
             and_mask &= m
             or_mask |= m
-        full = WVI(program.ats_mask, t | (and_mask & rest), f | (rest & ~or_mask))
-        if check_compatibility(full, sets):
-            out.append(full)
+        # Compatible: true atoms in all answer sets, false in none, open in some.
+        undecided = program.eats_mask & ~(t | f)
+        if t & ~and_mask or f & or_mask or undecided & ~(or_mask & ~and_mask):
+            continue
+        out.append(WVI(program.ats_mask, t | (and_mask & rest), f | (rest & ~or_mask)))
     return out
 
 

@@ -11,7 +11,8 @@ from wvcount.semantics import is_plausible
 HERE = os.path.dirname(__file__)
 RUNNING_PATH = os.path.join(HERE, "..", "instances", "running.elp")
 
-RUNNING_TEXT = open(RUNNING_PATH, "r", encoding="utf-8").read()
+with open(RUNNING_PATH, "r", encoding="utf-8") as _handle:
+    RUNNING_TEXT = _handle.read()
 
 # The plain core of the running example (first three rules).
 PLAIN_TEXT = "a | b.\nc :- -d.\nd :- -c.\n"

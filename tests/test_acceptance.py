@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from conftest import (
     RUNNING_PATH,
+    RUNNING_TEXT,
     brute_cnf_models,
     running_nice_td,
     wvi_from_names,
@@ -43,7 +44,7 @@ from wvcount.semantics import (
     probability_bruteforce,
 )
 
-RUNNING = parse_program(open(RUNNING_PATH, encoding="utf-8").read())
+RUNNING = parse_program(RUNNING_TEXT)
 
 THRESHOLD_CONFIGS = (
     Thresholds(hybrid=99, abstr=0, depth=0),

@@ -931,7 +931,11 @@ def test_reduct_split_is_built_only_past_the_early_exits(monkeypatch):
 def test_no_cache_outlives_a_driver_call(monkeypatch):
     # The backend's world-view memo and the component splits live for one
     # call: counting one Program object twice enumerates world views and
-    # splits programs as often the second time as the first.
+    # splits programs as often the second time as the first.  The router
+    # hands each component's key to the backend on a Program of its own,
+    # so the backend never keys a program, and the caller's Program is
+    # left without a key.
+    import wvcount.backends as backends_mod
     import wvcount.dp as dp_mod
     import wvcount.semantics as semantics_mod
 
@@ -948,13 +952,40 @@ def test_no_cache_outlives_a_driver_call(monkeypatch):
 
     spy_on(semantics_mod, "enumerate_world_views")
     spy_on(dp_mod, "_components")
+    spy_on(backends_mod, "rules_key")
+    spy_on(backends_mod, "dense_renaming")
     programs = [gen_scholarship(30, "many", 3)] + [gen_random_elp(12, 6, 12, g) for g in range(4)]
     for prog in programs:
         for thr in (None, Thresholds(hybrid=6, abstr=4)):
             per_call = []
             for _ in range(2):
                 calls.clear()
-                count_world_views(prog, thresholds=thr)
+                stats = RunStats()
+                count_world_views(prog, thresholds=thr, stats=stats)
                 per_call.append(sorted(calls))
+                assert stats.backend_calls > 0 and prog.key is None
             assert per_call[0] == per_call[1]
             assert "enumerate_world_views" in per_call[0] and "_components" in per_call[0]
+            assert "rules_key" not in per_call[0] and "dense_renaming" not in per_call[0]
+
+
+def test_reducts_never_leave_a_bare_falsity_constraint(monkeypatch):
+    # The router scans for a rule without atoms at depth 0 only: a reduct
+    # keeps, of each delegated rule, its objective atoms and its epistemic
+    # atoms outside the abstraction, and one of them is always there.
+    import wvcount.dp as dp_mod
+
+    nested = dp_mod._nested_count
+    checked = []
+
+    def spy(depth, program, assumption, ctx, **kwargs):
+        if depth:
+            assert all(r.ats_mask for r in program.rules), "a reduct left a bare falsity"
+            checked.append(depth)
+        return nested(depth, program, assumption, ctx, **kwargs)
+
+    monkeypatch.setattr(dp_mod, "_nested_count", spy)
+    for thr in THRESHOLD_GRID:
+        for seed in range(12):
+            count_world_views(gen_random_elp(10, 5, 12, seed), thresholds=thr)
+    assert len(checked) > 100

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -191,7 +192,7 @@ def _random_plain(seed, atoms=6, rules=7):
 def test_answer_sets_component_split_matches_whole_enumeration():
     for seed in range(40):
         prog = _random_plain(seed)
-        assert answer_sets(prog) == _answer_sets_whole(prog)
+        assert answer_sets(prog) == _answer_sets_whole(prog.ats_mask, prog.rules)
 
 
 def test_answer_sets_are_minimal_models():
@@ -369,6 +370,40 @@ def test_every_world_view_is_plausible():
         prog = gen_random_elp(6, 3, 8, seed)
         for w in enumerate_world_views(prog):
             assert is_plausible(w.restrict(prog.eats_mask), prog)
+
+
+def _world_views_by_full_wvi(program):
+    """World views by the definition: for every guess, a WVI over all atoms
+    extended from the answer sets of its reduct, kept when
+    ``check_compatibility`` accepts it."""
+    eats_list = sorted(bits(program.eats_mask))
+    rest = program.aats_mask & ~program.eats_mask
+    out = []
+    for choice in itertools.product((None, True, False), repeat=len(eats_list)):
+        t = mask_of(a for a, v in zip(eats_list, choice) if v is True)
+        f = mask_of(a for a, v in zip(eats_list, choice) if v is False)
+        sets = answer_sets(epistemic_reduct(program, WVI(program.eats_mask, t, f)))
+        if not sets:
+            continue
+        and_mask = or_mask = sets[0]
+        for m in sets[1:]:
+            and_mask &= m
+            or_mask |= m
+        full = WVI(program.ats_mask, t | (and_mask & rest), f | (rest & ~or_mask))
+        if check_compatibility(full, sets):
+            out.append(full)
+    return out
+
+
+def test_world_views_match_full_wvi_compatibility():
+    found = 0
+    for dims in ((8, 4, 10), (10, 5, 12), (6, 3, 6)):
+        for seed in range(25):
+            prog = gen_random_elp(*dims, seed)
+            expected = _world_views_by_full_wvi(prog)
+            assert enumerate_world_views(prog) == expected
+            found += len(expected)
+    assert found > 20
 
 
 def test_is_plausible_running(running):
