@@ -36,6 +36,7 @@ from .decomp import NiceTD, build_td, fill_count, make_nice
 from .errors import NoWorldViews
 from .graphs import (
     E_TAG,
+    anchor,
     assign_compatible_sets,
     epistemic_primal_graph,
     nested_primal_graph,
@@ -247,7 +248,6 @@ def choose_abstraction(
     budget: int = ABSTRACTION_BUDGET,
     seed: int = 0,
     heuristic: str = "min-fill",
-    primal=None,
 ) -> int:
     """Shrink the abstraction until its nested graph decomposes below the
     width target, greedily dropping the atom whose removal leaves the
@@ -259,20 +259,16 @@ def choose_abstraction(
     with ``(x, e)`` eliminated.  The shrink phase builds the nested graph
     once, scores each candidate as ``edges - deg(x) + fill(x)`` and
     eliminates the chosen vertex; each re-add candidate is built afresh.
-    All builds read one primal graph: ``primal`` when given, else one
-    built here.
     """
     if a_mask == 0:
         return 0
-    if primal is None:
-        primal = primal_graph(program)
 
     steps = 0
     cur = a_mask
     graph = None  # the nested graph of cur, built on the first round
     while cur.bit_count() > 1 and steps <= budget:
         if graph is None:
-            graph = nested_primal_graph(program, cur, primal)
+            graph = nested_primal_graph(program, cur)
         if build_td(graph, heuristic, seed).width < target_width:
             break
         edges = graph.edge_count()
@@ -288,7 +284,7 @@ def choose_abstraction(
             break
         cand = cur | (1 << atom)
         steps += 1
-        width = build_td(nested_primal_graph(program, cand, primal), heuristic, seed).width
+        width = build_td(nested_primal_graph(program, cand), heuristic, seed).width
         if width < target_width:
             cur = cand
     return cur
@@ -308,18 +304,18 @@ class _NodeData:
     reducts: dict = field(default_factory=dict)
 
 
-def _prepare_nodes(program, a_mask, nice, primal):
+def _prepare_nodes(program, a_mask, nice):
     """Attach bag programs and delegated rules to the introduce nodes of a
     nice decomposition."""
-    asg = assign_compatible_sets(program, a_mask, nice, primal)
+    asg = assign_compatible_sets(program, a_mask, nice)
     comp_of_atom = {a: idx for idx, atoms in enumerate(asg.components) for a in atoms}
     nested_by_node: dict[int, list[Rule]] = {}
     for r in program.rules:
-        anchor = r.aats_mask | (r.eats_mask & ~a_mask)
-        if anchor == 0:
+        atoms = anchor(r, a_mask)
+        if atoms == 0:
             continue  # lives entirely on bag atoms; plausibility checks cover it
         # Bags hold abstraction atoms only: its reducts keep the anchor atoms.
-        owner = asg.owner[comp_of_atom[next(bits(anchor))]]
+        owner = asg.owner[comp_of_atom[next(bits(atoms))]]
         nested_by_node.setdefault(owner, []).append(r)
     checks_by_atom = _checks_by_atom(program, a_mask)
     data = {}
@@ -336,17 +332,15 @@ def _prepare_nodes(program, a_mask, nice, primal):
     return data
 
 
-def _run_tables(depth, program, a_mask, assumption, ctx, primal=None, figures=None):
+def _run_tables(depth, program, a_mask, assumption, ctx, figures=None):
     """Dynamic programming over a nice decomposition of the nested primal
     graph; returns the count.  ``figures``, when given, takes the
     decomposition's width and node count."""
-    nice = make_nice(
-        build_td(nested_primal_graph(program, a_mask, primal), ctx.heuristic, ctx.seed)
-    )
+    nice = make_nice(build_td(nested_primal_graph(program, a_mask), ctx.heuristic, ctx.seed))
     if figures is not None:
         figures.dp_width = nice.width
         figures.dp_nodes = nice.node_count
-    data = _prepare_nodes(program, a_mask, nice, primal)
+    data = _prepare_nodes(program, a_mask, nice)
 
     def introduce(t, child):
         return _intr_table(depth, program, data[t], nice.action[t][0], child, assumption, ctx)
@@ -410,7 +404,9 @@ class _Subproblem:
     @property
     def parts(self):
         if self._parts is None:
-            self._parts = [_Part(mask, rules) for mask, rules in _components(self.program)]
+            rules = self.program.rules
+            masks = [r.ats_mask for r in rules]
+            self._parts = [_Part(mask, part) for mask, part in _components(rules, masks)]
         return self._parts
 
 
@@ -521,19 +517,17 @@ def _route(depth, program, assumption, ctx, figures):
         # neither builds a decomposition.  An epistemic subproblem at depth
         # 0 builds one for stats even when the cap is 0.
         return _base_case(program, assumption, ctx)
-    primal = primal_graph(program)  # the one build for this subproblem
-    primal_td = build_td(primal, ctx.heuristic, ctx.seed)
+    primal_td = build_td(primal_graph(program), ctx.heuristic, ctx.seed)
     figures.primal_width = primal_td.width
     if primal_td.width >= thr.hybrid or depth >= thr.depth:
         return _base_case(program, assumption, ctx)
     a_mask = eats
     if primal_td.width >= thr.abstr:
         a_mask = choose_abstraction(
-            a_mask, program, thr.abstr, ABSTRACTION_BUDGET, ctx.seed,
-            ctx.heuristic, primal,
+            a_mask, program, thr.abstr, ABSTRACTION_BUDGET, ctx.seed, ctx.heuristic
         )
     figures.abstraction_size = a_mask.bit_count()
-    return _run_tables(depth, program, a_mask, assumption, ctx, primal, figures)
+    return _run_tables(depth, program, a_mask, assumption, ctx, figures)
 
 
 def _make_ctx(thresholds, backend, heuristic, seed, stats):

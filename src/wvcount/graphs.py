@@ -5,7 +5,10 @@ occurrences, the epistemic primal graph over purely-epistemic rule
 co-occurrence, and the nested primal graph, which abstracts the primal
 graph onto a chosen subset of epistemic atoms.  Compatible sets carve the
 remaining atoms into independently verifiable chunks and pin each chunk
-to one tree-decomposition node.
+to one tree-decomposition node.  Neither the compatible sets nor the
+nested primal graph walks the primal graph: both follow from one split of
+the rules by their anchors (``anchor``), the atoms a rule keeps once the
+abstraction is removed.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 
 from .errors import WvcountError
 from .model import Program, bits, mask_of
+from .semantics import _components
 
 A_TAG = "a"
 E_TAG = "e"
@@ -109,42 +113,37 @@ def epistemic_primal_graph(program: Program) -> TaggedGraph:
     return g
 
 
-def nested_primal_graph(
-    program: Program, a_mask: int, primal: TaggedGraph | None = None
-) -> TaggedGraph:
+def anchor(rule, a_mask: int) -> int:
+    """The atoms of ``rule``'s vertices that stay in the primal graph once
+    the abstraction e-vertices of ``a_mask`` are removed: its objective
+    atoms and its epistemic atoms outside ``a_mask``.  They form a clique,
+    so a rule with an anchor lies in one compatible set."""
+    return rule.aats_mask | (rule.eats_mask & ~a_mask)
+
+
+def nested_primal_graph(program: Program, a_mask: int) -> TaggedGraph:
     """Abstraction of the primal graph onto the epistemic atoms in a_mask.
 
     Two abstraction vertices are joined iff the primal graph connects them
     by a path whose interior avoids abstraction vertices.  (Interior
     vertices may be objective, or epistemic atoms left out of the
     abstraction; allowing the latter keeps every compatible set's
-    neighborhood a clique, so it always fits in one bag.)  ``primal`` is
-    the program's primal graph when the caller already has it; it is only
-    read.
+    neighborhood a clique, so it always fits in one bag.)  Such a path
+    runs through one compatible set or is an edge of a rule without an
+    anchor, so the graph is a clique on each compatible set's neighbors
+    and one on the atoms of each rule without an anchor.
     """
     if a_mask & ~program.eats_mask:
         raise WvcountError("abstraction atoms must be epistemic atoms")
-    if primal is None:
-        primal = primal_graph(program)
     g = TaggedGraph()
-    targets = {(a, E_TAG) for a in bits(a_mask)}
-    for v in sorted(targets):
-        g.add_vertex(v)
-    for start in sorted(targets):
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in primal.adj[u]:
-                    if w in seen:
-                        continue
-                    seen.add(w)
-                    if w in targets:
-                        g.add_edge(start, w)
-                    else:
-                        nxt.append(w)
-            frontier = nxt
+    for a in bits(a_mask):
+        g.add_vertex((a, E_TAG))
+    cliques = [nbrs for _atoms, nbrs in _primal_components(program, a_mask)]
+    cliques += [tuple(bits(r.eats_mask)) for r in program.rules if not anchor(r, a_mask)]
+    for clique in cliques:
+        for i, u in enumerate(clique):
+            for v in clique[i + 1:]:
+                g.add_edge((u, E_TAG), (v, E_TAG))
     return g
 
 
@@ -164,77 +163,47 @@ class CompatAssignment:
     nested_bag_atoms: dict[int, int]
 
 
-def _primal_components(program: Program, a_mask: int, primal=None):
+def _primal_components(program: Program, a_mask: int):
     """Connected components of the primal graph after removing the
-    abstraction e-vertices, projected to atoms, with their A-neighbors."""
-    if primal is None:
-        primal = primal_graph(program)
-    removed = {(a, E_TAG) for a in bits(a_mask)}
-    seen = set()
+    abstraction e-vertices, projected to atoms, with their A-neighbors.
+
+    The rules with an anchor split by their anchors; each part is a
+    component, and its neighbors are its own abstraction atoms (their
+    a-vertices touch their e-twins) plus those its rules use
+    epistemically.  An abstraction atom that no anchor holds leaves an
+    isolated a-vertex: a one-atom component whose only neighbor is itself.
+    """
+    a_mask &= program.eats_mask
+    anchored = [r for r in program.rules if anchor(r, a_mask)]
     comps = []
-    for v in primal.vertices:
-        if v in removed or v in seen:
-            continue
-        comp = set()
-        nbrs = set()
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.add(u)
-            for w in primal.adj[u]:
-                if w in removed:
-                    nbrs.add(w[0])
-                elif w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        atoms = tuple(sorted({atom for atom, _tag in comp}))
-        comps.append((atoms, tuple(sorted(nbrs))))
+    held = 0
+    for mask, rules in _components(anchored, [anchor(r, a_mask) for r in anchored]):
+        held |= mask
+        nbrs = mask
+        for r in rules:
+            nbrs |= r.eats_mask
+        comps.append((tuple(bits(mask)), tuple(bits(nbrs & a_mask))))
+    comps += [((a,), (a,)) for a in bits(a_mask & ~held)]
     comps.sort()
     return comps
 
 
-def assign_compatible_sets(
-    program: Program, a_mask: int, td, primal: TaggedGraph | None = None
-) -> CompatAssignment:
+def assign_compatible_sets(program: Program, a_mask: int, td) -> CompatAssignment:
     """Assign every compatible set to the first eligible node in post-order.
 
     Eligibility means the node's bag covers all the component's
     A-neighbors; on a nice decomposition only introduce nodes are
     eligible, because nested verification happens at introductions.
-
-    The eligible nodes are indexed once: each atom maps to the ascending
-    post-order positions of the eligible nodes whose bag holds it.  A
-    component scans only the list of its neighbor with the fewest entries.
-    Every node covering the neighborhood holds that neighbor, so the first
-    covering node on its list is the first covering node in post-order.
-    A component without neighbors goes to the first eligible node.
-    ``primal`` is the program's primal graph when the caller already has
-    it; it is only read.
     """
-    comps = _primal_components(program, a_mask, primal)
-    intr_only = getattr(td, "kind", None) is not None
-    order = []
-    holding: dict[int, list[int]] = {}  # atom -> positions in order
-    for t in td.postorder():
-        if intr_only and td.kind[t] != "intr":
-            continue
-        bag_mask = mask_of(atom for atom, _tag in td.bags[t])
-        for atom in bits(bag_mask):
-            holding.setdefault(atom, []).append(len(order))
-        order.append((t, bag_mask))
+    order = [
+        (t, mask_of(atom for atom, _tag in td.bags[t]))
+        for t in td.postorder()
+        if getattr(td, "kind", None) is None or td.kind[t] == "intr"
+    ]
     assignment = CompatAssignment([], [], {}, {})
-    for idx, (atoms, nbrs) in enumerate(comps):
+    for idx, (atoms, nbrs) in enumerate(_primal_components(program, a_mask)):
         need = mask_of(nbrs)
-        scan = range(len(order))
-        if nbrs:
-            scan = min((holding.get(a, ()) for a in nbrs), key=len)
-        home = None
-        for pos in scan:
-            t, bag_mask = order[pos]
-            if need & ~bag_mask == 0:
-                home = t
-                break
+        home = next((t for t, bag_mask in order if need & ~bag_mask == 0), None)
         if home is None:
             raise WvcountError(
                 "no eligible node covers component neighborhood %s" % (nbrs,)

@@ -99,16 +99,16 @@ def _answer_sets_whole(atom_mask: int, rules, memo=None) -> list[int]:
     return sorted(mask_of(atom_list[i] for i in bits(m)) for m in local_sets)
 
 
-def _components(program: Program):
-    """Partition rules by atom connectivity; returns (atom_mask, rules)
-    pairs in the order of their lowest atoms.
+def _components(rules, masks):
+    """Partition ``rules`` by connectivity of their ``masks``, one nonzero
+    atom mask per rule; returns (atom_mask, rules) pairs in the order of
+    their lowest atoms, each atom_mask the union of its rules' masks.
 
     A union-find over atoms with path halving: each rule joins its atoms
     to the root of its first one.  The finds are written inline because
     the counting router runs this on every subproblem.
     """
     parent: dict[int, int] = {}
-    masks = [r.ats_mask for r in program.rules]
     for m in masks:
         root = -1
         for a in bits(m):
@@ -120,7 +120,7 @@ def _components(program: Program):
             elif a != root:
                 parent[a] = root
     groups: dict[int, list] = {}
-    for r, m in zip(program.rules, masks):
+    for r, m in zip(rules, masks):
         a = (m & -m).bit_length() - 1
         while parent[a] != a:
             parent[a] = parent[parent[a]]
@@ -150,7 +150,7 @@ def answer_sets(program: Program, cap: int = ANSWER_CAP, memo=None) -> list[int]
     if any(r.ats_mask == 0 for r in program.rules):
         return []
     result = [0]
-    for mask, rules in _components(program):
+    for mask, rules in _components(program.rules, [r.ats_mask for r in program.rules]):
         part = _answer_sets_whole(mask, rules, memo)
         if not part:
             return []
@@ -376,7 +376,8 @@ def cnf_to_elp(num_vars: int, clauses) -> Program:
 
     Variables become atoms ``x1..xn``; every variable contributes a
     constraint forcing it to be decided, every clause one forbidding all
-    three literals to be unknown.  Clauses are DIMACS-style signed ints.
+    three literals to be unknown.  Clauses are DIMACS-style signed ints;
+    a literal 0 or over a variable past ``num_vars`` raises ``ValueError``.
     """
     table = AtomTable("x%d" % (i + 1) for i in range(num_vars))
     rules = []
@@ -393,6 +394,8 @@ def cnf_to_elp(num_vars: int, clauses) -> Program:
     for clause in clauses:
         if len(clause) > 3:
             raise ValueError("clause with more than 3 literals")
+        if not all(0 < abs(l) <= num_vars for l in clause):
+            raise ValueError("clause %s has a literal outside 1..%d" % (list(clause), num_vars))
         body = tuple(
             Epistemic(False, Literal(abs(l) - 1, l > 0)) for l in clause
         )

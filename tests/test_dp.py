@@ -469,8 +469,9 @@ def test_probability_query_on_unmentioned_atom():
 
 
 def test_one_primal_graph_per_subproblem(monkeypatch):
-    # The abstraction search, the nested graph and the compatible sets all
-    # reuse the router's primal graph.
+    # The router builds the primal graph for its width check only: the
+    # abstraction search, the nested graph and the compatible sets derive
+    # from a split of the rules and build none.
     import wvcount.dp as dp_mod
     import wvcount.graphs as graphs_mod
 
@@ -794,7 +795,7 @@ def test_probability_with_assumption_and_query_on_one_objective_atom():
         prog = gen_random_elp(7, 3, 9, g)
         objective = sorted(bits(prog.aats_mask & ~prog.eats_mask))
         for target in (prog, with_renamed_copy(prog)):
-            whole = len(_components(target)) == 1
+            whole = len(_components(target.rules, [r.ats_mask for r in target.rules])) == 1
             views = enumerate_world_views(target)
             for _ in range(3):
                 x = rng.choice(objective)
@@ -916,9 +917,9 @@ def test_reduct_split_is_built_only_past_the_early_exits(monkeypatch):
     calls = []
     components = dp_mod._components
 
-    def spy(program):
-        calls.append(program)
-        return components(program)
+    def spy(rules, masks):
+        calls.append(rules)
+        return components(rules, masks)
 
     monkeypatch.setattr(dp_mod, "_components", spy)
     stats = RunStats()

@@ -308,6 +308,109 @@ def test_compat_owner_is_introduce_node_on_nice_tds(running):
         assert nice.kind[owner] == "intr"
 
 
+# ---------------------------------------------------------------------------
+# Reference walks over the tagged primal graph
+
+
+def walk_components(program, a_mask):
+    """Reference: the connected components of the primal graph after
+    removing the abstraction e-vertices, projected to atoms, each with the
+    removed vertices adjacent to it, found by a graph walk."""
+    primal = primal_graph(program)
+    removed = {(a, "e") for a in bits(a_mask)}
+    seen = set()
+    comps = []
+    for v in primal.vertices:
+        if v in removed or v in seen:
+            continue
+        comp = set()
+        nbrs = set()
+        stack = [v]
+        seen.add(v)
+        while stack:
+            u = stack.pop()
+            comp.add(u)
+            for w in primal.adj[u]:
+                if w in removed:
+                    nbrs.add(w[0])
+                elif w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        atoms = tuple(sorted({atom for atom, _tag in comp}))
+        comps.append((atoms, tuple(sorted(nbrs))))
+    comps.sort()
+    return comps
+
+
+def walk_nested_adj(program, a_mask):
+    """Reference: the nested primal graph's adjacency, found by a
+    breadth-first walk from each abstraction vertex that stops at the
+    abstraction vertices it reaches."""
+    primal = primal_graph(program)
+    targets = {(a, "e") for a in bits(a_mask)}
+    adj = {v: set() for v in targets}
+    for start in sorted(targets):
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in primal.adj[u]:
+                    if w in seen:
+                        continue
+                    seen.add(w)
+                    if w in targets:
+                        adj[start].add(w)
+                        adj[w].add(start)
+                    else:
+                        nxt.append(w)
+            frontier = nxt
+    return adj
+
+
+def assert_split_matches_walks(program, a_mask):
+    assert _primal_components(program, a_mask) == walk_components(program, a_mask)
+    assert nested_primal_graph(program, a_mask).adj == walk_nested_adj(program, a_mask)
+
+
+def test_rule_split_matches_the_primal_graph_walks(running):
+    rng = random.Random(11)
+    programs = [
+        gen_random_elp(n, n // 2, n + 4, seed) for n in (5, 8, 12, 16) for seed in range(8)
+    ]
+    programs += [gen_scholarship(n, mode, 2) for n in (3, 12) for mode in ("classic", "many")]
+    programs += [cnf_to_elp(8, gen_random_3cnf(8, 10, seed)) for seed in range(4)]
+    programs.append(running)
+    checked = 0
+    for prog in programs:
+        eats = prog.eats_mask
+        masks = [eats, 0] + [
+            mask_of(a for a in bits(eats) if rng.random() < p) for p in (0.25, 0.5, 0.75)
+        ]
+        for mask in masks:
+            assert_split_matches_walks(prog, mask)
+            checked += 1
+    assert checked == 5 * len(programs)
+
+
+def test_rule_split_hand_cases():
+    # b occurs only epistemically: left in the abstraction it is a
+    # component of its own whose one neighbor is b itself.
+    prog = parse_program("a :- not b.\nc :- a.\n")
+    b = prog.atoms.id("b")
+    assert ((b,), (b,)) in _primal_components(prog, 1 << b)
+    assert_split_matches_walks(prog, 1 << b)
+    assert_split_matches_walks(prog, 0)
+    # The constraint's atoms all lie in the abstraction, so it belongs to
+    # no component, yet it joins b and c in the nested graph.
+    prog = parse_program("a :- K b.\nd :- K c.\n:- K b, not c.\n")
+    b, c = prog.atoms.id("b"), prog.atoms.id("c")
+    mask = (1 << b) | (1 << c)
+    assert nested_primal_graph(prog, mask).adj == {(b, "e"): {(c, "e")}, (c, "e"): {(b, "e")}}
+    for m in (mask, 1 << b, 1 << c, 0):
+        assert_split_matches_walks(prog, m)
+
+
 def linear_scan_assignment(program, a_mask, td):
     """Reference: test every eligible node in post-order, per component."""
     intr_only = getattr(td, "kind", None) is not None
@@ -317,7 +420,7 @@ def linear_scan_assignment(program, a_mask, td):
         if not intr_only or td.kind[t] == "intr"
     ]
     asg = CompatAssignment([], [], {}, {})
-    for idx, (atoms, nbrs) in enumerate(_primal_components(program, a_mask)):
+    for idx, (atoms, nbrs) in enumerate(walk_components(program, a_mask)):
         need = mask_of(nbrs)
         homes = [t for t, bag_mask in order if need & ~bag_mask == 0]
         if not homes:
@@ -358,9 +461,9 @@ def test_compat_assignment_matches_linear_scan():
     assert checked > 100
 
 
-def test_compat_scans_the_shortest_neighbor_list(running):
-    # Component (a, b) has neighbors b and c.  Node 1 is the first on c's
-    # list, the shorter one, but lacks b; node 5 is the first to cover both.
+def test_compat_skips_nodes_that_cover_one_neighbor(running):
+    # Component (a, b) has neighbors b and c.  Nodes 1 to 4 each hold one
+    # of them; node 5 is the first in post-order to cover both.
     t = running.atoms
 
     def v(name):

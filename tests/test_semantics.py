@@ -552,6 +552,14 @@ def test_cnf_clause_too_long():
         cnf_to_elp(4, [[1, 2, 3, 4]])
 
 
+def test_cnf_literal_outside_the_variables():
+    # A literal 0 or over a variable past num_vars names no atom of the
+    # program's table: the clause is rejected, not encoded.
+    for clause in ([1, 0], [1, 5], [-4]):
+        with pytest.raises(ValueError, match=r"clause \[%s\]" % ", ".join(map(str, clause))):
+            cnf_to_elp(3, [[1, 2], clause])
+
+
 def test_cnf_plausible_count_equals_model_count():
     for seed in range(50):
         rng = random.Random(seed)
