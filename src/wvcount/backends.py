@@ -15,6 +15,7 @@ import shlex
 import signal
 import subprocess
 import tempfile
+import threading
 from dataclasses import dataclass, field
 
 from . import semantics
@@ -104,7 +105,7 @@ class BackendConfig:
     ``command`` is a whitespace-split template containing exactly one
     ``{file}`` placeholder; ``parse`` selects the output contract: a
     single decimal line (``count``) or the presence of a marker line
-    (``sat``).
+    (``sat``); ``timeout`` is in seconds, > 0 and <= ``threading.TIMEOUT_MAX``.
     """
 
     command: str
@@ -118,6 +119,9 @@ class BackendConfig:
             raise ValueError("command template needs exactly one {file}")
         if self.parse not in ("count", "sat"):
             raise ValueError("parse mode must be 'count' or 'sat'")
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:  # nan fails both tests
+            limit = threading.TIMEOUT_MAX
+            raise ValueError("timeout must be > 0 and at most %g seconds" % limit)
 
 
 class ExternalBackend:
@@ -152,15 +156,17 @@ class ExternalBackend:
             raise BackendError("cannot start external solver: %s" % exc) from exc
         try:
             stdout, _stderr = proc.communicate(timeout=self.config.timeout)
-        except subprocess.TimeoutExpired:
+        except BaseException as exc:  # a timeout, an interrupt or any other error
             try:
                 os.killpg(proc.pid, signal.SIGKILL)
             except OSError:
                 pass
             proc.communicate()  # reaps the process and closes its pipes
-            raise BackendTimeout(
-                "external solver exceeded %.1fs" % self.config.timeout
-            ) from None
+            if isinstance(exc, subprocess.TimeoutExpired):
+                raise BackendTimeout(
+                    "external solver exceeded %.1fs" % self.config.timeout
+                ) from None
+            raise
         finally:
             os.unlink(path)
         return stdout

@@ -76,11 +76,14 @@ def _backend(args, thresholds):
         return internal
     if not args.external_cmd:
         raise WvcountError("--backend external requires --external-cmd")
-    config = BackendConfig(
-        command=args.external_cmd,
-        parse=args.external_parse,
-        timeout=args.external_timeout,
-    )
+    try:
+        config = BackendConfig(
+            command=args.external_cmd,
+            parse=args.external_parse,
+            timeout=args.external_timeout,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     return StackedBackend(ExternalBackend(config), internal)
 
 
@@ -223,8 +226,11 @@ def _cmd_gen(args):
         raise _UsageError(str(exc)) from exc
     text = program_to_text(program)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise WvcountError("cannot write %s: %s" % (args.out, exc)) from exc
     else:
         sys.stdout.write(text)
     return 0

@@ -36,13 +36,12 @@ from .decomp import NiceTD, build_td, fill_count, make_nice
 from .errors import NoWorldViews
 from .graphs import (
     E_TAG,
-    anchor,
     assign_compatible_sets,
     epistemic_primal_graph,
     nested_primal_graph,
     primal_graph,
 )
-from .model import EMPTY_WVI, Program, Rule, WVI, bits, mask_of
+from .model import EMPTY_WVI, Program, WVI, bits, mask_of
 from .semantics import (
     ANSWER_CAP,
     WV_CAP,
@@ -308,15 +307,6 @@ def _prepare_nodes(program, a_mask, nice):
     """Attach bag programs and delegated rules to the introduce nodes of a
     nice decomposition."""
     asg = assign_compatible_sets(program, a_mask, nice)
-    comp_of_atom = {a: idx for idx, atoms in enumerate(asg.components) for a in atoms}
-    nested_by_node: dict[int, list[Rule]] = {}
-    for r in program.rules:
-        atoms = anchor(r, a_mask)
-        if atoms == 0:
-            continue  # lives entirely on bag atoms; plausibility checks cover it
-        # Bags hold abstraction atoms only: its reducts keep the anchor atoms.
-        owner = asg.owner[comp_of_atom[next(bits(atoms))]]
-        nested_by_node.setdefault(owner, []).append(r)
     checks_by_atom = _checks_by_atom(program, a_mask)
     data = {}
     for t in nice.postorder():
@@ -326,20 +316,19 @@ def _prepare_nodes(program, a_mask, nice):
         data[t] = _NodeData(
             bag_mask=bag_mask,
             checks=_node_checks(checks_by_atom, nice.action[t][0], bag_mask),
-            nested=compile_reduct(nested_by_node.get(t, ()), bag_mask),
+            nested=compile_reduct(asg.delegated.get(t, ()), bag_mask),
             owned_mask=asg.nested_bag_atoms.get(t, 0),
         )
     return data
 
 
-def _run_tables(depth, program, a_mask, assumption, ctx, figures=None):
+def _run_tables(depth, program, a_mask, assumption, ctx, figures):
     """Dynamic programming over a nice decomposition of the nested primal
-    graph; returns the count.  ``figures``, when given, takes the
-    decomposition's width and node count."""
+    graph; returns the count.  ``figures`` takes the decomposition's width
+    and node count."""
     nice = make_nice(build_td(nested_primal_graph(program, a_mask), ctx.heuristic, ctx.seed))
-    if figures is not None:
-        figures.dp_width = nice.width
-        figures.dp_nodes = nice.node_count
+    figures.dp_width = nice.width
+    figures.dp_nodes = nice.node_count
     data = _prepare_nodes(program, a_mask, nice)
 
     def introduce(t, child):
@@ -438,7 +427,7 @@ def _nested_count(depth, program, assumption, ctx, query=None, subproblem=None):
     """
     ctx.stats.max_depth = max(ctx.stats.max_depth, depth)
     if depth == 0 and any(r.ats_mask == 0 for r in program.rules):
-        return 0, 0  # a bare falsity constraint; reducts leave none (``_prepare_nodes``)
+        return 0, 0  # a bare falsity constraint; reducts leave none (``CompatAssignment``)
     ats = program.ats_mask
     # Assumed atoms no rule mentions anymore are underivable: a truth or
     # openness claim on them fails outright, a falsity claim is free.

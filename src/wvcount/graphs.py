@@ -138,7 +138,7 @@ def nested_primal_graph(program: Program, a_mask: int) -> TaggedGraph:
     g = TaggedGraph()
     for a in bits(a_mask):
         g.add_vertex((a, E_TAG))
-    cliques = [nbrs for _atoms, nbrs in _primal_components(program, a_mask)]
+    cliques = [nbrs for _atoms, nbrs, _rules in _primal_components(program, a_mask)]
     cliques += [tuple(bits(r.eats_mask)) for r in program.rules if not anchor(r, a_mask)]
     for clique in cliques:
         for i, u in enumerate(clique):
@@ -153,19 +153,22 @@ class CompatAssignment:
 
     ``components[i]`` is the atom set of one connected component,
     ``neighbors[i]`` the abstraction atoms adjacent to it, ``owner[i]``
-    the unique tree node it is assigned to, and ``nested_bag_atoms[t]``
-    the union of atom masks owned by node ``t``.
+    the unique tree node it is assigned to, ``nested_bag_atoms[t]`` the
+    union of atom masks owned by node ``t``, and ``delegated[t]`` the
+    rules it verifies by recursion: those with an anchor in its
+    components.  The plausibility checks cover the rules without one.
     """
 
     components: list[tuple[int, ...]]
     neighbors: list[tuple[int, ...]]
     owner: dict[int, int]
     nested_bag_atoms: dict[int, int]
+    delegated: dict[int, list]
 
 
 def _primal_components(program: Program, a_mask: int):
-    """Connected components of the primal graph after removing the
-    abstraction e-vertices, projected to atoms, with their A-neighbors.
+    """The connected components of the primal graph minus the abstraction
+    e-vertices, as (atoms, A-neighbors, rules whose anchors lie in them).
 
     The rules with an anchor split by their anchors; each part is a
     component, and its neighbors are its own abstraction atoms (their
@@ -182,8 +185,8 @@ def _primal_components(program: Program, a_mask: int):
         nbrs = mask
         for r in rules:
             nbrs |= r.eats_mask
-        comps.append((tuple(bits(mask)), tuple(bits(nbrs & a_mask))))
-    comps += [((a,), (a,)) for a in bits(a_mask & ~held)]
+        comps.append((tuple(bits(mask)), tuple(bits(nbrs & a_mask)), rules))
+    comps += [((a,), (a,), []) for a in bits(a_mask & ~held)]
     comps.sort()
     return comps
 
@@ -200,8 +203,8 @@ def assign_compatible_sets(program: Program, a_mask: int, td) -> CompatAssignmen
         for t in td.postorder()
         if getattr(td, "kind", None) is None or td.kind[t] == "intr"
     ]
-    assignment = CompatAssignment([], [], {}, {})
-    for idx, (atoms, nbrs) in enumerate(_primal_components(program, a_mask)):
+    assignment = CompatAssignment([], [], {}, {}, {})
+    for idx, (atoms, nbrs, rules) in enumerate(_primal_components(program, a_mask)):
         need = mask_of(nbrs)
         home = next((t for t, bag_mask in order if need & ~bag_mask == 0), None)
         if home is None:
@@ -214,6 +217,7 @@ def assign_compatible_sets(program: Program, a_mask: int, td) -> CompatAssignmen
         assignment.nested_bag_atoms[home] = assignment.nested_bag_atoms.get(
             home, 0
         ) | mask_of(atoms)
+        assignment.delegated.setdefault(home, []).extend(rules)
     return assignment
 
 

@@ -23,57 +23,51 @@ import re
 from .errors import ParseError
 from .model import AtomTable, Epistemic, Literal, Objective, Program, Rule
 
+_NAME = r"[a-z][A-Za-z0-9_]*"
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<comment>%[^\n]*)
   | (?P<arrow>:-)
-  | (?P<name>[a-z][A-Za-z0-9_]*)
+  | (?P<name>{_NAME})
   | (?P<modal>[KM])
   | (?P<dash>-)
   | (?P<or>[|;])
   | (?P<comma>,)
   | (?P<dot>\.)
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+def _position(text, offset):
+    """The 1-based line and column of ``offset`` in ``text``, where only
+    a newline ends a line.  Only errors report a position."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
 def _tokenize(text):
+    """``(kind, text, offset)`` per token, whitespace and comments
+    dropped, then an ``eof`` token at the end of ``text``."""
     tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                "unexpected character %r" % text[pos], line, pos - line_start + 1
-            )
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line, m.start() - line_start + 1))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = m.start() + value.rfind("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
+        if kind == "ws" or kind == "comment":
+            continue
+        if kind == "bad":
+            line, col = _position(text, m.start())
+            raise ParseError("unexpected character %r" % m.group(), line, col)
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -86,86 +80,85 @@ class _Parser:
         return tok
 
     def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        """A ``ParseError`` at ``tok``, by default the next token."""
+        offset = (tok or self.peek())[2]
+        return ParseError(message, *_position(self.text, offset))
 
     def parse_program(self):
         table = AtomTable()
         rules = []
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             rules.append(self.parse_rule(table))
         return Program(table, tuple(rules))
 
     def parse_rule(self, table):
         start = self.peek()
+        kind, text, _ = start
         head = []
-        if self.peek().kind == "name" and self.peek().text != "not":
-            head.append(table.intern(self.next().text))
-            while self.peek().kind == "or":
+        if kind == "name" and text != "not":
+            head.append(table.intern(self.next()[1]))
+            while self.peek()[0] == "or":
                 self.next()
                 tok = self.next()
-                if tok.kind != "name" or tok.text == "not":
-                    self.error("expected atom name in head", tok)
-                head.append(table.intern(tok.text))
-        elif self.peek().kind in ("modal", "dash") or (
-            self.peek().kind == "name" and self.peek().text == "not"
-        ):
-            self.error("epistemic or negated literal in head")
+                if tok[0] != "name" or tok[1] == "not":
+                    raise self.error("expected atom name in head", tok)
+                head.append(table.intern(tok[1]))
+        elif kind in ("modal", "dash", "name"):  # K, M, - or not
+            raise self.error("epistemic or negated literal in head")
         body = []
-        if self.peek().kind == "arrow":
+        if self.peek()[0] == "arrow":
             self.next()
             body.append(self.parse_element(table))
-            while self.peek().kind == "comma":
+            while self.peek()[0] == "comma":
                 self.next()
                 body.append(self.parse_element(table))
         tok = self.next()
-        if tok.kind != "dot":
-            self.error("expected '.' at end of rule", tok)
+        if tok[0] != "dot":
+            raise self.error("expected '.' at end of rule", tok)
         if not head and not body:
-            self.error("empty rule", start)
+            raise self.error("empty rule", start)
         try:
             return Rule(tuple(head), tuple(body))
         except ValueError as exc:
-            raise ParseError(str(exc), start.line, start.col) from None
+            raise self.error(str(exc), start) from None
 
     def parse_element(self, table):
-        tok = self.peek()
-        if tok.kind == "modal":  # K l | M l
+        kind, text, _ = self.peek()
+        if kind == "modal":  # K l | M l
             self.next()
             lit = self.parse_literal(table)
-            if tok.text == "K":
+            if text == "K":
                 return Epistemic(True, lit)
             return Epistemic(False, lit.negate())
-        if tok.kind == "name" and tok.text == "not":  # not l
+        if text == "not":  # not l
             self.next()
             return Epistemic(False, self.parse_literal(table))
-        if tok.kind == "dash":
-            nxt = self.tokens[self.pos + 1]
-            if nxt.kind == "modal" or (nxt.kind == "name" and nxt.text == "not"):
-                self.next()
-                op = self.next()
+        if kind == "dash":
+            op = self.tokens[self.pos + 1][1]
+            if op in ("K", "M", "not"):
+                self.pos += 2
                 lit = self.parse_literal(table)
-                if op.kind == "modal" and op.text == "K":  # -K l == not l
+                if op == "K":  # -K l == not l
                     return Epistemic(False, lit)
-                if op.kind == "modal":  # -M l == - not -l
+                if op == "M":  # -M l == - not -l
                     return Epistemic(True, lit.negate())
                 return Epistemic(True, lit)  # -not l
             return Objective(self.parse_literal(table))
-        if tok.kind == "name":
+        if kind == "name":
             return Objective(self.parse_literal(table))
-        self.error("expected body element")
+        raise self.error("expected body element")
 
     def parse_literal(self, table):
         positive = True
         tok = self.next()
-        if tok.kind == "dash":
+        if tok[0] == "dash":
             positive = False
             tok = self.next()
-            if tok.kind == "dash":
-                self.error("duplicate negation", tok)
-        if tok.kind != "name" or tok.text == "not":
-            self.error("expected atom name", tok)
-        return Literal(table.intern(tok.text), positive)
+            if tok[0] == "dash":
+                raise self.error("duplicate negation", tok)
+        if tok[0] != "name" or tok[1] == "not":
+            raise self.error("expected atom name", tok)
+        return Literal(table.intern(tok[1]), positive)
 
 
 def parse_program(text: str) -> Program:
@@ -216,7 +209,7 @@ def parse_query(text: str, table: AtomTable):
             if part.startswith("-"):
                 positive = False
                 part = part[1:].strip()
-            if not re.fullmatch(r"[a-z][A-Za-z0-9_]*", part or ""):
+            if not re.fullmatch(_NAME, part):
                 raise ParseError("bad query literal %r" % part)
             if part not in table:
                 raise ParseError("query atom %r does not occur in the program" % part)

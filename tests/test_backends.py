@@ -1,5 +1,7 @@
+import os
 import random
 import stat
+import subprocess
 import sys
 import tempfile
 import textwrap
@@ -229,6 +231,10 @@ def test_config_validation():
         BackendConfig(command="solver {file} {file}")
     with pytest.raises(ValueError):
         BackendConfig(command="solver {file}", parse="maybe")
+    # 1e300 is finite but longer than any wait the platform can time
+    for timeout in (float("nan"), float("inf"), 1e300, 0, -1):
+        with pytest.raises(ValueError):
+            BackendConfig(command="solver {file}", timeout=timeout)
 
 
 def test_external_count_roundtrip(tmp_path, running):
@@ -291,6 +297,29 @@ def test_external_timeout(tmp_path, running):
     )
     with pytest.raises(BackendTimeout):
         backend.count_wv(running)
+
+
+def test_external_error_while_waiting_kills_the_solver(tmp_path, monkeypatch, running):
+    sleeper = script(tmp_path, "sleep.py", "import time\ntime.sleep(60)\n")
+    backend = ExternalBackend(
+        BackendConfig(command="%s %s {file}" % (sys.executable, sleeper), parse="count")
+    )
+    waited = []
+    communicate = subprocess.Popen.communicate
+
+    def failing(proc, *args, **kwargs):
+        if not waited:
+            waited.append(proc)
+            raise ValueError("cannot wait")
+        return communicate(proc, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess.Popen, "communicate", failing)
+    with pytest.raises(ValueError, match="cannot wait"):
+        backend.count_wv(running)
+    (proc,) = waited
+    assert proc.returncode is not None  # killed and reaped
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # and no process of its group is left
 
 
 def test_external_rejects_garbage(tmp_path, running):

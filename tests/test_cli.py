@@ -114,6 +114,12 @@ def test_gen_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == "1\n"
 
 
+def test_gen_unwritable_out_is_an_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "inst.elp"
+    assert main(["gen", "classic", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: cannot write %s: " % out)
+
+
 def test_harness_spec(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(
@@ -159,6 +165,19 @@ def test_exit_usage_on_invalid_option_values(capsys):
         ["wvs", RUNNING_PATH, "--cap-epistemic", "-3"],
         ["gen", "random", "--atoms", "3", "--epistemic", "5"],
         ["gen", "classic", "--n", "0"],
+    ) + tuple(
+        # rejected before any solver starts, though these thresholds
+        # send every subproblem to the backend
+        ["count", RUNNING_PATH, "--threshold-hybrid", "0", "--threshold-abstr", "0",
+         "--backend", "external", "--external-cmd", cmd, "--external-timeout", timeout]
+        for cmd, timeout in (
+            ("cat", "60"),
+            ("cat {file}", "nan"),
+            ("cat {file}", "inf"),
+            ("cat {file}", "1e300"),
+            ("cat {file}", "0"),
+            ("cat {file}", "-1"),
+        )
     ):
         with pytest.raises(SystemExit) as exc:
             main(args)

@@ -536,7 +536,7 @@ def test_stats_and_determinism(running):
 
 def test_elp_tables_root_single_row_and_positive_counts(running):
     import wvcount.dp as dp_mod
-    from wvcount.dp import _make_ctx, _run_tables
+    from wvcount.dp import _Figures, _make_ctx, _run_tables
 
     ctx = _make_ctx(Thresholds(hybrid=99, abstr=99, depth=1), None, "min-fill", 0, None)
     captured = []
@@ -549,7 +549,7 @@ def test_elp_tables_root_single_row_and_positive_counts(running):
 
     dp_mod._intr_table = spy
     try:
-        total = _run_tables(0, running, running.eats_mask, EMPTY_WVI, ctx)
+        total = _run_tables(0, running, running.eats_mask, EMPTY_WVI, ctx, _Figures())
     finally:
         dp_mod._intr_table = orig
     assert total == 3

@@ -8,6 +8,7 @@ from wvcount.errors import WvcountError
 from wvcount.graphs import (
     CompatAssignment,
     _primal_components,
+    anchor,
     assign_compatible_sets,
     bag_programs,
     epistemic_primal_graph,
@@ -281,23 +282,29 @@ def test_bag_programs_epistemic_td(running):
 def test_unique_owner_for_objective_rules():
     for seed in range(25):
         prog = gen_random_elp(7, 3, 9, seed)
-        mask = prog.eats_mask
-        nice = make_nice(build_td(nested_primal_graph(prog, mask)))
-        asg = assign_compatible_sets(prog, mask, nice)
-        membership = []
-        for t in nice.postorder():
-            _, nested = bag_programs(prog, mask, asg, nice, t)
-            membership.append({id(r) for r in nested if r.aats_mask})
-        for r in prog.rules:
-            if r.aats_mask:
-                assert sum(1 for s in membership if id(r) in s) == 1
-        # atoms outside the abstraction land in exactly one component
-        covered = 0
-        for comp in asg.components:
-            comp_mask = mask_of(comp)
-            assert covered & comp_mask == 0
-            covered |= comp_mask
-        assert covered & ~mask == prog.ats_mask & ~mask
+        half = mask_of(list(bits(prog.eats_mask))[::2])
+        for mask in (prog.eats_mask, half):
+            nice = make_nice(build_td(nested_primal_graph(prog, mask)))
+            asg = assign_compatible_sets(prog, mask, nice)
+            membership = []
+            for t in nice.postorder():
+                _, nested = bag_programs(prog, mask, asg, nice, t)
+                membership.append({id(r) for r in nested if r.aats_mask})
+                # a node verifies the rules of its nested bag program that
+                # have an anchor, each once
+                delegated = [id(r) for r in asg.delegated.get(t, [])]
+                assert len(delegated) == len(set(delegated))
+                assert set(delegated) == {id(r) for r in nested if anchor(r, mask)}
+            for r in prog.rules:
+                if r.aats_mask:
+                    assert sum(1 for s in membership if id(r) in s) == 1
+            # atoms outside the abstraction land in exactly one component
+            covered = 0
+            for comp in asg.components:
+                comp_mask = mask_of(comp)
+                assert covered & comp_mask == 0
+                covered |= comp_mask
+            assert covered & ~mask == prog.ats_mask & ~mask
 
 
 def test_compat_owner_is_introduce_node_on_nice_tds(running):
@@ -315,7 +322,8 @@ def test_compat_owner_is_introduce_node_on_nice_tds(running):
 def walk_components(program, a_mask):
     """Reference: the connected components of the primal graph after
     removing the abstraction e-vertices, projected to atoms, each with the
-    removed vertices adjacent to it, found by a graph walk."""
+    removed vertices adjacent to it and the rules with a vertex in it,
+    found by a graph walk."""
     primal = primal_graph(program)
     removed = {(a, "e") for a in bits(a_mask)}
     seen = set()
@@ -337,9 +345,15 @@ def walk_components(program, a_mask):
                     seen.add(w)
                     stack.append(w)
         atoms = tuple(sorted({atom for atom, _tag in comp}))
-        comps.append((atoms, tuple(sorted(nbrs))))
+        rules = [r for r in program.rules if rule_vertices(r) & comp]
+        comps.append((atoms, tuple(sorted(nbrs)), rules))
     comps.sort()
     return comps
+
+
+def rule_vertices(rule):
+    vertices = {(a, "a") for a in bits(rule.aats_mask)}
+    return vertices | {(a, "e") for a in bits(rule.eats_mask)}
 
 
 def walk_nested_adj(program, a_mask):
@@ -398,7 +412,7 @@ def test_rule_split_hand_cases():
     # component of its own whose one neighbor is b itself.
     prog = parse_program("a :- not b.\nc :- a.\n")
     b = prog.atoms.id("b")
-    assert ((b,), (b,)) in _primal_components(prog, 1 << b)
+    assert ((b,), (b,), []) in _primal_components(prog, 1 << b)
     assert_split_matches_walks(prog, 1 << b)
     assert_split_matches_walks(prog, 0)
     # The constraint's atoms all lie in the abstraction, so it belongs to
@@ -419,8 +433,8 @@ def linear_scan_assignment(program, a_mask, td):
         for t in td.postorder()
         if not intr_only or td.kind[t] == "intr"
     ]
-    asg = CompatAssignment([], [], {}, {})
-    for idx, (atoms, nbrs) in enumerate(walk_components(program, a_mask)):
+    asg = CompatAssignment([], [], {}, {}, {})
+    for idx, (atoms, nbrs, rules) in enumerate(walk_components(program, a_mask)):
         need = mask_of(nbrs)
         homes = [t for t, bag_mask in order if need & ~bag_mask == 0]
         if not homes:
@@ -431,6 +445,7 @@ def linear_scan_assignment(program, a_mask, td):
         asg.nested_bag_atoms[homes[0]] = asg.nested_bag_atoms.get(
             homes[0], 0
         ) | mask_of(atoms)
+        asg.delegated.setdefault(homes[0], []).extend(rules)
     return asg
 
 

@@ -1,8 +1,13 @@
+import random
+import re
+
 import pytest
 
+from conftest import RUNNING_TEXT
+from wvcount.bench import gen_random_elp, gen_scholarship
 from wvcount.errors import ParseError
 from wvcount.model import Epistemic, Literal, Objective
-from wvcount.parser import parse_program, parse_query, program_to_text
+from wvcount.parser import _position, _tokenize, parse_program, parse_query, program_to_text
 
 
 def test_disjunctive_fact():
@@ -108,6 +113,51 @@ def test_error_carries_position():
     assert err.value.line == 2
 
 
+# Each row: program text, message, line, column.  Columns count
+# characters from 1, a tab or a "\r" as one; only "\n" ends a line.
+ERRORS = [
+    ("a :- b & c.", "unexpected character '&'", 1, 8),
+    ("% a & b\nc :- d # e.", "unexpected character '#'", 2, 8),
+    ("a. % x\n&", "unexpected character '&'", 2, 1),
+    ("a.\nb :- c.\nd :- e $ f.", "unexpected character '$'", 3, 8),
+    ("a.\r\n\t\tb :- @c.", "unexpected character '@'", 2, 8),
+    ("a :-\t\t\r\n\t! b.", "unexpected character '!'", 2, 2),
+    ("a :- \u00e9.", "unexpected character '\u00e9'", 1, 6),
+    # the whole text is tokenized first: this beats the syntax error on line 1
+    ("a :- .\nb & c.", "unexpected character '&'", 2, 3),
+    ("a :- b c.", "expected '.' at end of rule", 1, 8),
+    ("a :- b\n", "expected '.' at end of rule", 2, 1),
+    ("a :- K -b.\nc :- M d", "expected '.' at end of rule", 2, 9),
+    (".", "empty rule", 1, 1),
+    ("a.\n  .", "empty rule", 2, 3),
+    ("K a.", "epistemic or negated literal in head", 1, 1),
+    ("-a.", "epistemic or negated literal in head", 1, 1),
+    ("b.\nnot a.", "epistemic or negated literal in head", 2, 1),
+    ("a | K b.", "expected atom name in head", 1, 5),
+    ("a | not.", "expected atom name in head", 1, 5),
+    (":- --a.", "duplicate negation", 1, 5),
+    (":- K not.", "expected atom name", 1, 6),
+    (":- not not a.", "expected atom name", 1, 8),
+    (":- -K .", "expected atom name", 1, 7),
+    (":- K -.", "expected atom name", 1, 7),
+    ("a :- .", "expected body element", 1, 6),
+    ("a :- b, .", "expected body element", 1, 9),
+    ("b.\n  a :- not a.", "atom used both objectively and epistemically in one rule", 2, 3),
+    # errors at the end of a text without a trailing newline
+    ("a :- b", "expected '.' at end of rule", 1, 7),
+    ("a :- b,", "expected body element", 1, 8),
+    ("a.\nb :- c,", "expected body element", 2, 8),
+]
+
+
+def test_every_parse_error_has_its_message_and_position():
+    for text, message, line, col in ERRORS:
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        got = (str(err.value), err.value.line, err.value.col)
+        assert got == ("line %d, col %d: %s" % (line, col, message), line, col), text
+
+
 def test_roundtrip(running):
     text = program_to_text(running)
     again = parse_program(text)
@@ -129,3 +179,104 @@ def test_parse_query_unknown_atom(running):
         parse_query("zz", running.atoms)
     with pytest.raises(ParseError, match="both a and -a"):
         parse_query("a,-a", running.atoms)
+
+
+# ---------------------------------------------------------------------------
+# Reference tokenizer
+
+
+REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>%[^\n]*)
+  | (?P<arrow>:-)
+  | (?P<name>[a-z][A-Za-z0-9_]*)
+  | (?P<modal>[KM])
+  | (?P<dash>-)
+  | (?P<or>[|;])
+  | (?P<comma>,)
+  | (?P<dot>\.)
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text):
+    """Reference: a tokenizer that tracks the line and column of every
+    token as it scans; ``(kind, text, line, col)`` per token."""
+    tokens = []
+    line, line_start = 1, 0
+    pos = 0
+    while pos < len(text):
+        m = REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(
+                "unexpected character %r" % text[pos], line, pos - line_start + 1
+            )
+        kind = m.lastgroup
+        value = m.group()
+        if kind not in ("ws", "comment"):
+            tokens.append((kind, value, line, m.start() - line_start + 1))
+        newlines = value.count("\n")
+        if newlines:
+            line += newlines
+            line_start = m.start() + value.rfind("\n") + 1
+        pos = m.end()
+    tokens.append(("eof", "", line, pos - line_start + 1))
+    return tokens
+
+
+# Surface forms the printer never writes: the modal sugar, comments,
+# tabs and CRLF line ends.
+SUGARED = (
+    "% header\r\na | b ; c.\r\n\tc :- -K a, -M b, M c.\r\n"
+    ":- K -a, -not b.  % trailing\r\nd_1 :- not -c, -d2.\n"
+)
+
+# Pieces a mutation inserts: tokens, separators, comment starts and
+# characters no token takes.
+PIECES = (
+    "&", "\u00e9", "#", "\u00a0", "\n", "\r\n", "\t\t", " ", "%", "% c\n",
+    "-", "--", "K", "M", "-K ", "-M ", "not ", "|", ";", ",", ".", ":-", "a", "x1",
+)
+
+
+def mutate(text, rng):
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.random()
+        if op < 0.5:
+            text = text[:i] + rng.choice(PIECES) + text[i:]
+        elif op < 0.75:
+            text = text[:i] + text[i + rng.randint(1, 3):]
+        else:
+            text = text[:i] + rng.choice(PIECES) + text[i + 1:]
+    return text
+
+
+def test_tokens_and_positions_match_the_reference():
+    bases = [RUNNING_TEXT, SUGARED, program_to_text(gen_scholarship(2, "many", 1))]
+    bases += [program_to_text(gen_random_elp(8, 4, 10, seed)) for seed in range(6)]
+    rng = random.Random(21)
+    failed = 0
+    for i in range(2000):
+        text = mutate(bases[i % len(bases)], rng)
+        try:
+            want = reference_tokenize(text)
+        except ParseError as exc:
+            failed += 1
+            with pytest.raises(ParseError) as err:
+                _tokenize(text)
+            assert (str(err.value), err.value.line, err.value.col) == (
+                str(exc), exc.line, exc.col
+            ), text
+            continue
+        got = _tokenize(text)
+        assert [(kind, value) for kind, value, _ in got] == [
+            (kind, value) for kind, value, _, _ in want
+        ], text
+        assert [_position(text, offset) for _, _, offset in got] == [
+            (line, col) for _, _, line, col in want
+        ], text
+    # both paths are exercised: texts that tokenize and texts that fail
+    assert 300 < failed < 1700
