@@ -75,7 +75,7 @@ def _backend(args, thresholds):
     if args.backend == "internal":
         return internal
     if not args.external_cmd:
-        raise WvcountError("--backend external requires --external-cmd")
+        raise _UsageError("--backend external requires --external-cmd")
     try:
         config = BackendConfig(
             command=args.external_cmd,

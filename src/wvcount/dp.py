@@ -5,14 +5,16 @@ map a partial world view interpretation over the bag's epistemic atoms
 to a count.  Both table algorithms share one pass (``_table_pass``):
 remove nodes project and sum, join nodes match rows and multiply.  Their
 introduce nodes guess a third truth value and check the bag's
-purely-epistemic rules; the nested algorithm also verifies the rules
-delegated to the node by a recursive call on their epistemic reduct,
-compiled once per node.  Rows with the same surviving rules share one
-reduct program (``_Subproblem``), and its component split is built on
-the first nested call that gets past the router's early exits.
+purely-epistemic rules, once per pattern of the rows on the bits
+those rules read (``_RowOptions``); the nested algorithm also verifies
+the rules delegated to the node by a recursive call on their epistemic
+reduct, compiled once per node.  Rows with the same surviving rules
+share one reduct program (``_Subproblem``), and its component split is
+built on the first nested call that gets past the router's early exits.
 Recursion bottoms out in one base-solver call per subproblem
 (``_base_case``), steered by width and depth thresholds that change
-routing but never results.
+routing but never results.  The abstraction search scores candidates
+with ``decomp.fill_count``, which counts by set intersections.
 
 Both drivers take one route, the router ``_nested_count``.  At every
 depth it splits its subproblem into connected components, counts each
@@ -172,6 +174,39 @@ def _node_checks(by_atom, atom: int, bag_mask: int) -> tuple:
     return tuple(masks for eats, masks in by_atom.get(atom, ()) if eats & ~bag_mask == 0)
 
 
+class _RowOptions(dict):
+    """The options an introduce node of ``atom`` lets each child row take,
+    decided once per row pattern.
+
+    The checks read a row only on the bits of their masks, so child rows
+    that agree on ``rel`` (those bits, less the introduced one) pass the
+    same options.  The map takes a pattern ``(tm & rel, fm & rel)`` to a
+    3-bit mask: 1 leaves the atom undecided, 2 makes it true, 4 false.  A
+    missing pattern is checked with ``_rows_ok`` and stored.
+    """
+
+    __slots__ = ("checks", "bit", "rel")
+
+    def __init__(self, checks: tuple, atom: int):
+        super().__init__()
+        self.checks, self.bit = checks, 1 << atom
+        rel = 0
+        for masks in checks:
+            for m in masks:
+                rel |= m
+        self.rel = rel & ~self.bit
+
+    def __missing__(self, pattern):
+        tm, fm = pattern
+        checks, bit = self.checks, self.bit
+        ok = self[pattern] = (
+            _rows_ok(checks, tm, fm)
+            | _rows_ok(checks, tm | bit, fm) << 1
+            | _rows_ok(checks, tm, fm | bit) << 2
+        )
+        return ok
+
+
 # ---------------------------------------------------------------------------
 # The shared table pass, and plausible-WVI counting over the epistemic primal graph
 
@@ -213,14 +248,21 @@ def plausible_tables(program: Program, nice: NiceTD):
 
     def introduce(t, child):
         atom = nice.action[t][0]
-        bit = 1 << atom
-        checks = _node_checks(checks_by_atom, atom, mask_of(a for a, _tag in nice.bags[t]))
-        return {
-            (nt, nf): c
-            for (tm, fm), c in child.items()
-            for nt, nf in ((tm, fm), (tm | bit, fm), (tm, fm | bit))
-            if _rows_ok(checks, nt, nf)
-        }
+        bag_mask = mask_of(a for a, _tag in nice.bags[t])
+        options = _RowOptions(_node_checks(checks_by_atom, atom, bag_mask), atom)
+        bit, rel = options.bit, options.rel
+        # A row left undecided keeps the child's mask ints: ``tm | 0``
+        # would copy a multi-digit int into every such row.
+        out = {}
+        for (tm, fm), c in child.items():
+            ok = options[tm & rel, fm & rel]
+            if ok & 1:
+                out[tm, fm] = c
+            if ok & 2:
+                out[tm | bit, fm] = c
+            if ok & 4:
+                out[tm, fm | bit] = c
+        return out
 
     return _table_pass(nice, introduce)
 
@@ -295,10 +337,12 @@ def choose_abstraction(
 
 @dataclass
 class _NodeData:
-    bag_mask: int = 0
-    checks: tuple = ()  # epistemic_masks of the bag's purely-epistemic rules
-    nested: tuple = ()  # compile_reduct of the rules verified by recursion here
-    owned_mask: int = 0  # the node's nested bag atoms (owned components)
+    bag_mask: int
+    # The bag's purely-epistemic rule checks, decided once per row pattern
+    # for every assumption that reaches the node.
+    options: _RowOptions
+    nested: tuple  # compile_reduct of the rules verified by recursion here
+    owned_mask: int  # the node's nested bag atoms (owned components)
     # The survivors alive mask of a row -> the _Subproblem of its reduct.
     reducts: dict = field(default_factory=dict)
 
@@ -312,10 +356,11 @@ def _prepare_nodes(program, a_mask, nice):
     for t in nice.postorder():
         if nice.kind[t] != "intr":
             continue
+        atom = nice.action[t][0]
         bag_mask = mask_of(a for a, _tag in nice.bags[t])
         data[t] = _NodeData(
             bag_mask=bag_mask,
-            checks=_node_checks(checks_by_atom, nice.action[t][0], bag_mask),
+            options=_RowOptions(_node_checks(checks_by_atom, atom, bag_mask), atom),
             nested=compile_reduct(asg.delegated.get(t, ()), bag_mask),
             owned_mask=asg.nested_bag_atoms.get(t, 0),
         )
@@ -332,26 +377,29 @@ def _run_tables(depth, program, a_mask, assumption, ctx, figures):
     data = _prepare_nodes(program, a_mask, nice)
 
     def introduce(t, child):
-        return _intr_table(depth, program, data[t], nice.action[t][0], child, assumption, ctx)
+        return _intr_table(depth, program, data[t], child, assumption, ctx)
 
     return sum(_table_pass(nice, introduce)[nice.root].values())
 
 
-def _intr_table(depth, program, nd, atom, child, assumption, ctx):
-    bit = 1 << atom
-    options = ((0, 0), (bit, 0), (0, bit))
+def _intr_table(depth, program, nd, child, assumption, ctx):
+    options = nd.options
+    bit, rel = options.bit, options.rel
+    flags = (1, 2, 4)  # ``_RowOptions``' undecided, true, false
     if assumption.domain & bit:  # an assumed atom takes its assumed value only
-        options = ((assumption.true & bit, assumption.false & bit),)
+        flags = (2 if assumption.true & bit else 4 if assumption.false & bit else 1,)
     # The node answers for every atom it owns: decided ones must be known
     # in the nested world views, undecided ones genuinely open.
     owned = nd.owned_mask
     sub_domain = (assumption.domain | nd.bag_mask) & owned
     table = {}
     for (tm, fm), c in child.items():
-        for dt, df in options:
-            nt, nf = tm | dt, fm | df
-            if not _rows_ok(nd.checks, nt, nf):
+        ok = options[tm & rel, fm & rel]
+        for flag in flags:
+            if not ok & flag:
                 continue
+            nt = tm | bit if flag == 2 else tm
+            nf = fm | bit if flag == 4 else fm
             alive, residues = survivors(nd.nested, nt, nf) if nd.nested else (0, ())
             mult = 1
             # An empty reduct still checks the assumption: an assumed-true

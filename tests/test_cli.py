@@ -185,6 +185,16 @@ def test_exit_usage_on_invalid_option_values(capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_exit_usage_on_external_backend_without_command(capsys):
+    for command in ("count", "prob"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, RUNNING_PATH, "--query", "a", "--backend", "external"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert err.endswith("error: --backend external requires --external-cmd\n")
+
+
 def test_option_defaults_are_the_default_thresholds():
     args = build_parser().parse_args(["count", "x.elp"])
     assert _thresholds(args) == Thresholds()

@@ -1,13 +1,17 @@
 import random
 
+from wvcount.bench import gen_random_3cnf, gen_random_elp
 from wvcount.decomp import (
     TreeDecomposition,
     build_td,
+    fill_count,
     make_nice,
     td_stats,
     validate_td,
 )
-from wvcount.graphs import TaggedGraph, epistemic_primal_graph
+from wvcount.graphs import TaggedGraph, epistemic_primal_graph, nested_primal_graph, primal_graph
+from wvcount.model import bits
+from wvcount.semantics import cnf_to_elp
 
 
 class _Graph:
@@ -84,6 +88,70 @@ def test_build_deterministic_per_seed():
     assert a.bags == b.bags and a.children == b.children
     c = build_td(g, "min-fill", 43)
     assert isinstance(c, TreeDecomposition)
+
+
+def pairwise_fill_count(adj, v):
+    nbrs = sorted(adj[v])
+    return sum(1 for i, a in enumerate(nbrs) for b in nbrs[i + 1 :] if b not in adj[a])
+
+
+def pairwise_elimination_bags(graph, heuristic, seed):
+    """The bags ``build_td`` eliminates, in order, found by rescoring every
+    vertex at every step, min-fill with ``pairwise_fill_count``."""
+    adj = {v: set(ns) for v, ns in graph.adj.items()}
+    rng = random.Random(seed)
+    salt = {v: rng.random() for v in sorted(adj)}
+
+    def key(v):
+        score = len(adj[v]) if heuristic == "min-degree" else pairwise_fill_count(adj, v)
+        return score, salt[v], v
+
+    bags = []
+    while adj:
+        v = min(adj, key=key)
+        nbrs = adj.pop(v)
+        bags.append(frozenset(nbrs | {v}))
+        for u in nbrs:
+            adj[u] |= nbrs - {u}
+            adj[u].discard(v)
+    return bags
+
+
+def test_fill_count_equals_the_pairwise_count():
+    graphs = [random_graph(seed, 25) for seed in range(60)]
+    programs = [cnf_to_elp(40, gen_random_3cnf(40, 60, 0))]
+    programs += [gen_random_elp(20, 10, 30, seed) for seed in range(6)]
+    for prog in programs:
+        graphs += [primal_graph(prog), nested_primal_graph(prog, prog.eats_mask)]
+    checked = 0
+    for i, g in enumerate(graphs):
+        assert all(fill_count(g.adj, v) == pairwise_fill_count(g.adj, v) for v in g.adj)
+        checked += len(g.adj)
+        if isinstance(g, TaggedGraph):
+            # Eliminations add fill edges; the counts must follow them.
+            order = sorted(g.adj)
+            random.Random(i).shuffle(order)
+            for v in order[: len(order) // 2]:
+                g.eliminate(v)
+                assert all(fill_count(g.adj, u) == pairwise_fill_count(g.adj, u) for u in g.adj)
+                checked += len(g.adj)
+    assert checked > 5_000
+
+
+def test_build_td_matches_a_pairwise_scored_elimination():
+    prog = cnf_to_elp(40, gen_random_3cnf(40, 60, 0))
+    graphs = [epistemic_primal_graph(prog)]
+    for seed in range(4):
+        prog = gen_random_elp(20, 10, 30, seed)
+        half = sum(1 << a for a in list(bits(prog.eats_mask))[::2])
+        graphs += [primal_graph(prog), nested_primal_graph(prog, half)]
+    for g in graphs:
+        for heuristic in ("min-fill", "min-degree"):
+            for seed in range(3):
+                td = build_td(g, heuristic, seed)
+                bags = pairwise_elimination_bags(g, heuristic, seed)
+                assert [td.bags[i] for i in range(len(bags))] == bags
+                assert td.width == max(len(b) for b in bags) - 1
 
 
 def test_validate_rejects_missing_edge_bag():

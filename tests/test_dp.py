@@ -1,19 +1,25 @@
+import json
+import os
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import brute_plausible_count, running_nice_td, wvi_from_names
+from conftest import RUNNING_PATH, brute_plausible_count, running_nice_td, wvi_from_names
 from wvcount.backends import InternalBackend
-from wvcount.bench import gen_random_3cnf, gen_random_elp, gen_scholarship
-from wvcount.decomp import build_td
+from wvcount.bench import GenSpec, gen_random_3cnf, gen_random_elp, gen_scholarship
+from wvcount.decomp import build_td, make_nice
 from wvcount.dp import (
     RunStats,
     Thresholds,
+    _checks_by_atom,
     _Ctx,
     _base_case,
     _make_ctx,
+    _node_checks,
+    _rows_ok,
+    _table_pass,
     acceptance_probability,
     choose_abstraction,
     count_plausible,
@@ -21,7 +27,7 @@ from wvcount.dp import (
     plausible_tables,
 )
 from wvcount.errors import BruteForceCapExceeded, NoWorldViews
-from wvcount.graphs import nested_primal_graph
+from wvcount.graphs import epistemic_primal_graph, nested_primal_graph
 from wvcount.model import EMPTY_WVI, WVI, AtomTable, Literal, Program, Rule, bits, mask_of
 from wvcount.parser import parse_program
 from wvcount.semantics import (
@@ -108,6 +114,107 @@ def test_plausible_root_single_row(running):
     nice = running_nice_td(running)
     tables = plausible_tables(running, nice)
     assert list(tables[nice.root]) == [(0, 0)]
+
+
+def per_row_plausible_tables(program, nice):
+    """``plausible_tables`` with every candidate row checked on its own."""
+    checks_by_atom = _checks_by_atom(program, program.eats_mask)
+
+    def introduce(t, child):
+        atom = nice.action[t][0]
+        bit = 1 << atom
+        checks = _node_checks(checks_by_atom, atom, mask_of(a for a, _tag in nice.bags[t]))
+        return {
+            (nt, nf): c
+            for (tm, fm), c in child.items()
+            for nt, nf in ((tm, fm), (tm | bit, fm), (tm, fm | bit))
+            if _rows_ok(checks, nt, nf)
+        }
+
+    return _table_pass(nice, introduce)
+
+
+def test_row_patterns_give_the_per_row_tables():
+    programs = [gen_random_elp(7, 4, 9, seed) for seed in range(40)]
+    programs += [
+        cnf_to_elp(v, gen_random_3cnf(v, c, seed))
+        for v, c in ((6, 10), (8, 14), (10, 18), (16, 24))
+        for seed in range(4)
+    ]
+    checked = 0
+    for prog in programs:
+        for heuristic, seed in (("min-fill", 0), ("min-degree", 1)):
+            nice = make_nice(build_td(epistemic_primal_graph(prog), heuristic, seed))
+            tables = plausible_tables(prog, nice)
+            expected = per_row_plausible_tables(prog, nice)
+            # Same rows, counts and insertion order at every node.
+            assert [list(tables[t].items()) for t in nice.postorder()] == [
+                list(expected[t].items()) for t in nice.postorder()
+            ]
+            checked += sum(len(table) for table in tables.values())
+    assert checked > 20_000
+
+
+# RunStats fields, as a tuple, of the harness spec's programs counted under
+# an assumption taken from one of their world views.  The assumed atoms
+# reach introduce nodes, which then offer them one value only.
+HARNESS_ASSUMED = {
+    (6, 4, 2): [
+        (1, (3, 2, 9, 4, 4, 3, 3, 1, 1)),
+        (1, (2, 0, 9, 3, 3, 3, 2, 1, 3)),
+        (1, (2, 0, 18, 6, 6, 10, 10, 1, 6)),
+        (2, (2, 1, 19, 7, 7, 8, 16, 1, 5)),
+        (8, (2, 1, 32, 12, 12, 10, 17, 1, 8)),
+        (1, (6, -1, 0, 2, -1, 1, 0, 0, 1)),
+        (1, (5, 3, 9, 4, 4, 2, 2, 1, 1)),
+        (0, (4, 3, 9, 5, 4, 0, 1, 1, 1)),
+    ],
+    (3, 2, 3): [
+        (1, (3, -1, 0, 4, -1, 1, 0, 0, 1)),
+        (1, (2, 0, 9, 3, 3, 3, 2, 1, 3)),
+        (1, (2, 0, 18, 6, 6, 10, 10, 1, 6)),
+        (2, (2, 1, 19, 7, 7, 8, 16, 1, 5)),
+        (8, (2, 1, 32, 12, 12, 10, 17, 1, 8)),
+        (1, (6, -1, 0, 2, -1, 1, 0, 0, 1)),
+        (1, (5, -1, 0, 4, -1, 1, 0, 0, 1)),
+        (0, (4, -1, 0, 5, -1, 1, 0, 0, 1)),
+    ],
+}
+
+
+def test_harness_programs_under_an_assumption(monkeypatch):
+    import wvcount.dp as dp_mod
+
+    monkeypatch.chdir(os.path.join(os.path.dirname(RUNNING_PATH), ".."))
+    with open("instances/harness.json", "r", encoding="utf-8") as handle:
+        specs = [GenSpec(**entry) for entry in json.load(handle)["instances"]]
+    intr_table = dp_mod._intr_table
+    one_option = []
+
+    def spy(depth, program, nd, child, assumption, ctx):
+        one_option.append(bool(assumption.domain & nd.options.bit))
+        return intr_table(depth, program, nd, child, assumption, ctx)
+
+    monkeypatch.setattr(dp_mod, "_intr_table", spy)
+    got = {thresholds: [] for thresholds in HARNESS_ASSUMED}
+    for spec in specs:
+        prog = spec.build()
+        wvs = enumerate_world_views(prog)
+        first = mask_of(sorted(bits(prog.eats_mask))[:3])
+        assumption = wvs[-1].restrict(first) if wvs else WVI(first, first, 0)
+        oracle = sum(wv.restrict(first) == assumption for wv in wvs)
+        for hybrid, abstr, depth in HARNESS_ASSUMED:
+            stats = RunStats()
+            count = count_world_views(
+                prog,
+                thresholds=Thresholds(hybrid=hybrid, abstr=abstr, depth=depth),
+                stats=stats,
+                assumption=assumption,
+            )
+            assert count == oracle
+            got[hybrid, abstr, depth].append((count, astuple(stats)))
+    assert got == HARNESS_ASSUMED
+    assert any(one_option) and not all(one_option)
 
 
 # ---------------------------------------------------------------------------
