@@ -2,7 +2,8 @@
 
 Decompositions are built by bucket elimination along a min-fill or
 min-degree ordering with a seed-salted tie break (min-fill counts fill
-edges by set intersections), then normalized to nice form
+edges by set intersections, and elimination adds them by set
+differences), then normalized to nice form
 (leaf/introduce/remove/join nodes, empty leaf and root bags) for the
 table algorithms.  All traversals are iterative; elimination chains can
 get deep on large instances.
@@ -115,20 +116,22 @@ def build_td(graph, heuristic: str = "min-fill", seed: int = 0) -> TreeDecomposi
             if v in current and current[v] == s:
                 break
         del current[v]
-        nbrs = sorted(adj[v])
-        bags.append(frozenset([v] + nbrs))
+        nbrs = adj.pop(v)
+        bags.append(frozenset(nbrs | {v}))
         eliminated.append(v)
+        # Each neighbour gains its missing fill edges at once.  A score
+        # changes only at ``nbrs`` and at the common neighbours of an added
+        # edge; the others rescore to their unchanged score and push nothing.
         dirty = set(nbrs)
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                a, b = nbrs[i], nbrs[j]
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-                    dirty.update(adj[a] & adj[b])
         for u in nbrs:
-            adj[u].discard(v)
-        del adj[v]
+            around = adj[u]
+            around.discard(v)
+            missing = nbrs - around
+            missing.discard(u)
+            if missing:
+                around |= missing
+                for w in missing:
+                    dirty |= around & adj[w]
         for u in dirty:
             if u in current:
                 s = score(u)

@@ -2,8 +2,10 @@
 
 Counting runs over nice tree decompositions of graph abstractions.  Rows
 map a partial world view interpretation over the bag's epistemic atoms
-to a count.  Both table algorithms share one pass (``_table_pass``):
-remove nodes project and sum, join nodes match rows and multiply.  Their
+to a count.  A row is one int, ``tm | fm << shift``: the true atoms in
+the low ``shift`` bits and the false atoms above them.  Both table
+algorithms share one pass (``_table_pass``): remove nodes clear the
+atom's two bits and sum, join nodes match rows and multiply.  Their
 introduce nodes guess a third truth value and check the bag's
 purely-epistemic rules, once per pattern of the rows on the bits
 those rules read (``_RowOptions``); the nested algorithm also verifies
@@ -174,30 +176,40 @@ def _node_checks(by_atom, atom: int, bag_mask: int) -> tuple:
     return tuple(masks for eats, masks in by_atom.get(atom, ()) if eats & ~bag_mask == 0)
 
 
+def _split_row(row: int, shift: int):
+    """A table row's ``(true_mask, false_mask)``."""
+    return row & ((1 << shift) - 1), row >> shift
+
+
 class _RowOptions(dict):
     """The options an introduce node of ``atom`` lets each child row take,
     decided once per row pattern.
 
     The checks read a row only on the bits of their masks, so child rows
-    that agree on ``rel`` (those bits, less the introduced one) pass the
-    same options.  The map takes a pattern ``(tm & rel, fm & rel)`` to a
-    3-bit mask: 1 leaves the atom undecided, 2 makes it true, 4 false.  A
-    missing pattern is checked with ``_rows_ok`` and stored.
+    that agree on ``rel`` (those bits, less the introduced one, in both
+    halves of the row) pass the same options.  The map takes a pattern
+    ``row & rel`` to a 3-bit mask: 1 leaves the atom undecided, 2 makes it
+    true (sets ``bit``), 4 false (sets ``fbit``).  A missing pattern is
+    split into its true and false masks, checked with ``_rows_ok`` and
+    stored.
     """
 
-    __slots__ = ("checks", "bit", "rel")
+    __slots__ = ("checks", "bit", "fbit", "rel", "shift")
 
-    def __init__(self, checks: tuple, atom: int):
+    def __init__(self, checks: tuple, atom: int, shift: int):
         super().__init__()
-        self.checks, self.bit = checks, 1 << atom
+        self.checks, self.shift = checks, shift
+        self.bit = 1 << atom
+        self.fbit = self.bit << shift
         rel = 0
         for masks in checks:
             for m in masks:
                 rel |= m
-        self.rel = rel & ~self.bit
+        rel &= ~self.bit
+        self.rel = rel | rel << shift
 
     def __missing__(self, pattern):
-        tm, fm = pattern
+        tm, fm = _split_row(pattern, self.shift)
         checks, bit = self.checks, self.bit
         ok = self[pattern] = (
             _rows_ok(checks, tm, fm)
@@ -211,25 +223,27 @@ class _RowOptions(dict):
 # The shared table pass, and plausible-WVI counting over the epistemic primal graph
 
 
-def _table_pass(nice: NiceTD, introduce):
+def _table_pass(nice: NiceTD, introduce, shift: int):
     """Run a table algorithm over ``nice``; returns node -> table.
 
-    Tables map (true_mask, false_mask) row keys to counts.  Leaves hold
-    the empty row, remove nodes project and sum, join nodes match rows and
-    multiply; ``introduce(t, child_table)`` builds an introduce node's.
+    Tables map rows, ``true_mask | false_mask << shift``, to counts.
+    Leaves hold the empty row, remove nodes project and sum, join nodes
+    match rows and multiply; ``introduce(t, child_table)`` builds an
+    introduce node's.
     """
     tables = {}
     for t in nice.postorder():
         kind = nice.kind[t]
         if kind == "leaf":
-            tables[t] = {(0, 0): 1}
+            tables[t] = {0: 1}
         elif kind == "intr":
             tables[t] = introduce(t, tables[nice.children[t][0]])
         elif kind == "rem":
-            keep = ~(1 << nice.action[t][0])
+            bit = 1 << nice.action[t][0]
+            keep = ~(bit | bit << shift)
             out = {}
-            for (tm, fm), c in tables[nice.children[t][0]].items():
-                key = (tm & keep, fm & keep)
+            for row, c in tables[nice.children[t][0]].items():
+                key = row & keep
                 out[key] = out.get(key, 0) + c
             tables[t] = out
         else:  # join
@@ -239,32 +253,34 @@ def _table_pass(nice: NiceTD, introduce):
 
 
 def plausible_tables(program: Program, nice: NiceTD):
-    """Run the plausible-counting table algorithm; returns node -> table.
+    """Run the plausible-counting table algorithm; returns node -> table,
+    its rows split at ``program.eats_mask.bit_length()``.
 
     At an introduce node only rules completed by the introduced atom need
     checking; earlier rows already satisfy the rest of the bag program.
     """
+    shift = program.eats_mask.bit_length()
     checks_by_atom = _checks_by_atom(program, program.eats_mask)
 
     def introduce(t, child):
         atom = nice.action[t][0]
         bag_mask = mask_of(a for a, _tag in nice.bags[t])
-        options = _RowOptions(_node_checks(checks_by_atom, atom, bag_mask), atom)
-        bit, rel = options.bit, options.rel
-        # A row left undecided keeps the child's mask ints: ``tm | 0``
+        options = _RowOptions(_node_checks(checks_by_atom, atom, bag_mask), atom, shift)
+        bit, fbit, rel = options.bit, options.fbit, options.rel
+        # A row left undecided keeps the child's row int: ``row | 0``
         # would copy a multi-digit int into every such row.
         out = {}
-        for (tm, fm), c in child.items():
-            ok = options[tm & rel, fm & rel]
+        for row, c in child.items():
+            ok = options[row & rel]
             if ok & 1:
-                out[tm, fm] = c
+                out[row] = c
             if ok & 2:
-                out[tm | bit, fm] = c
+                out[row | bit] = c
             if ok & 4:
-                out[tm, fm | bit] = c
+                out[row | fbit] = c
         return out
 
-    return _table_pass(nice, introduce)
+    return _table_pass(nice, introduce, shift)
 
 
 def count_plausible(program: Program, heuristic: str = "min-fill", seed: int = 0) -> int:
@@ -349,7 +365,8 @@ class _NodeData:
 
 def _prepare_nodes(program, a_mask, nice):
     """Attach bag programs and delegated rules to the introduce nodes of a
-    nice decomposition."""
+    nice decomposition; rows split at ``a_mask.bit_length()``."""
+    shift = a_mask.bit_length()
     asg = assign_compatible_sets(program, a_mask, nice)
     checks_by_atom = _checks_by_atom(program, a_mask)
     data = {}
@@ -360,7 +377,7 @@ def _prepare_nodes(program, a_mask, nice):
         bag_mask = mask_of(a for a, _tag in nice.bags[t])
         data[t] = _NodeData(
             bag_mask=bag_mask,
-            options=_RowOptions(_node_checks(checks_by_atom, atom, bag_mask), atom),
+            options=_RowOptions(_node_checks(checks_by_atom, atom, bag_mask), atom, shift),
             nested=compile_reduct(asg.delegated.get(t, ()), bag_mask),
             owned_mask=asg.nested_bag_atoms.get(t, 0),
         )
@@ -379,12 +396,12 @@ def _run_tables(depth, program, a_mask, assumption, ctx, figures):
     def introduce(t, child):
         return _intr_table(depth, program, data[t], child, assumption, ctx)
 
-    return sum(_table_pass(nice, introduce)[nice.root].values())
+    return sum(_table_pass(nice, introduce, a_mask.bit_length())[nice.root].values())
 
 
 def _intr_table(depth, program, nd, child, assumption, ctx):
     options = nd.options
-    bit, rel = options.bit, options.rel
+    bit, fbit, shift, rel = options.bit, options.fbit, options.shift, options.rel
     flags = (1, 2, 4)  # ``_RowOptions``' undecided, true, false
     if assumption.domain & bit:  # an assumed atom takes its assumed value only
         flags = (2 if assumption.true & bit else 4 if assumption.false & bit else 1,)
@@ -393,13 +410,18 @@ def _intr_table(depth, program, nd, child, assumption, ctx):
     owned = nd.owned_mask
     sub_domain = (assumption.domain | nd.bag_mask) & owned
     table = {}
-    for (tm, fm), c in child.items():
-        ok = options[tm & rel, fm & rel]
+    for row, c in child.items():
+        ok = options[row & rel]
+        tm, fm = _split_row(row, shift)
         for flag in flags:
             if not ok & flag:
                 continue
-            nt = tm | bit if flag == 2 else tm
-            nf = fm | bit if flag == 4 else fm
+            if flag == 1:
+                nt, nf, key = tm, fm, row
+            elif flag == 2:
+                nt, nf, key = tm | bit, fm, row | bit
+            else:
+                nt, nf, key = tm, fm | bit, row | fbit
             alive, residues = survivors(nd.nested, nt, nf) if nd.nested else (0, ())
             mult = 1
             # An empty reduct still checks the assumption: an assumed-true
@@ -414,7 +436,7 @@ def _intr_table(depth, program, nd, child, assumption, ctx):
                     reduct = nd.reducts[alive] = _Subproblem(Program(program.atoms, residues))
                 mult = _nested_count(depth + 1, reduct.program, sub, ctx, subproblem=reduct)[0]
             if mult:
-                table[nt, nf] = c * mult
+                table[key] = c * mult
     return table
 
 

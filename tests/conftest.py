@@ -53,6 +53,12 @@ def running_nice_td(program):
     return NiceTD(bags, children, 12, kind, action)
 
 
+def row_masks(row, shift):
+    """Split a table row, ``true_mask | false_mask << shift``, into
+    ``(true_mask, false_mask)``."""
+    return row & ((1 << shift) - 1), row >> shift
+
+
 def wvi_from_names(table, names):
     """Build a WVI from decided literal names, e.g. ["a", "-b"]."""
     t = f = dom = 0

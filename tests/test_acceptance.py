@@ -15,6 +15,7 @@ from conftest import (
     RUNNING_PATH,
     RUNNING_TEXT,
     brute_cnf_models,
+    row_masks,
     running_nice_td,
     wvi_from_names,
 )
@@ -56,7 +57,8 @@ THRESHOLD_CONFIGS = (
 
 def _row_names(table):
     out = {}
-    for (tm, fm), value in table.items():
+    for row, value in table.items():
+        tm, fm = row_masks(row, RUNNING.eats_mask.bit_length())
         lits = []
         for atom in sorted(bits(tm | fm)):
             name = RUNNING.atoms.name(atom)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -6,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import RUNNING_PATH, brute_plausible_count, running_nice_td, wvi_from_names
+from conftest import (
+    RUNNING_PATH,
+    brute_plausible_count,
+    row_masks,
+    running_nice_td,
+    wvi_from_names,
+)
 from wvcount.backends import InternalBackend
 from wvcount.bench import GenSpec, gen_random_3cnf, gen_random_elp, gen_scholarship
 from wvcount.decomp import build_td, make_nice
@@ -28,7 +35,17 @@ from wvcount.dp import (
 )
 from wvcount.errors import BruteForceCapExceeded, NoWorldViews
 from wvcount.graphs import epistemic_primal_graph, nested_primal_graph
-from wvcount.model import EMPTY_WVI, WVI, AtomTable, Literal, Program, Rule, bits, mask_of
+from wvcount.model import (
+    EMPTY_WVI,
+    WVI,
+    AtomTable,
+    Epistemic,
+    Literal,
+    Program,
+    Rule,
+    bits,
+    mask_of,
+)
 from wvcount.parser import parse_program
 from wvcount.semantics import (
     answer_sets,
@@ -52,7 +69,8 @@ THRESHOLD_GRID = (
 
 def table_by_names(program, table):
     out = {}
-    for (tm, fm), value in table.items():
+    for row, value in table.items():
+        tm, fm = row_masks(row, program.eats_mask.bit_length())
         lits = []
         for atom in sorted(bits(tm | fm)):
             name = program.atoms.name(atom)
@@ -68,7 +86,8 @@ def table_by_names(program, table):
 def test_plausible_tables_worked_example(running):
     nice = running_nice_td(running)
     tables = plausible_tables(running, nice)
-    assert tables[1] == {(0, 0): 1}  # leaf
+    shift = running.eats_mask.bit_length()
+    assert {row_masks(row, shift): c for row, c in tables[1].items()} == {(0, 0): 1}  # leaf
     assert table_by_names(running, tables[6]) == {"": 4, "c": 3, "-c": 2}
     assert table_by_names(running, tables[10]) == {"": 3, "c": 2, "-c": 3}
     assert table_by_names(running, tables[11]) == {"": 12, "c": 6, "-c": 6}
@@ -113,25 +132,50 @@ def test_count_plausible_matches_oracle_on_random_programs():
 def test_plausible_root_single_row(running):
     nice = running_nice_td(running)
     tables = plausible_tables(running, nice)
-    assert list(tables[nice.root]) == [(0, 0)]
+    shift = running.eats_mask.bit_length()
+    assert [row_masks(row, shift) for row in tables[nice.root]] == [(0, 0)]
 
 
 def per_row_plausible_tables(program, nice):
-    """``plausible_tables`` with every candidate row checked on its own."""
+    """``plausible_tables`` keyed on ``(true_mask, false_mask)`` tuples,
+    with every candidate row checked on its own."""
     checks_by_atom = _checks_by_atom(program, program.eats_mask)
+    tables = {}
+    for t in nice.postorder():
+        kind, kids = nice.kind[t], nice.children[t]
+        if kind == "leaf":
+            tables[t] = {(0, 0): 1}
+        elif kind == "intr":
+            atom = nice.action[t][0]
+            bit = 1 << atom
+            checks = _node_checks(checks_by_atom, atom, mask_of(a for a, _tag in nice.bags[t]))
+            tables[t] = {
+                (nt, nf): c
+                for (tm, fm), c in tables[kids[0]].items()
+                for nt, nf in ((tm, fm), (tm | bit, fm), (tm, fm | bit))
+                if _rows_ok(checks, nt, nf)
+            }
+        elif kind == "rem":
+            keep = ~(1 << nice.action[t][0])
+            tables[t] = {}
+            for (tm, fm), c in tables[kids[0]].items():
+                key = (tm & keep, fm & keep)
+                tables[t][key] = tables[t].get(key, 0) + c
+        else:
+            left, right = (tables[c] for c in kids)
+            tables[t] = {key: c * right[key] for key, c in left.items() if key in right}
+    return tables
 
-    def introduce(t, child):
-        atom = nice.action[t][0]
-        bit = 1 << atom
-        checks = _node_checks(checks_by_atom, atom, mask_of(a for a, _tag in nice.bags[t]))
-        return {
-            (nt, nf): c
-            for (tm, fm), c in child.items()
-            for nt, nf in ((tm, fm), (tm | bit, fm), (tm, fm | bit))
-            if _rows_ok(checks, nt, nf)
-        }
 
-    return _table_pass(nice, introduce)
+def assert_per_row_tables(program, nice):
+    """``plausible_tables`` holds the reference's rows, counts and
+    insertion order at every node; returns the number of rows."""
+    shift = program.eats_mask.bit_length()
+    tables = plausible_tables(program, nice)
+    expected = per_row_plausible_tables(program, nice)
+    assert [[(row_masks(row, shift), c) for row, c in tables[t].items()]
+            for t in nice.postorder()] == [list(expected[t].items()) for t in nice.postorder()]
+    return sum(len(table) for table in tables.values())
 
 
 def test_row_patterns_give_the_per_row_tables():
@@ -145,13 +189,7 @@ def test_row_patterns_give_the_per_row_tables():
     for prog in programs:
         for heuristic, seed in (("min-fill", 0), ("min-degree", 1)):
             nice = make_nice(build_td(epistemic_primal_graph(prog), heuristic, seed))
-            tables = plausible_tables(prog, nice)
-            expected = per_row_plausible_tables(prog, nice)
-            # Same rows, counts and insertion order at every node.
-            assert [list(tables[t].items()) for t in nice.postorder()] == [
-                list(expected[t].items()) for t in nice.postorder()
-            ]
-            checked += sum(len(table) for table in tables.values())
+            checked += assert_per_row_tables(prog, nice)
     assert checked > 20_000
 
 
@@ -215,6 +253,146 @@ def test_harness_programs_under_an_assumption(monkeypatch):
             got[hybrid, abstr, depth].append((count, astuple(stats)))
     assert got == HARNESS_ASSUMED
     assert any(one_option) and not all(one_option)
+
+
+# ---------------------------------------------------------------------------
+# row keys: true atoms in the low ``shift`` bits, false atoms above them
+
+
+def renamed_rules(rules, new):
+    """``rules`` with every atom ``a`` renamed to ``new[a]``."""
+
+    def move(literal):
+        return Literal(new[literal.atom], literal.positive)
+
+    return tuple(
+        Rule(
+            tuple(new[a] for a in r.head),
+            tuple(replace(el, literal=move(el.literal)) for el in r.body),
+        )
+        for r in rules
+    )
+
+
+def spread_atoms(program):
+    """``program`` renamed so that plain atoms sit below, between and above
+    its epistemic atoms, with unused ids as gaps in ``eats_mask``; a fact
+    on a fresh atom tops the atom table."""
+    plain = iter(a for a in range(len(program.atoms)) if not program.eats_mask >> a & 1)
+    new, top = {}, 0
+    for i, atom in enumerate(bits(program.eats_mask)):
+        for p in itertools.islice(plain, 1):
+            new[p], top = top, top + 1
+        top += i % 2  # an unused id
+        new[atom], top = top, top + 1
+    for p in plain:
+        new[p], top = top, top + 1
+    rules = renamed_rules(program.rules, new) + (Rule((top,), ()),)
+    return Program(AtomTable("x%d" % i for i in range(top + 1)), rules)
+
+
+def test_rows_split_above_the_epistemic_atoms():
+    between = 0
+    for seed in range(12):
+        prog = spread_atoms(gen_random_elp(8, 4, 10, seed))
+        eats = prog.eats_mask
+        low, shift = (eats & -eats).bit_length() - 1, eats.bit_length()
+        plain = prog.ats_mask & ~eats
+        assert plain & ((1 << low) - 1) and plain >> shift  # plain atoms below and above
+        assert eats.bit_count() < shift - low  # gaps
+        between += bool(plain >> low & ((1 << (shift - low)) - 1))
+        for heuristic, td_seed in (("min-fill", 0), ("min-degree", 1)):
+            nice = make_nice(build_td(epistemic_primal_graph(prog), heuristic, td_seed))
+            assert_per_row_tables(prog, nice)
+        assert count_plausible(prog) == brute_plausible_count(prog)
+        oracle = count_world_views_bruteforce(prog)
+        for thresholds in THRESHOLD_GRID:
+            assert count_world_views(prog, thresholds=thresholds) == oracle
+    assert between >= 6
+
+
+def hub_program(seed):
+    """Three small random programs with world views, and a hub atom tied
+    to an epistemic atom of each by a purely-epistemic constraint: the
+    nested graph is a tree of cliques, so its decomposition removes,
+    introduces and joins.  Atom 0 is the hub, chosen by a disjunctive
+    fact."""
+    rng = random.Random(seed)
+    parts = [gen_random_elp(5, 3, 4, s) for s in range(7 * seed, 7 * seed + 7)]
+    parts = [p for p in parts if p.eats_mask and enumerate_world_views(p)][:3]
+    rules, top = [], 1
+    for part in parts:
+        rules += renamed_rules(part.rules, range(top, top + len(part.atoms)))
+        tie = top + rng.choice(list(bits(part.eats_mask)))
+        rules.append(Rule((), tuple(
+            Epistemic(rng.random() < 0.5, Literal(a, rng.random() < 0.5)) for a in (0, tie)
+        )))
+        top += len(part.atoms)
+    rules.append(Rule((0, top), ()))
+    return Program(AtomTable("x%d" % i for i in range(top + 1)), tuple(rules))
+
+
+def test_nested_rows_split_at_the_abstraction(monkeypatch):
+    # An abstraction without the top epistemic atom splits rows lower
+    # than ``eats_mask`` would; assumed atoms take the one-option branch.
+    import wvcount.dp as dp_mod
+    from wvcount.dp import _Figures, _run_tables
+
+    intr_table = dp_mod._intr_table
+    calls = []
+
+    def spy(depth, program, nd, child, assumption, ctx):
+        table = intr_table(depth, program, nd, child, assumption, ctx)
+        options = nd.options
+        calls.append((depth, options.shift, bool(assumption.domain & options.bit)))
+        parents = {row_masks(row, options.shift) for row in child}
+        for row in table:
+            tm, fm = row_masks(row, options.shift)
+            assert tm & fm == 0 and (tm | fm) & ~nd.bag_mask == 0
+            assert (tm & ~options.bit, fm & ~options.bit) in parents
+            assert _rows_ok(options.checks, tm, fm)
+        return table
+
+    monkeypatch.setattr(dp_mod, "_intr_table", spy)
+    shifts, one_option, counted = set(), [], 0
+    for seed in range(8):
+        prog = spread_atoms(hub_program(seed))
+        eats = sorted(bits(prog.eats_mask))
+        a_mask = mask_of(eats[:-1])
+        assert a_mask.bit_length() < prog.eats_mask.bit_length()
+        wvs = enumerate_world_views(prog)
+        first = mask_of(eats[:2])
+        for assumption in (EMPTY_WVI, wvs[-1].restrict(first) if wvs else WVI(first, first, 0)):
+            oracle = sum(wv.restrict(assumption.domain) == assumption for wv in wvs)
+            counted += oracle
+            for thresholds in THRESHOLD_GRID:
+                ctx = _make_ctx(thresholds, None, "min-fill", 0, None)
+                calls.clear()
+                assert _run_tables(0, prog, a_mask, assumption, ctx, _Figures()) == oracle
+                top = [call for call in calls if call[0] == 0]
+                assert {shift for _depth, shift, _one in top} == {a_mask.bit_length()}
+                shifts.update(shift for _depth, shift, _one in calls)
+                one_option += [one for _depth, _shift, one in top]
+    assert counted and any(one_option) and not all(one_option)
+    assert len(shifts) > 1  # nested tables below split their own rows
+
+
+def test_benchmark_cnf_instance(monkeypatch):
+    # perfbench's ``cnf`` workload reads the plausible rows off
+    # ``plausible_tables``' return value; its CI smoke run pins them.
+    import wvcount.dp as dp_mod
+
+    tables = dp_mod.plausible_tables
+    rows = []
+
+    def spy(program, nice):
+        out = tables(program, nice)
+        rows.append(sum(len(table) for table in out.values()))
+        return out
+
+    monkeypatch.setattr(dp_mod, "plausible_tables", spy)
+    assert count_plausible(cnf_to_elp(40, gen_random_3cnf(40, 60, 0))) == 217_798_992
+    assert rows == [366_652]
 
 
 # ---------------------------------------------------------------------------
@@ -806,16 +984,7 @@ def with_renamed_copy(program, rng=None):
         copy_names[b] = names[a] + "_copy"
     table = AtomTable(names + copy_names)
 
-    def move(literal):
-        return Literal(n + order[literal.atom], literal.positive)
-
-    copy = tuple(
-        Rule(
-            tuple(n + order[a] for a in r.head),
-            tuple(replace(el, literal=move(el.literal)) for el in r.body),
-        )
-        for r in program.rules
-    )
+    copy = renamed_rules(program.rules, [n + b for b in order])
     return Program(table, program.rules + copy)
 
 
