@@ -199,11 +199,8 @@ def _cmd_td(args):
     assert validate_td(graph, td)
     nice = make_nice(td)
     if args.dot:
-        sys.stdout.write(
-            nice.to_dot(
-                name="td", vertex_label=lambda v: "%s^%s" % (program.atoms.name(v[0]), v[1])
-            )
-        )
+        dot = nice.to_dot(name="td", vertex_label=lambda v: graph.label(program.atoms, v))
+        sys.stdout.write(dot)
     else:
         sys.stdout.write(td_stats(nice))
     return 0

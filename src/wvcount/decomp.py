@@ -5,8 +5,10 @@ min-degree ordering with a seed-salted tie break (min-fill counts fill
 edges by set intersections, and elimination adds them by set
 differences), then normalized to nice form
 (leaf/introduce/remove/join nodes, empty leaf and root bags) for the
-table algorithms.  All traversals are iterative; elimination chains can
-get deep on large instances.
+table algorithms.  The engine's graphs have int vertices (``graphs``),
+so bags are sets of ints, ties break in int order and nothing here
+depends on the hash seed.  All traversals are iterative; elimination
+chains can get deep on large instances.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Dict, Iterable
 
 
 class TreeDecomposition:
-    """Rooted tree of bags over arbitrary hashable vertices."""
+    """Rooted tree of bags over orderable hashable vertices."""
 
     def __init__(self, bags: Dict[int, Iterable], children: Dict[int, Iterable[int]], root: int):
         self.bags = {t: frozenset(b) for t, b in bags.items()}

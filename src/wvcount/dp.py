@@ -1,22 +1,25 @@
 """Table algorithms and nested dynamic programming drivers.
 
-Counting runs over nice tree decompositions of graph abstractions.  Rows
-map a partial world view interpretation over the bag's epistemic atoms
-to a count.  A row is one int, ``tm | fm << shift``: the true atoms in
-the low ``shift`` bits and the false atoms above them.  Both table
-algorithms share one pass (``_table_pass``): remove nodes clear the
-atom's two bits and sum, join nodes match rows and multiply.  Their
-introduce nodes guess a third truth value and check the bag's
-purely-epistemic rules, once per pattern of the rows on the bits
-those rules read (``_RowOptions``); the nested algorithm also verifies
-the rules delegated to the node by a recursive call on their epistemic
-reduct, compiled once per node.  Rows with the same surviving rules
-share one reduct program (``_Subproblem``), and its component split is
-built on the first nested call that gets past the router's early exits.
-Recursion bottoms out in one base-solver call per subproblem
-(``_base_case``), steered by width and depth thresholds that change
-routing but never results.  The abstraction search scores candidates
-with ``decomp.fill_count``, which counts by set intersections.
+Counting runs over nice tree decompositions of graph abstractions, the
+epistemic and the nested primal graph, whose vertices are atom ids: a
+bag is a set of atoms, and an introduce or remove node's action is the
+atom itself.  Rows map a partial world view interpretation over the
+bag's epistemic atoms to a count.  A row is one int,
+``tm | fm << shift``: the true atoms in the low ``shift`` bits and the
+false atoms above them.  Both table algorithms share one pass
+(``_table_pass``): remove nodes clear the atom's two bits and sum, join
+nodes match rows and multiply.  Their introduce nodes guess a third
+truth value and check the bag's purely-epistemic rules, once per
+pattern of the rows on the bits those rules read (``_RowOptions``); the
+nested algorithm also verifies the rules delegated to the node by a
+recursive call on their epistemic reduct, compiled once per node.  Rows
+with the same surviving rules share one reduct program
+(``_Subproblem``), and its component split is built on the first nested
+call that gets past the router's early exits.  Recursion bottoms out in
+one base-solver call per subproblem (``_base_case``), steered by width
+and depth thresholds that change routing but never results.  The
+abstraction search scores candidates with ``decomp.fill_count``, which
+counts by set intersections.
 
 Both drivers take one route, the router ``_nested_count``.  At every
 depth it splits its subproblem into connected components, counts each
@@ -39,7 +42,6 @@ from typing import Optional
 from .decomp import NiceTD, build_td, fill_count, make_nice
 from .errors import NoWorldViews
 from .graphs import (
-    E_TAG,
     assign_compatible_sets,
     epistemic_primal_graph,
     nested_primal_graph,
@@ -239,7 +241,7 @@ def _table_pass(nice: NiceTD, introduce, shift: int):
         elif kind == "intr":
             tables[t] = introduce(t, tables[nice.children[t][0]])
         elif kind == "rem":
-            bit = 1 << nice.action[t][0]
+            bit = 1 << nice.action[t]
             keep = ~(bit | bit << shift)
             out = {}
             for row, c in tables[nice.children[t][0]].items():
@@ -263,8 +265,8 @@ def plausible_tables(program: Program, nice: NiceTD):
     checks_by_atom = _checks_by_atom(program, program.eats_mask)
 
     def introduce(t, child):
-        atom = nice.action[t][0]
-        bag_mask = mask_of(a for a, _tag in nice.bags[t])
+        atom = nice.action[t]
+        bag_mask = mask_of(nice.bags[t])
         options = _RowOptions(_node_checks(checks_by_atom, atom, bag_mask), atom, shift)
         bit, fbit, rel = options.bit, options.fbit, options.rel
         # A row left undecided keeps the child's row int: ``row | 0``
@@ -311,9 +313,9 @@ def choose_abstraction(
     fewest edges, then greedily re-adding atoms that still fit.  The
     budget bounds candidate evaluations, keeping the search deterministic.
 
-    Dropping atom x from the abstraction turns ``(x, e)`` into an interior
-    vertex, so the nested graph of the smaller mask is the current one
-    with ``(x, e)`` eliminated.  The shrink phase builds the nested graph
+    Dropping atom x from the abstraction turns its e-vertex into an
+    interior vertex, so the nested graph of the smaller mask is the current
+    one with x eliminated.  The shrink phase builds the nested graph
     once, scores each candidate as ``edges - deg(x) + fill(x)`` and
     eliminates the chosen vertex; each re-add candidate is built afresh.
     """
@@ -330,12 +332,11 @@ def choose_abstraction(
             break
         edges = graph.edge_count()
         _edges_left, drop = min(
-            (edges - len(graph.adj[(a, E_TAG)]) + fill_count(graph.adj, (a, E_TAG)), a)
-            for a in bits(cur)
+            (edges - len(graph.adj[a]) + fill_count(graph.adj, a), a) for a in bits(cur)
         )
         steps += cur.bit_count()
         cur &= ~(1 << drop)
-        graph.eliminate((drop, E_TAG))
+        graph.eliminate(drop)
     for atom in bits(a_mask & ~cur):
         if steps > budget:
             break
@@ -373,8 +374,8 @@ def _prepare_nodes(program, a_mask, nice):
     for t in nice.postorder():
         if nice.kind[t] != "intr":
             continue
-        atom = nice.action[t][0]
-        bag_mask = mask_of(a for a, _tag in nice.bags[t])
+        atom = nice.action[t]
+        bag_mask = mask_of(nice.bags[t])
         data[t] = _NodeData(
             bag_mask=bag_mask,
             options=_RowOptions(_node_checks(checks_by_atom, atom, bag_mask), atom, shift),

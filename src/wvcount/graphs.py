@@ -3,7 +3,12 @@
 Three graphs drive the solver: the primal graph over tagged atom
 occurrences, the epistemic primal graph over purely-epistemic rule
 co-occurrence, and the nested primal graph, which abstracts the primal
-graph onto a chosen subset of epistemic atoms.  Compatible sets carve the
+graph onto a chosen subset of epistemic atoms.  The last two hold only
+e-vertices, so their vertices are atom ids, and so are the bags and
+actions of their decompositions.  Only the primal graph tags its
+vertices: ``2*atom + tag``, a = 0 and e = 1, which orders them as
+``(atom, tag)`` pairs would; this module alone knows the encoding and
+labels both kinds (``Graph.label``).  Compatible sets carve the
 remaining atoms into independently verifiable chunks and pin each chunk
 to one tree-decomposition node.  Neither the compatible sets nor the
 nested primal graph walks the primal graph: both follow from one split of
@@ -19,15 +24,14 @@ from .errors import WvcountError
 from .model import Program, bits, mask_of
 from .semantics import _components
 
-A_TAG = "a"
-E_TAG = "e"
 
+class Graph:
+    """Simple undirected graph over int vertices: atom ids (e-vertices),
+    or, when ``tagged``, primal vertices ``2*atom + tag``."""
 
-class TaggedGraph:
-    """Simple undirected graph over (atom, tag) vertices, tag in {a, e}."""
-
-    def __init__(self):
-        self.adj: dict[tuple[int, str], set[tuple[int, str]]] = {}
+    def __init__(self, tagged: bool = False):
+        self.adj: dict[int, set[int]] = {}
+        self.tagged = tagged
 
     def add_vertex(self, v):
         self.adj.setdefault(v, set())
@@ -40,17 +44,18 @@ class TaggedGraph:
         self.adj[u].add(v)
         self.adj[v].add(u)
 
+    def add_clique(self, vertices):
+        vertices = tuple(vertices)
+        for i, u in enumerate(vertices):
+            for v in vertices[i + 1:]:
+                self.add_edge(u, v)
+
     @property
     def vertices(self):
         return sorted(self.adj)
 
     def edges(self):
-        out = []
-        for u in self.vertices:
-            for v in sorted(self.adj[u]):
-                if u < v:
-                    out.append((u, v))
-        return out
+        return [(u, v) for u in self.vertices for v in sorted(self.adj[u]) if u < v]
 
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj.values()) // 2
@@ -62,54 +67,50 @@ class TaggedGraph:
             self.adj[u].discard(v)
             self.adj[u] |= nbrs - {u}
 
+    def label(self, table, v) -> str:
+        """Vertex ``v`` as ``name^a`` or ``name^e``."""
+        atom, tag = (v >> 1, "ae"[v & 1]) if self.tagged else (v, "e")
+        return "%s^%s" % (table.name(atom), tag)
+
     def to_dot(self, table, name="g") -> str:
         """DOT rendering: e-vertices as open circles labeled x^e, a-vertices filled."""
         lines = ["graph %s {" % name]
-        for atom, tag in self.vertices:
-            label = "%s^%s" % (table.name(atom), tag)
-            style = "shape=circle" if tag == E_TAG else "shape=circle, style=filled"
-            lines.append('  "%s" [label="%s", %s];' % (label, label, style))
-        for (a1, t1), (a2, t2) in self.edges():
-            lines.append(
-                '  "%s^%s" -- "%s^%s";' % (table.name(a1), t1, table.name(a2), t2)
-            )
+        for v in self.vertices:
+            label = self.label(table, v)
+            style = ", style=filled" if self.tagged and not v & 1 else ""
+            lines.append('  "%s" [label="%s", shape=circle%s];' % (label, label, style))
+        for u, v in self.edges():
+            lines.append('  "%s" -- "%s";' % (self.label(table, u), self.label(table, v)))
         lines.append("}")
         return "\n".join(lines) + "\n"
 
 
-def primal_graph(program: Program) -> TaggedGraph:
-    """Tagged co-occurrence graph: objective occurrences as a-vertices,
-    epistemic ones as e-vertices, plus an {a,e} link for every epistemic
-    atom (its objective twin exists even without an objective occurrence)."""
-    g = TaggedGraph()
+def primal_graph(program: Program) -> Graph:
+    """Tagged co-occurrence graph: objective occurrences as a-vertices
+    ``2*atom``, epistemic ones as e-vertices ``2*atom + 1``, plus an {a,e}
+    link for every epistemic atom (its objective twin exists even without
+    an objective occurrence)."""
+    g = Graph(tagged=True)
     for atom in bits(program.aats_mask):
-        g.add_vertex((atom, A_TAG))
+        g.add_vertex(2 * atom)
     for atom in bits(program.eats_mask):
-        g.add_vertex((atom, E_TAG))
-        g.add_vertex((atom, A_TAG))
-        g.add_edge((atom, A_TAG), (atom, E_TAG))
+        g.add_edge(2 * atom, 2 * atom + 1)
     for r in program.rules:
-        occ = [(a, A_TAG) for a in bits(r.aats_mask)]
-        occ += [(a, E_TAG) for a in bits(r.eats_mask)]
-        for i in range(len(occ)):
-            for j in range(i + 1, len(occ)):
-                g.add_edge(occ[i], occ[j])
+        g.add_clique(
+            [2 * a for a in bits(r.aats_mask)] + [2 * a + 1 for a in bits(r.eats_mask)]
+        )
     return g
 
 
-def epistemic_primal_graph(program: Program) -> TaggedGraph:
-    """E-vertices for all epistemic atoms; edges join atoms sharing a
-    purely-epistemic rule."""
-    g = TaggedGraph()
+def epistemic_primal_graph(program: Program) -> Graph:
+    """All epistemic atoms; edges join atoms sharing a purely-epistemic
+    rule."""
+    g = Graph()
     for atom in bits(program.eats_mask):
-        g.add_vertex((atom, E_TAG))
+        g.add_vertex(atom)
     for r in program.rules:
-        if not r.purely_epistemic:
-            continue
-        occ = [(a, E_TAG) for a in bits(r.eats_mask)]
-        for i in range(len(occ)):
-            for j in range(i + 1, len(occ)):
-                g.add_edge(occ[i], occ[j])
+        if r.purely_epistemic:
+            g.add_clique(bits(r.eats_mask))
     return g
 
 
@@ -121,7 +122,7 @@ def anchor(rule, a_mask: int) -> int:
     return rule.aats_mask | (rule.eats_mask & ~a_mask)
 
 
-def nested_primal_graph(program: Program, a_mask: int) -> TaggedGraph:
+def nested_primal_graph(program: Program, a_mask: int) -> Graph:
     """Abstraction of the primal graph onto the epistemic atoms in a_mask.
 
     Two abstraction vertices are joined iff the primal graph connects them
@@ -131,37 +132,33 @@ def nested_primal_graph(program: Program, a_mask: int) -> TaggedGraph:
     neighborhood a clique, so it always fits in one bag.)  Such a path
     runs through one compatible set or is an edge of a rule without an
     anchor, so the graph is a clique on each compatible set's neighbors
-    and one on the atoms of each rule without an anchor.
+    and one on the atoms of each rule without an anchor.  Its vertices are
+    the atoms of ``a_mask``.
     """
     if a_mask & ~program.eats_mask:
         raise WvcountError("abstraction atoms must be epistemic atoms")
-    g = TaggedGraph()
+    g = Graph()
     for a in bits(a_mask):
-        g.add_vertex((a, E_TAG))
-    cliques = [nbrs for _atoms, nbrs, _rules in _primal_components(program, a_mask)]
-    cliques += [tuple(bits(r.eats_mask)) for r in program.rules if not anchor(r, a_mask)]
-    for clique in cliques:
-        for i, u in enumerate(clique):
-            for v in clique[i + 1:]:
-                g.add_edge((u, E_TAG), (v, E_TAG))
+        g.add_vertex(a)
+    for _atoms, nbrs, _rules in _primal_components(program, a_mask):
+        g.add_clique(nbrs)
+    for r in program.rules:
+        if not anchor(r, a_mask):
+            g.add_clique(bits(r.eats_mask))
     return g
 
 
 @dataclass
 class CompatAssignment:
-    """Compatible sets of a primal graph minus abstraction vertices.
+    """Compatible sets of a primal graph minus abstraction vertices, by the
+    tree node each is assigned to.
 
-    ``components[i]`` is the atom set of one connected component,
-    ``neighbors[i]`` the abstraction atoms adjacent to it, ``owner[i]``
-    the unique tree node it is assigned to, ``nested_bag_atoms[t]`` the
-    union of atom masks owned by node ``t``, and ``delegated[t]`` the
-    rules it verifies by recursion: those with an anchor in its
-    components.  The plausibility checks cover the rules without one.
+    ``nested_bag_atoms[t]`` is the union of the atom masks of the
+    components owned by node ``t``, and ``delegated[t]`` the rules it
+    verifies by recursion: those with an anchor in its components.  The
+    plausibility checks cover the rules without one.
     """
 
-    components: list[tuple[int, ...]]
-    neighbors: list[tuple[int, ...]]
-    owner: dict[int, int]
     nested_bag_atoms: dict[int, int]
     delegated: dict[int, list]
 
@@ -199,21 +196,18 @@ def assign_compatible_sets(program: Program, a_mask: int, td) -> CompatAssignmen
     eligible, because nested verification happens at introductions.
     """
     order = [
-        (t, mask_of(atom for atom, _tag in td.bags[t]))
+        (t, mask_of(td.bags[t]))
         for t in td.postorder()
         if getattr(td, "kind", None) is None or td.kind[t] == "intr"
     ]
-    assignment = CompatAssignment([], [], {}, {}, {})
-    for idx, (atoms, nbrs, rules) in enumerate(_primal_components(program, a_mask)):
+    assignment = CompatAssignment({}, {})
+    for atoms, nbrs, rules in _primal_components(program, a_mask):
         need = mask_of(nbrs)
         home = next((t for t, bag_mask in order if need & ~bag_mask == 0), None)
         if home is None:
             raise WvcountError(
                 "no eligible node covers component neighborhood %s" % (nbrs,)
             )
-        assignment.components.append(atoms)
-        assignment.neighbors.append(nbrs)
-        assignment.owner[idx] = home
         assignment.nested_bag_atoms[home] = assignment.nested_bag_atoms.get(
             home, 0
         ) | mask_of(atoms)
@@ -229,7 +223,7 @@ def bag_programs(program: Program, a_mask: int, assignment: CompatAssignment, td
     lie in the node's nested bag atoms and whose epistemic atoms lie in
     those plus the bag; it is the ELP handed to nested solving.
     """
-    bag_mask = mask_of(atom for atom, _tag in td.bags[t])
+    bag_mask = mask_of(td.bags[t])
     a_t = assignment.nested_bag_atoms.get(t, 0)
     epistemic_bag = [
         r

@@ -34,22 +34,17 @@ def running_nice_td(program):
     other introduces d, c and removes d; both join on {c}."""
     t = program.atoms
     a, b, c, d = (t.id(x) for x in "abcd")
-
-    def v(atom):
-        return (atom, "e")
-
     bags = {
-        1: set(), 2: {v(b)}, 3: {v(a), v(b)}, 4: {v(a), v(b), v(c)},
-        5: {v(b), v(c)}, 6: {v(c)},
-        7: set(), 8: {v(d)}, 9: {v(c), v(d)}, 10: {v(c)},
-        11: {v(c)}, 12: set(),
+        1: set(), 2: {b}, 3: {a, b}, 4: {a, b, c},
+        5: {b, c}, 6: {c},
+        7: set(), 8: {d}, 9: {c, d}, 10: {c},
+        11: {c}, 12: set(),
     }
     children = {1: (), 2: (1,), 3: (2,), 4: (3,), 5: (4,), 6: (5,),
                 7: (), 8: (7,), 9: (8,), 10: (9,), 11: (6, 10), 12: (11,)}
     kind = {1: "leaf", 2: "intr", 3: "intr", 4: "intr", 5: "rem", 6: "rem",
             7: "leaf", 8: "intr", 9: "intr", 10: "rem", 11: "join", 12: "rem"}
-    action = {2: v(b), 3: v(a), 4: v(c), 5: v(a), 6: v(b),
-              8: v(d), 9: v(c), 10: v(d), 12: v(c)}
+    action = {2: b, 3: a, 4: c, 5: a, 6: b, 8: d, 9: c, 10: d, 12: c}
     return NiceTD(bags, children, 12, kind, action)
 
 

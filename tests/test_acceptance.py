@@ -125,15 +125,11 @@ def test_criterion_05_nested_graph_and_bag_programs():
     t = RUNNING.atoms
     mask = mask_of(t.id(x) for x in "bcd")
     graph = nested_primal_graph(RUNNING, mask)
-    edges = {
-        frozenset((t.name(u[0]), t.name(v[0]))) for u, v in graph.edges()
-    }
+    edges = {frozenset((t.name(u), t.name(v))) for u, v in graph.edges()}
     assert edges == {frozenset("bc"), frozenset("cd")}
 
     from wvcount.decomp import TreeDecomposition
-
-    def v(name):
-        return (t.id(name), "e")
+    v = t.id
 
     td = TreeDecomposition(
         {1: {v("b"), v("c")}, 2: {v("c"), v("d")}, 3: {v("c")}},

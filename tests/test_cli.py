@@ -93,6 +93,28 @@ def test_graph_primal(capsys):
     assert '"a^a" -- "a^e";' in out
 
 
+DOT_DIR = os.path.join(os.path.dirname(__file__), "dot")
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("graph-primal", ["graph", "--kind", "primal"]),
+        ("graph-epistemic", ["graph", "--kind", "epistemic"]),
+        ("graph-nested", ["graph", "--kind", "nested"]),
+        ("graph-nested-bcd", ["graph", "--kind", "nested", "--abstraction", "b,c,d"]),
+        ("td-primal", ["td", "--graph", "primal", "--dot"]),
+        ("td-nested", ["td", "--graph", "nested", "--dot"]),
+    ],
+)
+def test_dot_output_is_pinned(capsys, name, args):
+    # The whole DOT text of the running example, byte for byte: vertex
+    # labels, their order, styles, and the decomposition's nodes.
+    assert main(args[:1] + [RUNNING_PATH] + args[1:]) == 0
+    with open(os.path.join(DOT_DIR, name + ".dot"), "r", encoding="utf-8") as handle:
+        assert capsys.readouterr().out == handle.read()
+
+
 def test_td_stats(capsys):
     assert main(["td", RUNNING_PATH, "--graph", "epistemic"]) == 0
     out = capsys.readouterr().out

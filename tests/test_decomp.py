@@ -9,7 +9,7 @@ from wvcount.decomp import (
     td_stats,
     validate_td,
 )
-from wvcount.graphs import TaggedGraph, epistemic_primal_graph, nested_primal_graph, primal_graph
+from wvcount.graphs import Graph, epistemic_primal_graph, nested_primal_graph, primal_graph
 from wvcount.model import bits
 from wvcount.semantics import cnf_to_elp
 
@@ -127,7 +127,7 @@ def test_fill_count_equals_the_pairwise_count():
     for i, g in enumerate(graphs):
         assert all(fill_count(g.adj, v) == pairwise_fill_count(g.adj, v) for v in g.adj)
         checked += len(g.adj)
-        if isinstance(g, TaggedGraph):
+        if isinstance(g, Graph):
             # Eliminations add fill edges; the counts must follow them.
             order = sorted(g.adj)
             random.Random(i).shuffle(order)
@@ -171,9 +171,7 @@ def test_validate_rejects_disconnected_occurrence():
 
 def test_validate_worked_epistemic_td(running):
     t = running.atoms
-
-    def v(name):
-        return (t.id(name), "e")
+    v = t.id
 
     td = TreeDecomposition(
         {1: {v("a"), v("b"), v("c")}, 2: {v("c"), v("d")}, 3: {v("c")}},
@@ -222,9 +220,7 @@ def test_make_nice_structurally_comparable_to_worked_example(running):
     # the nice form of the two-bag decomposition has twelve nodes:
     # 2 leaves, 5 introduces, 4 removes, 1 join
     t = running.atoms
-
-    def v(name):
-        return (t.id(name), "e")
+    v = t.id
 
     td = TreeDecomposition(
         {1: {v("a"), v("b"), v("c")}, 2: {v("c"), v("d")}, 3: {v("c")}},
@@ -254,7 +250,7 @@ def test_stats_rendering(running):
 
 
 def test_tagged_graph_helper(running):
-    g = TaggedGraph()
-    g.add_edge((0, "a"), (1, "e"))
-    g.add_edge((0, "a"), (0, "a"))  # self loops are ignored
+    g = Graph(tagged=True)
+    g.add_edge(0, 3)  # atom 0's a-vertex, atom 1's e-vertex
+    g.add_edge(0, 0)  # self loops are ignored
     assert g.edge_count() == 1

@@ -146,9 +146,9 @@ def per_row_plausible_tables(program, nice):
         if kind == "leaf":
             tables[t] = {(0, 0): 1}
         elif kind == "intr":
-            atom = nice.action[t][0]
+            atom = nice.action[t]
             bit = 1 << atom
-            checks = _node_checks(checks_by_atom, atom, mask_of(a for a, _tag in nice.bags[t]))
+            checks = _node_checks(checks_by_atom, atom, mask_of(nice.bags[t]))
             tables[t] = {
                 (nt, nf): c
                 for (tm, fm), c in tables[kids[0]].items()
@@ -156,7 +156,7 @@ def per_row_plausible_tables(program, nice):
                 if _rows_ok(checks, nt, nf)
             }
         elif kind == "rem":
-            keep = ~(1 << nice.action[t][0])
+            keep = ~(1 << nice.action[t])
             tables[t] = {}
             for (tm, fm), c in tables[kids[0]].items():
                 key = (tm & keep, fm & keep)
@@ -375,6 +375,41 @@ def test_nested_rows_split_at_the_abstraction(monkeypatch):
                 one_option += [one for _depth, _shift, one in top]
     assert counted and any(one_option) and not all(one_option)
     assert len(shifts) > 1  # nested tables below split their own rows
+
+
+def test_nested_join_on_random_programs(monkeypatch):
+    # Smaller random ELPs give one introduce chain at depth 0; these give
+    # the depth-0 nested decomposition a join node, which must see rows.
+    import wvcount.dp as dp_mod
+
+    run_tables, table_pass = dp_mod._run_tables, dp_mod._table_pass
+    depths, joins = [], []
+
+    def run_spy(depth, *args):
+        depths.append(depth)
+        try:
+            return run_tables(depth, *args)
+        finally:
+            depths.pop()
+
+    def pass_spy(nice, introduce, shift):
+        tables = table_pass(nice, introduce, shift)
+        if depths[-1:] == [0]:
+            joins.extend(len(tables[t]) for t, kind in nice.kind.items() if kind == "join")
+        return tables
+
+    monkeypatch.setattr(dp_mod, "_run_tables", run_spy)
+    monkeypatch.setattr(dp_mod, "_table_pass", pass_spy)
+    for args in ((14, 7, 10, 0), (14, 7, 10, 19), (14, 7, 10, 27), (16, 8, 10, 20)):
+        prog = gen_random_elp(*args)
+        oracle = count_world_views_bruteforce(prog)
+        assert oracle == 1
+        joins.clear()
+        for thresholds in THRESHOLD_GRID:
+            for heuristic in ("min-fill", "min-degree"):
+                count = count_world_views(prog, thresholds=thresholds, heuristic=heuristic)
+                assert count == oracle
+        assert joins and all(joins), args
 
 
 def test_benchmark_cnf_instance(monkeypatch):

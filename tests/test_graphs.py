@@ -20,17 +20,31 @@ from wvcount.parser import parse_program
 from wvcount.semantics import cnf_to_elp
 
 
+def vertex_name(program, graph, v):
+    """A vertex as ``(atom name, tag)``, read off its label."""
+    return tuple(graph.label(program.atoms, v).split("^"))
+
+
 def edge_names(program, graph):
-    t = program.atoms
     return {
-        frozenset(((t.name(u[0]), u[1]), (t.name(v[0]), v[1])))
+        frozenset((vertex_name(program, graph, u), vertex_name(program, graph, v)))
         for u, v in graph.edges()
     }
 
 
 def e_edges(program, graph):
     t = program.atoms
-    return {frozenset((t.name(u[0]), t.name(v[0]))) for u, v in graph.edges()}
+    return {frozenset((t.name(u), t.name(v))) for u, v in graph.edges()}
+
+
+def a_vertex(atom):
+    """The primal graph's vertex of ``atom``'s objective occurrences."""
+    return 2 * atom
+
+
+def e_vertex(atom):
+    """The primal graph's vertex of ``atom``'s epistemic occurrences."""
+    return 2 * atom + 1
 
 
 def mask_by_names(program, names):
@@ -41,9 +55,7 @@ def example_td(program):
     """The worked three-node decomposition of the nested primal graph for
     the abstraction {b, c, d}: bags {b,c}, {c,d} under a {c} root."""
     t = program.atoms
-
-    def v(name):
-        return (t.id(name), "e")
+    v = t.id
 
     return TreeDecomposition(
         {1: {v("b"), v("c")}, 2: {v("c"), v("d")}, 3: {v("c")}},
@@ -90,9 +102,8 @@ def test_primal_graph_empty():
 def test_primal_graph_adds_objective_twin():
     prog = parse_program("a :- -K b.")
     g = primal_graph(prog)
-    t = prog.atoms
-    assert set(g.vertices) == {
-        (t.id("a"), "a"), (t.id("b"), "e"), (t.id("b"), "a")
+    assert {vertex_name(prog, g, v) for v in g.vertices} == {
+        ("a", "a"), ("b", "e"), ("b", "a")
     }
     assert edge_names(prog, g) == {
         frozenset(((("a", "a")), ("b", "e"))),
@@ -173,7 +184,7 @@ def test_dropping_an_atom_eliminates_its_vertex():
             mask = mask_of(a for i, a in enumerate(eats) if pick >> i & 1)
             for x in bits(mask):
                 g = nested_primal_graph(prog, mask)
-                g.eliminate((x, "e"))
+                g.eliminate(x)
                 assert g.adj == nested_primal_graph(prog, mask & ~(1 << x)).adj
                 checked += 1
     assert checked > 1000
@@ -205,9 +216,8 @@ def test_compat_assignment_example(running):
     mask = mask_by_names(running, ["b", "c", "d"])
     td = example_td(running)
     asg = assign_compatible_sets(running, mask, td)
-    comps = [tuple(t.name(a) for a in comp) for comp in asg.components]
+    comps = [tuple(t.name(a) for a in c[0]) for c in _primal_components(running, mask)]
     assert comps == [("a", "b"), ("c", "d")]
-    assert asg.owner == {0: 1, 1: 2}
     assert asg.nested_bag_atoms == {
         1: mask_by_names(running, ["a", "b"]),
         2: mask_by_names(running, ["c", "d"]),
@@ -216,24 +226,26 @@ def test_compat_assignment_example(running):
 
 def test_compat_full_abstraction_components(running):
     mask = running.eats_mask
-    td = TreeDecomposition({0: {(a, "e") for a in bits(mask)}}, {0: ()}, 0)
+    td = TreeDecomposition({0: set(bits(mask))}, {0: ()}, 0)
     asg = assign_compatible_sets(running, mask, td)
-    comps = [tuple(running.atoms.name(a) for a in c) for c in asg.components]
+    t = running.atoms
+    comps = [tuple(t.name(a) for a in c[0]) for c in _primal_components(running, mask)]
     assert comps == [("a", "b"), ("c", "d")]
+    assert asg.nested_bag_atoms == {0: running.ats_mask}
 
 
 def test_compat_plain_connected_program_single_component():
     prog = parse_program("a | b.\nc :- b.\n")
     td = TreeDecomposition({0: set()}, {0: ()}, 0)
     asg = assign_compatible_sets(prog, 0, td)
-    assert asg.components == [tuple(range(3))]
-    assert asg.owner == {0: 0}
+    assert [c[0] for c in _primal_components(prog, 0)] == [tuple(range(3))]
+    assert asg.nested_bag_atoms == {0: 0b111}
 
 
 def test_compat_plain_disconnected_parts(plain_core):
     td = TreeDecomposition({0: set()}, {0: ()}, 0)
     asg = assign_compatible_sets(plain_core, 0, td)
-    assert [len(c) for c in asg.components] == [2, 2]
+    assert [len(c[0]) for c in _primal_components(plain_core, 0)] == [2, 2]
     assert asg.nested_bag_atoms == {0: plain_core.ats_mask}
 
 
@@ -260,9 +272,7 @@ def test_bag_programs_epistemic_td(running):
     # bags {a,b,c} and {c,d} of the epistemic primal graph carry the
     # purely-epistemic rules r8..r11 and r12 respectively
     t = running.atoms
-
-    def v(name):
-        return (t.id(name), "e")
+    v = t.id
 
     td = TreeDecomposition(
         {1: {v("a"), v("b"), v("c")}, 2: {v("c"), v("d")}, 3: set()},
@@ -300,7 +310,7 @@ def test_unique_owner_for_objective_rules():
                     assert sum(1 for s in membership if id(r) in s) == 1
             # atoms outside the abstraction land in exactly one component
             covered = 0
-            for comp in asg.components:
+            for comp, _nbrs, _rules in _primal_components(prog, mask):
                 comp_mask = mask_of(comp)
                 assert covered & comp_mask == 0
                 covered |= comp_mask
@@ -311,7 +321,8 @@ def test_compat_owner_is_introduce_node_on_nice_tds(running):
     mask = running.eats_mask
     nice = make_nice(build_td(nested_primal_graph(running, mask)))
     asg = assign_compatible_sets(running, mask, nice)
-    for owner in asg.owner.values():
+    assert asg.nested_bag_atoms
+    for owner in asg.nested_bag_atoms:
         assert nice.kind[owner] == "intr"
 
 
@@ -325,7 +336,7 @@ def walk_components(program, a_mask):
     removed vertices adjacent to it and the rules with a vertex in it,
     found by a graph walk."""
     primal = primal_graph(program)
-    removed = {(a, "e") for a in bits(a_mask)}
+    removed = {e_vertex(a) for a in bits(a_mask)}
     seen = set()
     comps = []
     for v in primal.vertices:
@@ -340,11 +351,11 @@ def walk_components(program, a_mask):
             comp.add(u)
             for w in primal.adj[u]:
                 if w in removed:
-                    nbrs.add(w[0])
+                    nbrs.add(w >> 1)
                 elif w not in seen:
                     seen.add(w)
                     stack.append(w)
-        atoms = tuple(sorted({atom for atom, _tag in comp}))
+        atoms = tuple(sorted({u >> 1 for u in comp}))
         rules = [r for r in program.rules if rule_vertices(r) & comp]
         comps.append((atoms, tuple(sorted(nbrs)), rules))
     comps.sort()
@@ -352,16 +363,16 @@ def walk_components(program, a_mask):
 
 
 def rule_vertices(rule):
-    vertices = {(a, "a") for a in bits(rule.aats_mask)}
-    return vertices | {(a, "e") for a in bits(rule.eats_mask)}
+    vertices = {a_vertex(a) for a in bits(rule.aats_mask)}
+    return vertices | {e_vertex(a) for a in bits(rule.eats_mask)}
 
 
 def walk_nested_adj(program, a_mask):
     """Reference: the nested primal graph's adjacency, found by a
     breadth-first walk from each abstraction vertex that stops at the
-    abstraction vertices it reaches."""
+    abstraction vertices it reaches, with the vertices mapped to atoms."""
     primal = primal_graph(program)
-    targets = {(a, "e") for a in bits(a_mask)}
+    targets = {e_vertex(a) for a in bits(a_mask)}
     adj = {v: set() for v in targets}
     for start in sorted(targets):
         seen = {start}
@@ -379,7 +390,7 @@ def walk_nested_adj(program, a_mask):
                     else:
                         nxt.append(w)
             frontier = nxt
-    return adj
+    return {u >> 1: {w >> 1 for w in ws} for u, ws in adj.items()}
 
 
 def assert_split_matches_walks(program, a_mask):
@@ -420,7 +431,7 @@ def test_rule_split_hand_cases():
     prog = parse_program("a :- K b.\nd :- K c.\n:- K b, not c.\n")
     b, c = prog.atoms.id("b"), prog.atoms.id("c")
     mask = (1 << b) | (1 << c)
-    assert nested_primal_graph(prog, mask).adj == {(b, "e"): {(c, "e")}, (c, "e"): {(b, "e")}}
+    assert nested_primal_graph(prog, mask).adj == {b: {c}, c: {b}}
     for m in (mask, 1 << b, 1 << c, 0):
         assert_split_matches_walks(prog, m)
 
@@ -429,19 +440,16 @@ def linear_scan_assignment(program, a_mask, td):
     """Reference: test every eligible node in post-order, per component."""
     intr_only = getattr(td, "kind", None) is not None
     order = [
-        (t, mask_of(atom for atom, _tag in td.bags[t]))
+        (t, mask_of(td.bags[t]))
         for t in td.postorder()
         if not intr_only or td.kind[t] == "intr"
     ]
-    asg = CompatAssignment([], [], {}, {}, {})
-    for idx, (atoms, nbrs, rules) in enumerate(walk_components(program, a_mask)):
+    asg = CompatAssignment({}, {})
+    for atoms, nbrs, rules in walk_components(program, a_mask):
         need = mask_of(nbrs)
         homes = [t for t, bag_mask in order if need & ~bag_mask == 0]
         if not homes:
             raise WvcountError("no eligible node")
-        asg.components.append(atoms)
-        asg.neighbors.append(nbrs)
-        asg.owner[idx] = homes[0]
         asg.nested_bag_atoms[homes[0]] = asg.nested_bag_atoms.get(
             homes[0], 0
         ) | mask_of(atoms)
@@ -480,9 +488,7 @@ def test_compat_skips_nodes_that_cover_one_neighbor(running):
     # Component (a, b) has neighbors b and c.  Nodes 1 to 4 each hold one
     # of them; node 5 is the first in post-order to cover both.
     t = running.atoms
-
-    def v(name):
-        return (t.id(name), "e")
+    v = t.id
 
     td = TreeDecomposition(
         {1: {v("c"), v("d")}, 2: {v("b")}, 3: {v("b")}, 4: {v("b")}, 5: {v("b"), v("c")}},
@@ -491,8 +497,11 @@ def test_compat_skips_nodes_that_cover_one_neighbor(running):
     )
     mask = mask_by_names(running, ["b", "c", "d"])
     asg = assign_compatible_sets(running, mask, td)
-    assert asg.neighbors[0] == (t.id("b"), t.id("c"))
-    assert asg.owner == {0: 5, 1: 1}
+    assert _primal_components(running, mask)[0][1] == (t.id("b"), t.id("c"))
+    assert asg.nested_bag_atoms == {
+        5: mask_by_names(running, ["a", "b"]),
+        1: mask_by_names(running, ["c", "d"]),
+    }
     assert asg == linear_scan_assignment(running, mask, td)
 
 
