@@ -138,6 +138,8 @@ def gen_random_elp(atoms: int, epistemic_atoms: int, rules: int, seed: int) -> P
 
 def gen_random_3cnf(num_vars: int, num_clauses: int, seed: int):
     """Random 3-CNF as DIMACS-style clause list."""
+    if num_vars < 1:
+        raise ValueError("need at least one variable")
     rng = random.Random(seed)
     clauses = []
     for _ in range(num_clauses):

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 
 from .backends import BackendConfig, ExternalBackend, InternalBackend, StackedBackend
 from .bench import GenSpec, run_harness
@@ -29,28 +30,33 @@ from .parser import parse_program, parse_query, program_to_text
 from .semantics import count_world_views_bruteforce, enumerate_world_views
 
 
-def _add_common(parser):
-    parser.add_argument("--threshold-hybrid", type=int, default=Thresholds.hybrid, metavar="N")
-    parser.add_argument("--threshold-abstr", type=int, default=Thresholds.abstr, metavar="N")
-    parser.add_argument("--max-depth", type=int, default=Thresholds.depth, metavar="N")
-    parser.add_argument(
-        "--heuristic", choices=("min-fill", "min-degree"), default="min-fill"
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--backend", choices=("internal", "external"), default="internal")
-    parser.add_argument("--external-cmd", default=None, metavar="CMD")
-    parser.add_argument(
-        "--external-parse", choices=("count", "sat"), default="count"
-    )
-    parser.add_argument("--external-timeout", type=float, default=60.0)
-    parser.add_argument("--format", choices=("text", "structured"), default="text")
-    parser.add_argument("--cap-atoms", type=int, default=Thresholds.answer_cap, metavar="N")
-    parser.add_argument("--cap-epistemic", type=int, default=Thresholds.wv_cap, metavar="N")
-    parser.add_argument(
-        "--timings",
-        action="store_true",
-        help="include wall-clock time in structured output (not reproducible)",
-    )
+_OPTIONS = {
+    "--threshold-hybrid": dict(dest="hybrid", type=int, default=Thresholds.hybrid, metavar="N"),
+    "--threshold-abstr": dict(dest="abstr", type=int, default=Thresholds.abstr, metavar="N"),
+    "--max-depth": dict(dest="depth", type=int, default=Thresholds.depth, metavar="N"),
+    "--cap-atoms": dict(dest="answer_cap", type=int, default=Thresholds.answer_cap, metavar="N"),
+    "--cap-epistemic": dict(dest="wv_cap", type=int, default=Thresholds.wv_cap, metavar="N"),
+    "--heuristic": dict(choices=("min-fill", "min-degree"), default="min-fill"),
+    "--seed": dict(type=int, default=0),
+    "--timings": dict(action="store_true", help="add wall time to the output (not reproducible)"),
+    "--backend": dict(choices=("internal", "external"), default="internal"),
+    "--external-cmd": dict(default=None, metavar="CMD"),
+    "--external-parse": dict(choices=("count", "sat"), default="count"),
+    "--external-timeout": dict(type=float, default=60.0),
+    "--format": dict(choices=("text", "structured"), default="text"),
+}
+# Each subcommand takes the options it reads.
+_CAPS = ("--cap-atoms", "--cap-epistemic")
+_DECOMPOSITION = ("--heuristic", "--seed")
+_ROUTING = (
+    "--threshold-hybrid", "--threshold-abstr", "--max-depth", *_CAPS, *_DECOMPOSITION, "--timings"
+)
+_BACKEND = ("--backend", "--external-cmd", "--external-parse", "--external-timeout", "--format")
+
+
+def _add_options(parser, names):
+    for name in names:
+        parser.add_argument(name, **_OPTIONS[name])
 
 
 class _UsageError(Exception):
@@ -58,14 +64,10 @@ class _UsageError(Exception):
 
 
 def _thresholds(args) -> Thresholds:
+    """``Thresholds`` from the options the command takes, defaults for the rest."""
+    given = {f.name: getattr(args, f.name) for f in fields(Thresholds) if hasattr(args, f.name)}
     try:
-        return Thresholds(
-            hybrid=args.threshold_hybrid,
-            abstr=args.threshold_abstr,
-            depth=args.max_depth,
-            answer_cap=args.cap_atoms,
-            wv_cap=args.cap_epistemic,
-        )
+        return Thresholds(**given)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -265,38 +267,37 @@ def build_parser():
     p = sub.add_parser("count", help="world-view count, optionally under a query")
     p.add_argument("file")
     p.add_argument("--query", default=None, metavar="L[,L...]")
-    _add_common(p)
+    _add_options(p, _ROUTING + _BACKEND)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("prob", help="probability of a query holding in a world view")
     p.add_argument("file")
     p.add_argument("--query", required=True, metavar="L[,L...]")
-    _add_common(p)
+    _add_options(p, _ROUTING + _BACKEND)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("wvs", help="list world views by brute force")
     p.add_argument("file")
-    _add_common(p)
+    _add_options(p, _CAPS)
     p.set_defaults(func=_cmd_wvs)
 
     p = sub.add_parser("oracle", help="brute-force world-view count")
     p.add_argument("file")
     p.add_argument("--query", default=None, metavar="L[,L...]")
-    _add_common(p)
+    _add_options(p, _CAPS)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("graph", help="export a program graph as DOT")
     p.add_argument("file")
     p.add_argument("--kind", choices=("primal", "epistemic", "nested"), required=True)
     p.add_argument("--abstraction", default=None, metavar="a,b,...")
-    _add_common(p)
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("td", help="tree decomposition stats or DOT")
     p.add_argument("file")
     p.add_argument("--graph", choices=("primal", "epistemic", "nested"), required=True)
     p.add_argument("--dot", action="store_true")
-    _add_common(p)
+    _add_options(p, _DECOMPOSITION)
     p.set_defaults(func=_cmd_td)
 
     p = sub.add_parser("gen", help="generate a benchmark instance")
@@ -308,13 +309,13 @@ def build_parser():
     p.add_argument("--vars", type=int, default=6)
     p.add_argument("--clauses", type=int, default=10)
     p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_options(p, ("--seed",))
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("harness", help="run a JSON instance spec and verify")
     p.add_argument("spec")
     p.add_argument("--no-oracle", action="store_true")
-    _add_common(p)
+    _add_options(p, _ROUTING)
     p.set_defaults(func=_cmd_harness)
 
     return parser

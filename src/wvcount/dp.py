@@ -8,11 +8,12 @@ bag's epistemic atoms to a count.  A row is one int,
 ``tm | fm << shift``: the true atoms in the low ``shift`` bits and the
 false atoms above them.  Both table algorithms share one pass
 (``_table_pass``): remove nodes clear the atom's two bits and sum, join
-nodes match rows and multiply.  Their introduce nodes guess a third
-truth value and check the bag's purely-epistemic rules, once per
-pattern of the rows on the bits those rules read (``_RowOptions``); the
-nested algorithm also verifies the rules delegated to the node by a
-recursive call on their epistemic reduct, compiled once per node.  Rows
+nodes match rows and multiply.  Their introduce nodes share one step
+(``_expand``): guess a third truth value and check the bag's
+purely-epistemic rules, once per pattern of the rows on the bits those
+rules read (``_RowOptions``).  The nested algorithm filters its rows,
+verifying the rules delegated to the node by a recursive call on their
+epistemic reduct, compiled once per node.  Rows
 with the same surviving rules share one reduct program
 (``_Subproblem``), and its component split is built on the first nested
 call that gets past the router's early exits.  Recursion bottoms out in
@@ -160,22 +161,24 @@ def _rows_ok(checks, tmask, fmask) -> bool:
     return True
 
 
-def _checks_by_atom(program: Program, a_mask: int):
-    """Each purely-epistemic rule over ``a_mask`` atoms, as its epistemic
-    atoms and ``epistemic_masks``, listed under every one of its atoms."""
+def _node_checks(program: Program, a_mask: int, nice: NiceTD) -> dict:
+    """The checks each introduce node of ``nice`` runs: the
+    ``epistemic_masks`` of the purely-epistemic rules over ``a_mask``
+    atoms that hold the node's atom and that its bag completes."""
     by_atom: dict[int, list[tuple[int, tuple]]] = {}
     for r in program.rules:
         if r.purely_epistemic and r.eats_mask & ~a_mask == 0:
             check = (r.eats_mask, epistemic_masks(r))
             for a in bits(r.eats_mask):
                 by_atom.setdefault(a, []).append(check)
-    return by_atom
-
-
-def _node_checks(by_atom, atom: int, bag_mask: int) -> tuple:
-    """The checks an introduce node of ``atom`` runs: the rules on
-    ``atom`` that the bag completes."""
-    return tuple(masks for eats, masks in by_atom.get(atom, ()) if eats & ~bag_mask == 0)
+    out = {}
+    for t in nice.postorder():
+        if nice.kind[t] == "intr":
+            bag_mask = mask_of(nice.bags[t])
+            out[t] = tuple(
+                masks for eats, masks in by_atom.get(nice.action[t], ()) if eats & ~bag_mask == 0
+            )
+    return out
 
 
 def _split_row(row: int, shift: int):
@@ -221,6 +224,25 @@ class _RowOptions(dict):
         return ok
 
 
+def _expand(options: _RowOptions, child: dict, allowed: int = 7) -> dict:
+    """An introduce node's table: each child row extended by the values
+    of ``allowed`` (``_RowOptions``' 3-bit mask) that its pattern
+    passes, in the order undecided, true, false."""
+    bit, fbit, rel = options.bit, options.fbit, options.rel
+    # A row left undecided keeps the child's row int: ``row | 0``
+    # would copy a multi-digit int into every such row.
+    out = {}
+    for row, c in child.items():
+        ok = options[row & rel] & allowed
+        if ok & 1:
+            out[row] = c
+        if ok & 2:
+            out[row | bit] = c
+        if ok & 4:
+            out[row | fbit] = c
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The shared table pass, and plausible-WVI counting over the epistemic primal graph
 
@@ -262,25 +284,10 @@ def plausible_tables(program: Program, nice: NiceTD):
     checking; earlier rows already satisfy the rest of the bag program.
     """
     shift = program.eats_mask.bit_length()
-    checks_by_atom = _checks_by_atom(program, program.eats_mask)
+    checks = _node_checks(program, program.eats_mask, nice)
 
     def introduce(t, child):
-        atom = nice.action[t]
-        bag_mask = mask_of(nice.bags[t])
-        options = _RowOptions(_node_checks(checks_by_atom, atom, bag_mask), atom, shift)
-        bit, fbit, rel = options.bit, options.fbit, options.rel
-        # A row left undecided keeps the child's row int: ``row | 0``
-        # would copy a multi-digit int into every such row.
-        out = {}
-        for row, c in child.items():
-            ok = options[row & rel]
-            if ok & 1:
-                out[row] = c
-            if ok & 2:
-                out[row | bit] = c
-            if ok & 4:
-                out[row | fbit] = c
-        return out
+        return _expand(_RowOptions(checks[t], nice.action[t], shift), child)
 
     return _table_pass(nice, introduce, shift)
 
@@ -369,16 +376,12 @@ def _prepare_nodes(program, a_mask, nice):
     nice decomposition; rows split at ``a_mask.bit_length()``."""
     shift = a_mask.bit_length()
     asg = assign_compatible_sets(program, a_mask, nice)
-    checks_by_atom = _checks_by_atom(program, a_mask)
     data = {}
-    for t in nice.postorder():
-        if nice.kind[t] != "intr":
-            continue
-        atom = nice.action[t]
+    for t, checks in _node_checks(program, a_mask, nice).items():
         bag_mask = mask_of(nice.bags[t])
         data[t] = _NodeData(
             bag_mask=bag_mask,
-            options=_RowOptions(_node_checks(checks_by_atom, atom, bag_mask), atom, shift),
+            options=_RowOptions(checks, nice.action[t], shift),
             nested=compile_reduct(asg.delegated.get(t, ()), bag_mask),
             owned_mask=asg.nested_bag_atoms.get(t, 0),
         )
@@ -401,43 +404,35 @@ def _run_tables(depth, program, a_mask, assumption, ctx, figures):
 
 
 def _intr_table(depth, program, nd, child, assumption, ctx):
-    options = nd.options
-    bit, fbit, shift, rel = options.bit, options.fbit, options.shift, options.rel
-    flags = (1, 2, 4)  # ``_RowOptions``' undecided, true, false
+    """``_expand``'s rows that pass nested verification, each count
+    times its nested count."""
+    bit, shift = nd.options.bit, nd.options.shift
+    allowed = 7  # ``_RowOptions``' undecided, true and false
     if assumption.domain & bit:  # an assumed atom takes its assumed value only
-        flags = (2 if assumption.true & bit else 4 if assumption.false & bit else 1,)
+        allowed = 2 if assumption.true & bit else 4 if assumption.false & bit else 1
+    rows = _expand(nd.options, child, allowed)
     # The node answers for every atom it owns: decided ones must be known
     # in the nested world views, undecided ones genuinely open.
     owned = nd.owned_mask
     sub_domain = (assumption.domain | nd.bag_mask) & owned
+    if not nd.nested and not sub_domain:
+        return rows  # no row makes a nested call
     table = {}
-    for row, c in child.items():
-        ok = options[row & rel]
-        tm, fm = _split_row(row, shift)
-        for flag in flags:
-            if not ok & flag:
-                continue
-            if flag == 1:
-                nt, nf, key = tm, fm, row
-            elif flag == 2:
-                nt, nf, key = tm | bit, fm, row | bit
-            else:
-                nt, nf, key = tm, fm | bit, row | fbit
-            alive, residues = survivors(nd.nested, nt, nf) if nd.nested else (0, ())
-            mult = 1
-            # An empty reduct still checks the assumption: an assumed-true
-            # atom that no residue derives must fail there.
-            if alive or sub_domain:
-                ctx.stats.nested_calls += 1
-                sub = WVI(
-                    sub_domain, (assumption.true | nt) & owned, (assumption.false | nf) & owned
-                )
-                reduct = nd.reducts.get(alive)
-                if reduct is None:
-                    reduct = nd.reducts[alive] = _Subproblem(Program(program.atoms, residues))
-                mult = _nested_count(depth + 1, reduct.program, sub, ctx, subproblem=reduct)[0]
-            if mult:
-                table[key] = c * mult
+    for row, c in rows.items():
+        nt, nf = _split_row(row, shift)
+        alive, residues = survivors(nd.nested, nt, nf) if nd.nested else (0, ())
+        mult = 1
+        # An empty reduct still checks the assumption: an assumed-true
+        # atom that no residue derives must fail there.
+        if alive or sub_domain:
+            ctx.stats.nested_calls += 1
+            sub = WVI(sub_domain, (assumption.true | nt) & owned, (assumption.false | nf) & owned)
+            reduct = nd.reducts.get(alive)
+            if reduct is None:
+                reduct = nd.reducts[alive] = _Subproblem(Program(program.atoms, residues))
+            mult = _nested_count(depth + 1, reduct.program, sub, ctx, subproblem=reduct)[0]
+        if mult:
+            table[row] = c * mult
     return table
 
 

@@ -187,6 +187,16 @@ def test_exit_usage_on_invalid_option_values(capsys):
         ["wvs", RUNNING_PATH, "--cap-epistemic", "-3"],
         ["gen", "random", "--atoms", "3", "--epistemic", "5"],
         ["gen", "classic", "--n", "0"],
+        ["gen", "random3cnf", "--vars", "0"],
+        # each subcommand takes only the options it reads
+        ["harness", RUNNING_PATH, "--backend", "external", "--external-cmd", "false {file}"],
+        ["harness", RUNNING_PATH, "--format", "structured"],
+        ["graph", RUNNING_PATH, "--kind", "primal", "--max-depth", "7"],
+        ["graph", RUNNING_PATH, "--kind", "primal", "--seed", "1"],
+        ["td", RUNNING_PATH, "--graph", "primal", "--cap-atoms", "3"],
+        ["wvs", RUNNING_PATH, "--threshold-abstr", "5"],
+        ["oracle", RUNNING_PATH, "--heuristic", "min-degree"],
+        ["gen", "classic", "--timings"],
     ) + tuple(
         # rejected before any solver starts, though these thresholds
         # send every subproblem to the backend
@@ -239,6 +249,10 @@ def test_exit_input_error_on_bad_atoms_and_harness_files(tmp_path, capsys):
     )
     no_students = tmp_path / "classic.json"
     no_students.write_text(json.dumps({"instances": [{"family": "classic", "n": 0}]}))
+    no_variables = tmp_path / "cnf.json"
+    no_variables.write_text(
+        json.dumps({"instances": [{"family": "random3cnf", "num_vars": 0, "clauses": 2}]})
+    )
     # so are wrong-typed fields: a string, a float, a bool where an int goes
     wrong_types = []
     for i, entry in enumerate((
@@ -254,10 +268,10 @@ def test_exit_input_error_on_bad_atoms_and_harness_files(tmp_path, capsys):
         wrong_types[-1].write_text(json.dumps({"instances": [], "oracle": oracle}))
     for spec in (
         tmp_path / "missing.json", malformed, unknown_key, missing_path,
-        too_many_epistemic, no_students, *wrong_types,
+        too_many_epistemic, no_students, no_variables, *wrong_types,
     ):
         assert main(["harness", str(spec)]) == 3
-    assert capsys.readouterr().err.count("input error:") == 13
+    assert capsys.readouterr().err.count("input error:") == 14
 
 
 def test_exit_cap_exceeded(tmp_path):

@@ -20,11 +20,9 @@ from wvcount.decomp import build_td, make_nice
 from wvcount.dp import (
     RunStats,
     Thresholds,
-    _checks_by_atom,
     _Ctx,
     _base_case,
     _make_ctx,
-    _node_checks,
     _rows_ok,
     _table_pass,
     acceptance_probability,
@@ -54,6 +52,7 @@ from wvcount.semantics import (
     count_world_views_bruteforce,
     dense_renaming,
     enumerate_world_views,
+    epistemic_masks,
     probability_bruteforce,
     query_agrees,
     rules_key,
@@ -138,8 +137,9 @@ def test_plausible_root_single_row(running):
 
 def per_row_plausible_tables(program, nice):
     """``plausible_tables`` keyed on ``(true_mask, false_mask)`` tuples,
-    with every candidate row checked on its own."""
-    checks_by_atom = _checks_by_atom(program, program.eats_mask)
+    with every candidate row checked on its own against the
+    purely-epistemic rules that hold the introduced atom and lie inside
+    the bag."""
     tables = {}
     for t in nice.postorder():
         kind, kids = nice.kind[t], nice.children[t]
@@ -148,7 +148,12 @@ def per_row_plausible_tables(program, nice):
         elif kind == "intr":
             atom = nice.action[t]
             bit = 1 << atom
-            checks = _node_checks(checks_by_atom, atom, mask_of(nice.bags[t]))
+            bag_mask = mask_of(nice.bags[t])
+            checks = [
+                epistemic_masks(r)
+                for r in program.rules
+                if r.purely_epistemic and r.eats_mask & bit and r.eats_mask & ~bag_mask == 0
+            ]
             tables[t] = {
                 (nt, nf): c
                 for (tm, fm), c in tables[kids[0]].items()
