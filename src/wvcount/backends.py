@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import semantics
 from .errors import BackendError, BackendTimeout
-from .model import EMPTY_WVI, Program, WVI
+from .model import EMPTY_WVI, Program, WVI, bits
 from .parser import program_to_text
 from .semantics import (
     ANSWER_CAP,
@@ -43,7 +43,7 @@ class InternalBackend:
     The backend keeps two memos for its whole life.  The answer-set memo
     enumerates a plain component once, whichever atoms it is over.  The
     world-view memo keeps the world views of each program ``count_wv``
-    has seen, keyed by its rules over ``dense_renaming`` masks
+    has seen, keyed by its rules over the dense local numbers of its atoms
     (``semantics.rules_key``), as their true and false local masks; each
     call filters that list by its own assumption.  A program the counting
     router built carries its key (``Program.key``); only other programs
@@ -79,8 +79,8 @@ class InternalBackend:
         if wvi.domain & ~ats & ~wvi.false:
             return 0  # an unmentioned atom assumed true or undecided
         if program.key is None:  # a program the counting router did not build
-            local = dense_renaming(ats)[1]
-            key = rules_key(program.rules, local)
+            _mask, index, local = dense_renaming(list(bits(ats)))
+            key = rules_key(program.rules, index)
         else:
             local, key = program.key
         wvs = self._wv_memo.get(key)

@@ -26,12 +26,16 @@ Both drivers take one route, the router ``_nested_count``.  At every
 depth it splits its subproblem into connected components, counts each
 apart (``_route``) and multiplies.  Every component, one or many, goes
 through one memo (``_count_part``), so components equal up to renaming
-are counted once per driver call.  A query is resolved at the depth-0
-split only: each component it touches is counted again with the query's
-constraints adjoined, so ``acceptance_probability`` gets its two counts
-from one run of the router.  The router never turns the assumption into
-rules: an introduce node offers an assumed atom only its assumed value,
-and nested calls and the base solver enforce the rest.
+are counted once per driver call.  The split and the memo keys read
+each rule's atom ids (``rule_atoms``), not its masks: a component is a
+sorted atom list, and its key is its rules over the list's dense local
+numbers, so neither costs more at high atom ids.  A query is resolved
+at the depth-0 split only: each component it touches is counted again
+with the query's constraints adjoined, so ``acceptance_probability``
+gets its two counts from one run of the router.  The router never
+turns the assumption into rules: an introduce node offers an assumed
+atom only its assumed value, and nested calls and the base solver
+enforce the rest.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .semantics import (
     dense_renaming,
     epistemic_masks,
     epistemic_reduct,  # unused here; perfbench's tracer wraps dp.epistemic_reduct
+    rule_atoms,
     rules_key,
     survivors,
     with_query_constraints,
@@ -295,7 +300,7 @@ def plausible_tables(program: Program, nice: NiceTD):
 def count_plausible(program: Program, heuristic: str = "min-fill", seed: int = 0) -> int:
     """Number of plausible WVIs, by dynamic programming over a tree
     decomposition of the epistemic primal graph."""
-    if any(r.ats_mask == 0 for r in program.rules):
+    if any(not (r.head or r.body) for r in program.rules):
         return 0  # a bare falsity constraint admits nothing
     if program.is_plain:
         return 1
@@ -460,22 +465,23 @@ class _Subproblem:
     def parts(self):
         if self._parts is None:
             rules = self.program.rules
-            masks = [r.ats_mask for r in rules]
-            self._parts = [_Part(mask, part) for mask, part in _components(rules, masks)]
+            atoms = [rule_atoms(r) for r in rules]
+            self._parts = [_Part(ids, part) for ids, part in _components(rules, atoms)]
         return self._parts
 
 
 class _Part:
-    """A connected component: its atom mask, its rules, its ``key`` (the
-    ``dense_renaming`` map of its atoms and its ``rules_key``) and, built
-    on its first memo miss, its ``Program``, which carries the key to the
-    base solver."""
+    """A connected component: its sorted atom list, its atom mask, its
+    rules, its ``key`` (the ``dense_renaming`` map of its atoms and its
+    ``rules_key``) and, built on its first memo miss, its ``Program``,
+    which carries the key to the base solver.  The mask and the key come
+    from the atom list, so neither walks a mask over the program's atoms."""
 
-    __slots__ = ("mask", "rules", "key", "program")
+    __slots__ = ("atoms", "mask", "rules", "key", "program")
 
-    def __init__(self, mask, rules):
-        local = dense_renaming(mask)[1]
-        self.mask, self.rules, self.key = mask, rules, (local, rules_key(rules, local))
+    def __init__(self, atoms, rules):
+        self.mask, index, local = dense_renaming(atoms)
+        self.atoms, self.rules, self.key = atoms, rules, (local, rules_key(rules, index))
         self.program = None
 
 
@@ -492,7 +498,7 @@ def _nested_count(depth, program, assumption, ctx, query=None, subproblem=None):
     ``_Subproblem`` of ``program`` and keeps its split for the next call.
     """
     ctx.stats.max_depth = max(ctx.stats.max_depth, depth)
-    if depth == 0 and any(r.ats_mask == 0 for r in program.rules):
+    if depth == 0 and any(not (r.head or r.body) for r in program.rules):
         return 0, 0  # a bare falsity constraint; reducts leave none (``CompatAssignment``)
     ats = program.ats_mask
     # Assumed atoms no rule mentions anymore are underivable: a truth or
@@ -526,7 +532,9 @@ def _nested_count(depth, program, assumption, ctx, query=None, subproblem=None):
             return 0, 0
         q = c
         if query is not None and query.domain & part.mask:
-            q_part = _Part(part.mask, with_query_constraints(
+            # The query's constraints fall on atoms of the part, so the
+            # recount keeps the part's atom list.
+            q_part = _Part(part.atoms, with_query_constraints(
                 program.with_rules(part.rules), query.restrict(part.mask)
             ).rules)
             q = _count_part(depth, program.atoms, q_part, sub_assumption, ctx)[0]

@@ -175,14 +175,16 @@ def _primal_components(program: Program, a_mask: int):
     """
     a_mask &= program.eats_mask
     anchored = [r for r in program.rules if anchor(r, a_mask)]
+    anchors = [tuple(bits(anchor(r, a_mask))) for r in anchored]
     comps = []
     held = 0
-    for mask, rules in _components(anchored, [anchor(r, a_mask) for r in anchored]):
+    for atoms, rules in _components(anchored, anchors):
+        mask = mask_of(atoms)
         held |= mask
         nbrs = mask
         for r in rules:
             nbrs |= r.eats_mask
-        comps.append((tuple(bits(mask)), tuple(bits(nbrs & a_mask)), rules))
+        comps.append((tuple(atoms), tuple(bits(nbrs & a_mask)), rules))
     comps += [((a,), (a,), []) for a in bits(a_mask & ~held)]
     comps.sort()
     return comps

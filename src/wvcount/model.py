@@ -1,8 +1,13 @@
 """Core data model for ground epistemic logic programs.
 
 Atoms are interned into dense integer ids, and atom sets are bitmasks over
-those ids.  Masks keep reducts, compatibility checks and the dynamic
-programming tables cheap even for instances with a few thousand atoms.
+those ids.  A mask is as long as its highest atom id, so an operation on
+it costs in proportion to the program's atoms, not the set's: with a few
+thousand atoms, a one-atom mask is a few hundred digits.  Reducts,
+compatibility checks and the dynamic programming tables use masks on one
+component at a time.  The split into components and the component keys,
+which read every rule of the program, use atom ids instead
+(``semantics._components`` and ``semantics.rules_key``).
 All model values are immutable after construction and safe to share.
 """
 

@@ -201,7 +201,7 @@ def parse_query(text: str, table: AtomTable):
     """
     from .model import WVI
 
-    literals = []
+    signs: dict[int, bool] = {}  # atom -> the sign it was listed with
     if text.strip():
         for part in text.split(","):
             part = part.strip()
@@ -213,7 +213,7 @@ def parse_query(text: str, table: AtomTable):
                 raise ParseError("bad query literal %r" % part)
             if part not in table:
                 raise ParseError("query atom %r does not occur in the program" % part)
-            literals.append(Literal(table.id(part), positive))
-            if literals[-1].negate() in literals:
+            atom = table.id(part)
+            if signs.setdefault(atom, positive) != positive:
                 raise ParseError("query names both %s and -%s" % (part, part))
-    return WVI.from_literals(literals)
+    return WVI.from_literals(Literal(atom, positive) for atom, positive in signs.items())

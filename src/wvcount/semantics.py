@@ -45,73 +45,101 @@ def gl_reduct(program: Program, interpretation: int) -> Program:
     return program.with_rules(rules)
 
 
-def dense_renaming(atom_mask: int):
-    """Dense local atom numbers for the atoms of ``atom_mask``: its i-th
-    lowest atom becomes atom i.  Returns the atom list and the function
-    that maps a mask over those atoms to its local mask.  Two programs
-    that differ by an order-preserving renaming of their atoms compile to
-    equal local masks."""
-    atom_list = list(bits(atom_mask))
-    low = atom_mask & -atom_mask
-    if low and atom_mask & (atom_mask + low) == 0:  # one run of consecutive ids
-        shift = low.bit_length() - 1
-        return atom_list, lambda mask: mask >> shift
-    remap = {atom: i for i, atom in enumerate(atom_list)}
+def rule_atoms(rule: Rule) -> tuple[int, ...]:
+    """The atom ids of ``rule``: its head, then the atom of each body
+    element.  An atom may repeat; the rule has none iff it is a bare
+    falsity constraint."""
+    return rule.head + tuple([el.literal.atom for el in rule.body])
+
+
+def dense_renaming(atoms):
+    """Dense local atom numbers for ``atoms``, a sorted list of atom ids:
+    its i-th atom becomes atom i.  Returns the atoms' mask, the map from
+    each atom to its local number, and the function that maps a mask over
+    those atoms to its local mask.  A run of consecutive ids is the
+    common case and costs one shift per mask.  Two programs that differ
+    by an order-preserving renaming of their atoms compile to equal local
+    masks."""
+    index = {atom: i for i, atom in enumerate(atoms)}
+    if atoms and atoms[-1] - atoms[0] == len(atoms) - 1:  # one run of consecutive ids
+        lo = atoms[0]
+        return ((1 << len(atoms)) - 1) << lo, index, lambda mask: mask >> lo
 
     def local(mask):
         out = 0
         for a in bits(mask):
-            out |= 1 << remap[a]
+            out |= 1 << index[a]
         return out
 
-    return atom_list, local
+    return mask_of(atoms), index, local
 
 
-def rules_key(rules, local) -> tuple:
-    """``rules`` as their masks under ``local``, a ``dense_renaming`` map:
-    head, positive and negative body, and the four ``epistemic_masks``.
-    Rule lists that differ by an order-preserving renaming of their atoms
-    get equal keys."""
-    return tuple(
-        tuple(map(local, (r.head_mask, r.pos_mask, r.neg_mask) + epistemic_masks(r)))
-        for r in rules
-    )
+def rules_key(rules, index) -> tuple:
+    """``rules`` as their local masks under ``index``, a ``dense_renaming``
+    atom map: head, positive and negative body, and the four
+    ``epistemic_masks``, built in one walk over each rule's head and body.
+    The masks stay as small as the atom list, however high its ids.  Rule
+    lists that differ by an order-preserving renaming of their atoms get
+    equal keys."""
+    key = []
+    for r in rules:
+        head = 0
+        for a in r.head:
+            head |= 1 << index[a]
+        pos = neg = kill_t = kill_f = need_t = need_f = 0
+        for el in r.body:
+            lit = el.literal
+            bit = 1 << index[lit.atom]
+            if isinstance(el, Objective):
+                if lit.positive:
+                    pos |= bit
+                else:
+                    neg |= bit
+            elif el.negated:  # as in ``epistemic_masks``
+                if lit.positive:
+                    need_t |= bit
+                else:
+                    need_f |= bit
+            elif lit.positive:
+                kill_t |= bit
+            else:
+                kill_f |= bit
+        key.append((head, pos, neg, kill_t, kill_f, need_t, need_f))
+    return tuple(key)
 
 
-def _answer_sets_whole(atom_mask: int, rules, memo=None) -> list[int]:
-    """The answer sets of plain ``rules`` over the atoms of ``atom_mask``,
-    by a single enumeration, without component splitting.
+def _answer_sets_whole(atoms, rules, memo=None) -> list[int]:
+    """The answer sets of plain ``rules`` over ``atoms``, a sorted list of
+    atom ids, by a single enumeration, without component splitting.
 
-    ``memo`` maps compiled rules (their ``dense_renaming`` masks) to their
-    local answer sets.  Rule lists that differ only in their atom names
-    share an entry, and each hit maps the cached sets back to its own
-    atoms.
+    ``memo`` maps compiled rules (their ``rules_key``) to their local
+    answer sets.  Rule lists that differ only in their atom names share an
+    entry, and each hit maps the cached sets back to its own atoms.
     """
-    atom_list, local = dense_renaming(atom_mask)
-    heads = [local(r.head_mask) for r in rules]
-    bpos = [local(r.pos_mask) for r in rules]
-    bneg = [local(r.neg_mask) for r in rules]
+    key = rules_key(rules, dense_renaming(atoms)[1])
     memo = {} if memo is None else memo
-    key = (tuple(heads), tuple(bpos), tuple(bneg))
     local_sets = memo.get(key)
     if local_sets is None:
-        local_sets = memo[key] = kernel.answer_sets_masks(heads, bpos, bneg, len(atom_list))
-    return sorted(mask_of(atom_list[i] for i in bits(m)) for m in local_sets)
+        heads, bpos, bneg = ([k[i] for k in key] for i in range(3))
+        local_sets = memo[key] = kernel.answer_sets_masks(heads, bpos, bneg, len(atoms))
+    return sorted(mask_of(atoms[i] for i in bits(m)) for m in local_sets)
 
 
-def _components(rules, masks):
-    """Partition ``rules`` by connectivity of their ``masks``, one nonzero
-    atom mask per rule; returns (atom_mask, rules) pairs in the order of
-    their lowest atoms, each atom_mask the union of its rules' masks.
+def _components(rules, atoms):
+    """Partition ``rules`` by connectivity of their ``atoms``, one nonempty
+    sequence of atom ids per rule (``rule_atoms``, or a part of it);
+    returns (atom list, rules) pairs in the order of their lowest atoms,
+    each atom list the sorted union of its rules' atoms.  No mask is
+    built, so the split costs no more at high atom ids.
 
     A union-find over atoms with path halving: each rule joins its atoms
     to the root of its first one.  The finds are written inline because
     the counting router runs this on every subproblem.
     """
     parent: dict[int, int] = {}
-    for m in masks:
+    for ids in atoms:
         root = -1
-        for a in bits(m):
+        for a in ids:
             while parent.setdefault(a, a) != a:
                 parent[a] = parent[parent[a]]
                 a = parent[a]
@@ -119,16 +147,21 @@ def _components(rules, masks):
                 root = a
             elif a != root:
                 parent[a] = root
-    groups: dict[int, list] = {}
-    for r, m in zip(rules, masks):
-        a = (m & -m).bit_length() - 1
+    # Atoms in ascending order, so each group's atom list comes out sorted
+    # and the groups appear in the order of their lowest atoms.
+    groups: dict[int, tuple] = {}
+    for atom in sorted(parent):
+        a = atom
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
-        group = groups.setdefault(a, [0, []])
-        group[0] |= m
-        group[1].append(r)
-    return sorted(groups.values(), key=lambda g: g[0] & -g[0])
+        groups.setdefault(a, ([], []))[0].append(atom)
+    for r, ids in zip(rules, atoms):
+        a = ids[0]
+        while parent[a] != a:
+            a = parent[a]
+        groups[a][1].append(r)
+    return list(groups.values())
 
 
 def answer_sets(program: Program, cap: int = ANSWER_CAP, memo=None) -> list[int]:
@@ -147,11 +180,12 @@ def answer_sets(program: Program, cap: int = ANSWER_CAP, memo=None) -> list[int]
         raise BruteForceCapExceeded(
             "answer-set enumeration over %d atoms exceeds cap %d" % (n, cap)
         )
-    if any(r.ats_mask == 0 for r in program.rules):
+    if any(not (r.head or r.body) for r in program.rules):
         return []
     result = [0]
-    for mask, rules in _components(program.rules, [r.ats_mask for r in program.rules]):
-        part = _answer_sets_whole(mask, rules, memo)
+    rules = program.rules
+    for atoms, part_rules in _components(rules, [rule_atoms(r) for r in rules]):
+        part = _answer_sets_whole(atoms, part_rules, memo)
         if not part:
             return []
         result = [base | extra for base in result for extra in part]

@@ -46,16 +46,16 @@ from wvcount.model import (
 )
 from wvcount.parser import parse_program
 from wvcount.semantics import (
+    _components,
     answer_sets,
     check_compatibility,
     cnf_to_elp,
     count_world_views_bruteforce,
-    dense_renaming,
     enumerate_world_views,
     epistemic_masks,
     probability_bruteforce,
     query_agrees,
-    rules_key,
+    rule_atoms,
 )
 
 THRESHOLD_GRID = (
@@ -600,7 +600,7 @@ def test_classic_count_enumerates_once_per_plain_base_case(monkeypatch):
     def spy_base_case(program, *args):
         if program.is_plain:
             calls["plain_cases"] += 1
-            plain_programs.add(rules_key(program.rules, dense_renaming(program.ats_mask)[1]))
+            plain_programs.add(reference_rules_key(program.rules, program.ats_mask))
         return base_case(program, *args)
 
     monkeypatch.setattr(semantics_mod, "answer_sets", spy_answer_sets)
@@ -1103,15 +1103,13 @@ def test_disjoint_union_queries_and_assumptions(running):
 def test_probability_with_assumption_and_query_on_one_objective_atom():
     # The query's constraint makes the objective atom epistemic, so on the
     # query side the assumption falls on an epistemic atom.
-    from wvcount.semantics import _components
-
     rng = random.Random(23)
     seen = {True: 0, False: 0}  # nonzero counts, by "the query's component is the program"
     for g in range(24):
         prog = gen_random_elp(7, 3, 9, g)
         objective = sorted(bits(prog.aats_mask & ~prog.eats_mask))
         for target in (prog, with_renamed_copy(prog)):
-            whole = len(_components(target.rules, [r.ats_mask for r in target.rules])) == 1
+            whole = len(_components(target.rules, [rule_atoms(r) for r in target.rules])) == 1
             views = enumerate_world_views(target)
             for _ in range(3):
                 x = rng.choice(objective)
@@ -1168,10 +1166,10 @@ def test_one_driver_call_never_routes_a_component_twice(monkeypatch, running):
     keys = []
 
     def spy_route(depth, program, assumption, ctx, figures):
-        local = dense_renaming(program.ats_mask)[1]
-        keys.append(
-            dp_mod._component_key(depth, local, rules_key(program.rules, local), assumption)
-        )
+        local = reference_local(program.ats_mask)
+        keys.append(dp_mod._component_key(
+            depth, local, reference_rules_key(program.rules, program.ats_mask), assumption
+        ))
         return route(depth, program, assumption, ctx, figures)
 
     monkeypatch.setattr(dp_mod, "_route", spy_route)
@@ -1222,6 +1220,147 @@ def test_component_memo_lives_for_one_call():
     first = _make_ctx(None, None, "min-fill", 0, None)
     second = _make_ctx(None, None, "min-fill", 0, None)
     assert first.memo == {} and first.memo is not second.memo
+
+
+# ---------------------------------------------------------------------------
+# component split and keys against mask-based references
+
+
+def reference_local(atom_mask):
+    """The mask-based local map: the i-th lowest atom of ``atom_mask``
+    becomes atom i."""
+    low = atom_mask & -atom_mask
+    if low and atom_mask & (atom_mask + low) == 0:
+        shift = low.bit_length() - 1
+        return lambda mask: mask >> shift
+    remap = {atom: i for i, atom in enumerate(bits(atom_mask))}
+    return lambda mask: mask_of(remap[a] for a in bits(mask))
+
+
+def reference_rules_key(rules, atom_mask):
+    """The mask-based rules key: each rule's head, positive and negative
+    body and ``epistemic_masks`` under ``reference_local``."""
+    local = reference_local(atom_mask)
+    return tuple(
+        tuple(map(local, (r.head_mask, r.pos_mask, r.neg_mask) + epistemic_masks(r)))
+        for r in rules
+    )
+
+
+def components_by_walk(rules):
+    """``rules`` grouped by shared atoms, merging groups rule by rule;
+    (atom list, rules) pairs in the order of their lowest atoms."""
+    groups = []  # (atom mask, rule indices)
+    for i, r in enumerate(rules):
+        mask, members = r.ats_mask, [i]
+        for group in [g for g in groups if g[0] & mask]:
+            groups.remove(group)
+            mask |= group[0]
+            members += group[1]
+        groups.append((mask, members))
+    groups.sort(key=lambda g: g[0] & -g[0])
+    return [(list(bits(mask)), [rules[i] for i in sorted(members)]) for mask, members in groups]
+
+
+def shifted(program, offset):
+    """``program`` with every atom id raised by ``offset``."""
+    n = len(program.atoms)
+    names = ["pad%d" % i for i in range(offset)] + program.atoms.names
+    return Program(AtomTable(names), renamed_rules(program.rules, range(offset, offset + n)))
+
+
+def key_programs():
+    """Programs whose components lie at atom ids past 6,000, in runs of
+    consecutive ids and with gaps, and one at low ids."""
+    programs = [gen_scholarship(20, "many", 3), shifted(spread_atoms(hub_program(1)), 6000)]
+    for seed in range(6):
+        programs.append(shifted(spread_atoms(gen_random_elp(8, 4, 10, seed)), 6000))
+        copy = with_renamed_copy(gen_random_elp(7, 3, 9, seed), random.Random(seed))
+        programs.append(shifted(copy, 6100 + seed))
+    return programs
+
+
+def test_components_match_a_walk():
+    split = 0
+    for prog in key_programs():
+        rules = [r for r in prog.rules if r.head or r.body]
+        comps = _components(rules, [rule_atoms(r) for r in rules])
+        assert comps == components_by_walk(rules)
+        split += len(comps) > 1
+    assert split >= 6
+
+
+def test_router_keys_match_the_mask_reference(monkeypatch):
+    # Every component the router builds, the query recounts and the
+    # reducts' components included, gets the atom list, mask, key and
+    # local map the mask-based references give it.
+    import wvcount.dp as dp_mod
+    from wvcount.semantics import with_query_constraints
+
+    seen = {"parts": 0, "high": 0, "gaps": 0, "query": 0, "nested": 0}
+    recount_rules = set()
+
+    class CheckedPart(dp_mod._Part):
+        __slots__ = ()
+
+        def __init__(self, atoms, rules):
+            super().__init__(atoms, rules)
+            mask = 0
+            for r in rules:
+                mask |= r.ats_mask
+            assert self.atoms == list(bits(mask)) and self.mask == mask
+            local, key = self.key
+            assert key == reference_rules_key(rules, mask)
+            reference = reference_local(mask)
+            for sub in (0, mask, mask_of(self.atoms[::2]), mask_of(self.atoms[1::3])):
+                assert local(sub) == reference(sub)
+            seen["parts"] += 1
+            seen["high"] += atoms[0] > 6000
+            seen["gaps"] += atoms[-1] - atoms[0] != len(atoms) - 1
+            seen["query"] += rules[-1] in recount_rules
+
+    monkeypatch.setattr(dp_mod, "_Part", CheckedPart)
+    rng = random.Random(41)
+    for prog in key_programs():
+        atoms = sorted(bits(prog.ats_mask))
+        query = WVI.from_literals(Literal(a, rng.random() < 0.5) for a in rng.sample(atoms, 2))
+        recount_rules.clear()
+        recount_rules.update(with_query_constraints(Program(prog.atoms, ()), query).rules)
+        recount_rules.difference_update(prog.rules)
+        for thr in (None,) + THRESHOLD_GRID:
+            stats = RunStats()
+            count_world_views(prog, thresholds=thr, stats=stats)
+            seen["nested"] += stats.nested_calls
+            try:
+                acceptance_probability(prog, query, thresholds=thr)
+            except NoWorldViews:
+                pass
+    assert seen["parts"] > 500 and seen["nested"] > 500
+    assert seen["high"] > 200 and seen["gaps"] > 50 and seen["query"] > 20
+
+
+def test_backend_keys_plain_components_as_the_reference():
+    # A program the router did not build is keyed by the backend; a plain
+    # one's answer sets are memoized under the same key.  The components
+    # of each program's plain rules add plain ones.
+    plain = gapped = 0
+    for prog in key_programs():
+        rules = [r for r in prog.rules if r.head or r.body]
+        plain_rules = [r for r in rules if not r.eats_mask]
+        for atoms, rules in components_by_walk(rules) + components_by_walk(plain_rules):
+            part = Program(prog.atoms, rules)
+            backend = InternalBackend()
+            try:
+                backend.count_wv(part)
+            except BruteForceCapExceeded:
+                continue
+            key = reference_rules_key(rules, part.ats_mask)
+            assert part.key is None and list(backend._wv_memo) == [key]
+            if part.is_plain:
+                assert list(backend._memo) == [key]
+                plain += 1
+                gapped += atoms[-1] - atoms[0] != len(atoms) - 1
+    assert plain > 50 and gapped > 20
 
 
 def test_reduct_split_is_built_only_past_the_early_exits(monkeypatch):

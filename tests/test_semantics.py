@@ -192,7 +192,7 @@ def _random_plain(seed, atoms=6, rules=7):
 def test_answer_sets_component_split_matches_whole_enumeration():
     for seed in range(40):
         prog = _random_plain(seed)
-        assert answer_sets(prog) == _answer_sets_whole(prog.ats_mask, prog.rules)
+        assert answer_sets(prog) == _answer_sets_whole(list(bits(prog.ats_mask)), prog.rules)
 
 
 def test_answer_sets_are_minimal_models():
