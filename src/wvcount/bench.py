@@ -104,6 +104,9 @@ def gen_random_elp(atoms: int, epistemic_atoms: int, rules: int, seed: int) -> P
     ``x :- x.`` (semantically inert) is added where a random draw left an
     epistemic atom without an objective occurrence.
     """
+    for name, value in (("atoms", atoms), ("epistemic_atoms", epistemic_atoms), ("rules", rules)):
+        if value < 0:
+            raise ValueError("%s must not be negative" % name)
     if epistemic_atoms > atoms:
         raise ValueError("epistemic_atoms must not exceed atoms")
     rng = random.Random(seed)
@@ -140,6 +143,8 @@ def gen_random_3cnf(num_vars: int, num_clauses: int, seed: int):
     """Random 3-CNF as DIMACS-style clause list."""
     if num_vars < 1:
         raise ValueError("need at least one variable")
+    if num_clauses < 0:
+        raise ValueError("num_clauses must not be negative")
     rng = random.Random(seed)
     clauses = []
     for _ in range(num_clauses):

@@ -13,14 +13,15 @@ nodes match rows and multiply.  Their introduce nodes share one step
 purely-epistemic rules, once per pattern of the rows on the bits those
 rules read (``_RowOptions``).  The nested algorithm filters its rows,
 verifying the rules delegated to the node by a recursive call on their
-epistemic reduct, compiled once per node.  Rows
-with the same surviving rules share one reduct program
-(``_Subproblem``), and its component split is built on the first nested
-call that gets past the router's early exits.  Recursion bottoms out in
-one base-solver call per subproblem (``_base_case``), steered by width
-and depth thresholds that change routing but never results.  The
-abstraction search scores candidates with ``decomp.fill_count``, which
-counts by set intersections.
+epistemic reduct, compiled once per node (``compile_reduct``): a row's
+surviving rules are one mask, built from one dead-rule mask per bag
+atom.  Rows with the same surviving rules share one reduct program
+(``_Subproblem``), built on the first such row, and its component split
+is built on the first nested call that gets past the router's early
+exits.  Recursion bottoms out in one base-solver call per subproblem
+(``_base_case``), steered by width and depth thresholds that change
+routing but never results.  The abstraction search scores candidates
+with ``decomp.fill_count``, which counts by set intersections.
 
 Both drivers take one route, the router ``_nested_count``.  At every
 depth it splits its subproblem into connected components, counts each
@@ -61,6 +62,7 @@ from .semantics import (
     dense_renaming,
     epistemic_masks,
     epistemic_reduct,  # unused here; perfbench's tracer wraps dp.epistemic_reduct
+    reduct_rules,
     rule_atoms,
     rules_key,
     survivors,
@@ -372,7 +374,7 @@ class _NodeData:
     options: _RowOptions
     nested: tuple  # compile_reduct of the rules verified by recursion here
     owned_mask: int  # the node's nested bag atoms (owned components)
-    # The survivors alive mask of a row -> the _Subproblem of its reduct.
+    # A row's survivors mask -> the _Subproblem of its reduct.
     reducts: dict = field(default_factory=dict)
 
 
@@ -420,12 +422,13 @@ def _intr_table(depth, program, nd, child, assumption, ctx):
     # in the nested world views, undecided ones genuinely open.
     owned = nd.owned_mask
     sub_domain = (assumption.domain | nd.bag_mask) & owned
-    if not nd.nested and not sub_domain:
-        return rows  # no row makes a nested call
+    nested = nd.nested
+    if not nested[0] and not sub_domain:
+        return rows  # no delegated rule and no owned atom: no row makes a nested call
     table = {}
     for row, c in rows.items():
         nt, nf = _split_row(row, shift)
-        alive, residues = survivors(nd.nested, nt, nf) if nd.nested else (0, ())
+        alive = survivors(nested, nt, nf)
         mult = 1
         # An empty reduct still checks the assumption: an assumed-true
         # atom that no residue derives must fail there.
@@ -434,7 +437,9 @@ def _intr_table(depth, program, nd, child, assumption, ctx):
             sub = WVI(sub_domain, (assumption.true | nt) & owned, (assumption.false | nf) & owned)
             reduct = nd.reducts.get(alive)
             if reduct is None:
-                reduct = nd.reducts[alive] = _Subproblem(Program(program.atoms, residues))
+                reduct = nd.reducts[alive] = _Subproblem(
+                    Program(program.atoms, reduct_rules(nested, alive))
+                )
             mult = _nested_count(depth + 1, reduct.program, sub, ctx, subproblem=reduct)[0]
         if mult:
             table[row] = c * mult

@@ -3,11 +3,19 @@
 The enumerative functions here are deliberately simple.  They serve as the
 base-case solver of the nested dynamic programming engine and as ground
 truth in tests, guarded by explicit size caps.
+
+Epistemic reducts are compiled once per rule list and domain
+(``compile_reduct``) and read by atom: each domain atom names the rules
+it kills when true, false or undecided, so a WVI's surviving rules are
+one mask, every rule less the OR of one dead-rule mask per domain atom
+(``survivors``).  Callers cache by that mask and build the reduct's
+rule list (``reduct_rules``) only on a miss.  ``enumerate_world_views``
+walks its guesses depth-first and ORs in each atom's mask on the way
+down.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from . import kernel
@@ -202,38 +210,70 @@ def epistemic_reduct(program: Program, wvi: WVI) -> Program:
     over atoms outside the domain are kept verbatim.
     """
     compiled = compile_reduct(program.rules, wvi.domain)
-    return program.with_rules(survivors(compiled, wvi.true, wvi.false)[1])
+    alive = survivors(compiled, wvi.true, wvi.false)
+    return program.with_rules(reduct_rules(compiled, alive))
 
 
 def compile_reduct(rules, domain: int) -> tuple:
-    """Compile ``rules`` for epistemic reducts under WVIs over ``domain``:
-    each rule becomes its ``epistemic_masks`` restricted to ``domain`` and
-    its residue, the rule without its epistemic elements over ``domain``.
-    A rule with no epistemic atom in ``domain`` is its own residue.
+    """Compile ``rules`` for epistemic reducts under WVIs over ``domain``,
+    transposed to one entry per atom: ``(residues, all, dead)``.
+
+    ``residues`` holds each rule without its epistemic elements over
+    ``domain`` (a rule with none is its own residue), and ``all`` has bit
+    i set for each rule i.  ``dead`` lists, in ascending atom order, one
+    ``(bit, when_true, when_false, when_undecided)`` for each domain atom
+    some rule reads epistemically: the rules an element over that atom
+    falsifies when the atom is true (``kill_t | need_f`` of
+    ``epistemic_masks``), false (``kill_f | need_t``) or undecided
+    (``need_t | need_f``).
     """
-    compiled = []
-    for r in rules:
-        residue = r
-        if r.eats_mask & domain:
-            residue = Rule(r.head, tuple(
-                el for el in r.body
-                if isinstance(el, Objective) or not (domain >> el.literal.atom) & 1
-            ))
-        compiled.append(tuple(m & domain for m in epistemic_masks(r)) + (residue,))
-    return tuple(compiled)
-
-
-def survivors(compiled, t: int, f: int) -> tuple[int, list[Rule]]:
-    """The reduct of ``compile_reduct`` output under the WVI with true atoms
-    ``t`` and false atoms ``f``: ``(alive, residues)``, where bit i of
-    ``alive`` is set iff rule i survives, and their residues in rule order."""
-    alive = 0
     residues = []
-    for i, (kill_t, kill_f, need_t, need_f, residue) in enumerate(compiled):
-        if not (t & kill_t or f & kill_f or need_t & ~t or need_f & ~f):
-            alive |= 1 << i
-            residues.append(residue)
-    return alive, residues
+    dead: dict[int, list[int]] = {}
+    for i, r in enumerate(rules):
+        if not r.eats_mask & domain:
+            residues.append(r)
+            continue
+        residues.append(Rule(r.head, tuple(
+            el for el in r.body
+            if isinstance(el, Objective) or not (domain >> el.literal.atom) & 1
+        )))
+        kill_t, kill_f, need_t, need_f = epistemic_masks(r)
+        rule_bit = 1 << i
+        for a in bits(r.eats_mask & domain):
+            masks = dead.setdefault(a, [0, 0, 0])
+            bit = 1 << a
+            if (kill_t | need_f) & bit:
+                masks[0] |= rule_bit
+            if (kill_f | need_t) & bit:
+                masks[1] |= rule_bit
+            if (need_t | need_f) & bit:
+                masks[2] |= rule_bit
+    return (
+        tuple(residues),
+        (1 << len(residues)) - 1,
+        tuple((1 << a, *dead[a]) for a in sorted(dead)),
+    )
+
+
+def survivors(compiled, t: int, f: int) -> int:
+    """The rules of ``compile_reduct`` output that survive the reduct under
+    the WVI with true atoms ``t`` and false atoms ``f``, disjoint: bit i is
+    set iff rule i survives.  A rule dies iff one of its epistemic
+    elements over the domain is false, so the dead rules are the OR of one
+    mask per domain atom, chosen by the atom's value; bits of ``t`` and
+    ``f`` outside the domain are not read."""
+    _residues, alive, dead_by_atom = compiled
+    dead = 0
+    for bit, when_true, when_false, when_undecided in dead_by_atom:
+        dead |= when_true if t & bit else when_false if f & bit else when_undecided
+    return alive & ~dead
+
+
+def reduct_rules(compiled, alive: int) -> list[Rule]:
+    """The residues of the rules in ``alive``, a ``survivors`` mask over
+    ``compile_reduct`` output, in rule order."""
+    residues = compiled[0]
+    return [residues[i] for i in bits(alive)]
 
 
 def with_wvi_constraints(program: Program, wvi: WVI) -> Program:
@@ -336,42 +376,54 @@ def enumerate_world_views(
     via the answer sets of its epistemic reduct.
 
     The reduct is compiled once (``compile_reduct``) over every epistemic
-    atom, so each guess's reduct is a plain program of surviving residues
-    (``survivors``), and answer sets are cached per survivor set.
+    atom.  Guesses are walked depth-first, one atom at a time in ascending
+    order, each atom undecided, then true, then false (the order of
+    ``itertools.product``), and each step ORs the atom's dead rules into
+    the guess's.  Answer sets are cached per survivor set, and a guess's
+    reduct program is built only on a cache miss.
     """
-    eats_list = sorted(bits(program.eats_mask))
-    if len(eats_list) > eats_cap:
+    eats = program.eats_mask
+    eats_count = eats.bit_count()
+    if eats_count > eats_cap:
         raise BruteForceCapExceeded(
             "world-view enumeration over %d epistemic atoms exceeds cap %d"
-            % (len(eats_list), eats_cap)
+            % (eats_count, eats_cap)
         )
-    compiled = compile_reduct(program.rules, program.eats_mask)
-    rest = program.aats_mask & ~program.eats_mask
+    compiled = compile_reduct(program.rules, eats)
+    _residues, all_rules, levels = compiled  # one level per epistemic atom
+    rest = program.aats_mask & ~eats
     cache: dict[int, list[int]] = {}
     out = []
-    for choice in itertools.product((None, True, False), repeat=len(eats_list)):
-        t = f = 0
-        for atom, v in zip(eats_list, choice):
-            if v is True:
-                t |= 1 << atom
-            elif v is False:
-                f |= 1 << atom
-        alive, residues = survivors(compiled, t, f)
+
+    def guess(t, f, dead):
+        alive = all_rules & ~dead
         sets = cache.get(alive)
         if sets is None:
-            sets = answer_sets(Program(program.atoms, residues), cap=atoms_cap, memo=memo)
-            cache[alive] = sets
+            reduct = Program(program.atoms, reduct_rules(compiled, alive))
+            sets = cache[alive] = answer_sets(reduct, cap=atoms_cap, memo=memo)
         if not sets:
-            continue
+            return
         and_mask = or_mask = sets[0]
         for m in sets[1:]:
             and_mask &= m
             or_mask |= m
         # Compatible: true atoms in all answer sets, false in none, open in some.
-        undecided = program.eats_mask & ~(t | f)
+        undecided = eats & ~(t | f)
         if t & ~and_mask or f & or_mask or undecided & ~(or_mask & ~and_mask):
-            continue
+            return
         out.append(WVI(program.ats_mask, t | (and_mask & rest), f | (rest & ~or_mask)))
+
+    def walk(depth, t, f, dead):
+        if depth == eats_count:
+            guess(t, f, dead)
+            return
+        bit, when_true, when_false, when_undecided = levels[depth]
+        depth += 1
+        walk(depth, t, f, dead | when_undecided)
+        walk(depth, t | bit, f, dead | when_true)
+        walk(depth, t, f | bit, dead | when_false)
+
+    walk(0, 0, 0, 0)
     return out
 
 

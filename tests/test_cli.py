@@ -54,8 +54,9 @@ def test_query_may_start_with_a_negative_literal(capsys):
 
 def test_wvs(capsys):
     assert main(["wvs", RUNNING_PATH]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert sorted(lines) == sorted(["a -b c -d", "a -b -c d", "-a b c -d"])
+    # in guess order: atoms undecided, then true, then false, the first
+    # atom slowest
+    assert capsys.readouterr().out.splitlines() == ["a -b c -d", "a -b -c d", "-a b c -d"]
 
 
 def test_structured_output(capsys):
@@ -188,6 +189,11 @@ def test_exit_usage_on_invalid_option_values(capsys):
         ["gen", "random", "--atoms", "3", "--epistemic", "5"],
         ["gen", "classic", "--n", "0"],
         ["gen", "random3cnf", "--vars", "0"],
+        # negative counts, each named, not written as an empty program
+        ["gen", "random", "--atoms", "3", "--epistemic", "1", "--rules", "-3"],
+        ["gen", "random", "--atoms", "3", "--epistemic", "-1"],
+        ["gen", "random", "--atoms", "-1"],
+        ["gen", "random3cnf", "--vars", "3", "--clauses", "-2"],
         # each subcommand takes only the options it reads
         ["harness", RUNNING_PATH, "--backend", "external", "--external-cmd", "false {file}"],
         ["harness", RUNNING_PATH, "--format", "structured"],
@@ -253,6 +259,15 @@ def test_exit_input_error_on_bad_atoms_and_harness_files(tmp_path, capsys):
     no_variables.write_text(
         json.dumps({"instances": [{"family": "random3cnf", "num_vars": 0, "clauses": 2}]})
     )
+    negative = []
+    for i, entry in enumerate((
+        {"family": "random", "atoms": 3, "epistemic": 1, "rules": -3},
+        {"family": "random", "atoms": 3, "epistemic": -1},
+        {"family": "random", "atoms": -1},
+        {"family": "random3cnf", "num_vars": 3, "clauses": -2},
+    )):
+        negative.append(tmp_path / ("negative%d.json" % i))
+        negative[-1].write_text(json.dumps({"instances": [entry]}))
     # so are wrong-typed fields: a string, a float, a bool where an int goes
     wrong_types = []
     for i, entry in enumerate((
@@ -268,10 +283,13 @@ def test_exit_input_error_on_bad_atoms_and_harness_files(tmp_path, capsys):
         wrong_types[-1].write_text(json.dumps({"instances": [], "oracle": oracle}))
     for spec in (
         tmp_path / "missing.json", malformed, unknown_key, missing_path,
-        too_many_epistemic, no_students, no_variables, *wrong_types,
+        too_many_epistemic, no_students, no_variables, *negative, *wrong_types,
     ):
         assert main(["harness", str(spec)]) == 3
-    assert capsys.readouterr().err.count("input error:") == 14
+    err = capsys.readouterr().err
+    assert err.count("input error:") == 18
+    for name in ("rules", "epistemic_atoms", "atoms", "num_clauses"):
+        assert ": %s must not be negative" % name in err
 
 
 def test_exit_cap_exceeded(tmp_path):

@@ -25,6 +25,7 @@ from wvcount.semantics import (
     answer_sets,
     check_compatibility,
     cnf_to_elp,
+    compile_reduct,
     count_world_views_bruteforce,
     enumerate_world_views,
     epistemic_masks,
@@ -32,6 +33,8 @@ from wvcount.semantics import (
     gl_reduct,
     is_plausible,
     probability_bruteforce,
+    reduct_rules,
+    survivors,
     with_query_constraints,
     with_wvi_constraints,
 )
@@ -406,6 +409,47 @@ def test_world_views_match_full_wvi_compatibility():
     assert found > 20
 
 
+def _world_views_by_product(program):
+    """World views in ``itertools.product`` order over the epistemic atoms
+    (undecided, true, false), each guess's reduct evaluated element by
+    element and its answer sets cached per reduct."""
+    eats_list = sorted(bits(program.eats_mask))
+    rest = program.aats_mask & ~program.eats_mask
+    cache = {}
+    out = []
+    for choice in itertools.product((None, True, False), repeat=len(eats_list)):
+        t = mask_of(a for a, v in zip(eats_list, choice) if v is True)
+        f = mask_of(a for a, v in zip(eats_list, choice) if v is False)
+        reduct = tuple(_reduct_by_elements(program, WVI(program.eats_mask, t, f)))
+        if reduct not in cache:
+            cache[reduct] = answer_sets(program.with_rules(reduct))
+        sets = cache[reduct]
+        if not sets:
+            continue
+        and_mask = or_mask = sets[0]
+        for m in sets[1:]:
+            and_mask &= m
+            or_mask |= m
+        undecided = program.eats_mask & ~(t | f)
+        if t & ~and_mask or f & or_mask or undecided & ~(or_mask & ~and_mask):
+            continue
+        out.append(WVI(program.ats_mask, t | (and_mask & rest), f | (rest & ~or_mask)))
+    return out
+
+
+def test_world_view_order_is_product_order():
+    # The depth-first guess walk lists world views in the order of the
+    # product loop, so output that prints them in turn keeps its order.
+    found = 0
+    for dims in ((8, 4, 10), (12, 6, 12)):
+        for seed in range(20):
+            prog = gen_random_elp(*dims, seed)
+            expected = _world_views_by_product(prog)
+            assert enumerate_world_views(prog) == expected
+            found += len(expected) > 1
+    assert found
+
+
 def test_is_plausible_running(running):
     t = running.atoms
     assert is_plausible(wvi_from_names(t, ["a", "c", "-b", "-d"]), running)
@@ -484,6 +528,73 @@ def test_epistemic_reduct_agrees_with_element_evaluation():
         untouched += sum(1 for r in rules if r.eats_mask & domain == 0)
         dropped += len(rules) - len(expected)
     assert untouched and dropped
+
+
+def _survivors_by_rule(rules, domain, t, f):
+    """The reduct under the WVI with true atoms ``t`` and false atoms
+    ``f`` over ``domain``, rule by rule: each rule's four masks over
+    ``domain`` (``not l`` kills it when ``l`` is decided, ``- not l`` needs
+    ``l`` decided), tested against the row.  Returns the alive mask and the
+    survivors' residues, the rules without their epistemic elements over
+    ``domain``."""
+    alive = 0
+    residues = []
+    for i, r in enumerate(rules):
+        kill_t = kill_f = need_t = need_f = 0
+        kept = []
+        for el in r.body:
+            bit = 1 << el.literal.atom
+            if isinstance(el, Objective) or not bit & domain:
+                kept.append(el)
+            elif el.negated and el.literal.positive:
+                need_t |= bit
+            elif el.negated:
+                need_f |= bit
+            elif el.literal.positive:
+                kill_t |= bit
+            else:
+                kill_f |= bit
+        if not (t & kill_t or f & kill_f or need_t & ~t or need_f & ~f):
+            alive |= 1 << i
+            residues.append(Rule(r.head, tuple(kept)))
+    return alive, residues
+
+
+def test_survivors_by_atom_agree_with_per_rule_masks():
+    # Random rules over eight atoms, three of them at high ids so masks
+    # span several digits, sharing atoms across rules and repeating an
+    # epistemic atom within one.  Domains are random, empty included, and
+    # rows set bits outside the domain as well.
+    rng = random.Random(27)
+    ids = [0, 1, 2, 3, 4, 70, 71, 130]
+    table = AtomTable("x%d" % i for i in range(131))
+    outside = alive_seen = dead_seen = 0
+    for trial in range(400):
+        rules = []
+        for _ in range(rng.randint(0, 8)):
+            ep = rng.sample(ids, rng.randint(0, 3))
+            obj = [a for a in ids if a not in ep]
+            body = [
+                Epistemic(rng.random() < 0.4, Literal(a, rng.random() < 0.5))
+                for a in ep + rng.sample(ep, min(len(ep), rng.randint(0, 1)))
+            ] + [
+                Objective(Literal(a, rng.random() < 0.5))
+                for a in rng.sample(obj, rng.randint(0, 2))
+            ]
+            rng.shuffle(body)
+            rules.append(Rule(tuple(rng.sample(obj, rng.randint(0, 2))), tuple(body)))
+        domain = 0 if trial % 10 == 0 else mask_of(a for a in ids if rng.random() < 0.6)
+        compiled = compile_reduct(rules, domain)
+        outside += sum(1 for r in rules if r.eats_mask & domain == 0)
+        for _ in range(12):
+            t = mask_of(a for a in ids if rng.random() < 0.35)
+            f = mask_of(a for a in ids if rng.random() < 0.5) & ~t
+            alive, residues = _survivors_by_rule(rules, domain, t, f)
+            assert survivors(compiled, t, f) == alive
+            assert reduct_rules(compiled, alive) == residues
+            alive_seen += alive.bit_count()
+            dead_seen += len(rules) - alive.bit_count()
+    assert outside and alive_seen and dead_seen
 
 
 def test_is_plausible_without_pure_rules(plain_core):
