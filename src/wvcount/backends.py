@@ -22,14 +22,7 @@ from . import semantics
 from .errors import BackendError, BackendTimeout
 from .model import EMPTY_WVI, Program, WVI, bits
 from .parser import program_to_text
-from .semantics import (
-    ANSWER_CAP,
-    WV_CAP,
-    answer_sets,
-    dense_renaming,
-    rules_key,
-    with_wvi_constraints,
-)
+from .semantics import ANSWER_CAP, WV_CAP, Component, answer_sets, with_wvi_constraints
 
 
 class InternalBackend:
@@ -40,19 +33,25 @@ class InternalBackend:
     value; ``as_exists`` and ``as_forbid_all`` answer answer-set
     questions on plain programs.  The engine calls none of the three.
 
-    The backend keeps two memos for its whole life.  The answer-set memo
-    enumerates a plain component once, whichever atoms it is over.  The
-    world-view memo keeps the world views of each program ``count_wv``
-    has seen, keyed by its rules over the dense local numbers of its atoms
-    (``semantics.rules_key``), as their true and false local masks; each
-    call filters that list by its own assumption.  A program the counting
-    router built carries its key (``Program.key``); only other programs
-    are keyed here.  A program whose enumeration raises is not
-    remembered, so it raises again.  The counting drivers build a fresh
-    backend per call unless one is passed in, so the memos span one run.
+    The backend owns the brute-force caps, nonnegative: ``answer_cap``
+    bounds the atoms of one answer-set enumeration, ``wv_cap`` the
+    epistemic atoms of one world-view enumeration.
+
+    It keeps two memos for its whole life, keyed by ``Component.key``.
+    The answer-set memo enumerates a plain component once, whichever
+    atoms it is over.  The world-view memo keeps each program's world
+    views as true and false masks in local numbers, and each call filters
+    them by its assumption in the same numbers (``Component.local_wvi``).
+    A program the counting router built carries its ``Component``
+    (``Program.component``); only other programs get one here.  A program
+    whose enumeration raises is not remembered, so it raises again.  The
+    counting drivers build a fresh backend per call unless one is passed
+    in, so the memos span one run.
     """
 
     def __init__(self, answer_cap: int = ANSWER_CAP, wv_cap: int = WV_CAP):
+        if answer_cap < 0 or wv_cap < 0:
+            raise ValueError("caps must be nonnegative")
         self.answer_cap = answer_cap
         self.wv_cap = wv_cap
         self._memo = {}
@@ -78,13 +77,11 @@ class InternalBackend:
         ats = program.ats_mask
         if wvi.domain & ~ats & ~wvi.false:
             return 0  # an unmentioned atom assumed true or undecided
-        if program.key is None:  # a program the counting router did not build
-            _mask, index, local = dense_renaming(list(bits(ats)))
-            key = rules_key(program.rules, index)
-        else:
-            local, key = program.key
-        wvs = self._wv_memo.get(key)
+        # A program the counting router did not build carries no component.
+        part = program.component or Component(list(bits(ats)), program.rules)
+        wvs = self._wv_memo.get(part.key)
         if wvs is None:
+            local = part.local
             # Looked up on the module, so a wrapper patched onto it sees the call.
             wvs = [
                 (local(w.true), local(w.false))
@@ -92,9 +89,8 @@ class InternalBackend:
                     program, self.wv_cap, self.answer_cap, self._memo
                 )
             ]
-            self._wv_memo[key] = wvs
-        dom = local(wvi.domain & ats)
-        t, f = local(wvi.true), local(wvi.false & ats)
+            self._wv_memo[part.key] = wvs
+        dom, t, f = part.local_wvi(wvi.restrict(ats) if wvi.domain & ~ats else wvi)
         return sum(1 for wt, wf in wvs if wt & dom == t and wf & dom == f)
 
 

@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
+from .backends import InternalBackend
 from .dp import RunStats, Thresholds, count_world_views
 from .errors import ParseError, WvcountError
 from .model import (
@@ -29,7 +30,7 @@ from .model import (
     Rule,
     bits,
 )
-from .semantics import cnf_to_elp, count_world_views_bruteforce
+from .semantics import ANSWER_CAP, WV_CAP, cnf_to_elp, count_world_views_bruteforce
 
 
 def _interview_rule(interview: int, elig: int) -> Rule:
@@ -259,10 +260,12 @@ def run_harness(
     oracle: bool = True,
     heuristic: str = "min-fill",
     seed: int = 0,
+    answer_cap: int = ANSWER_CAP,
+    wv_cap: int = WV_CAP,
 ) -> HarnessReport:
     """Count every instance with the DP engine and, when asked, cross-check
-    against the brute-force oracle."""
-    thresholds = thresholds or Thresholds()
+    against the brute-force oracle.  Each instance gets a fresh
+    ``InternalBackend`` under the two caps, and the oracle the same caps."""
 
     def one(spec: GenSpec) -> HarnessRow:
         try:
@@ -274,6 +277,7 @@ def run_harness(
         count = count_world_views(
             program,
             thresholds=thresholds,
+            backend=InternalBackend(answer_cap, wv_cap),
             heuristic=heuristic,
             seed=seed,
             stats=stats,
@@ -282,12 +286,7 @@ def run_harness(
         expected = None
         agree = None
         if oracle:
-            expected = count_world_views_bruteforce(
-                program,
-                EMPTY_WVI,
-                thresholds.wv_cap,
-                thresholds.answer_cap,
-            )
+            expected = count_world_views_bruteforce(program, EMPTY_WVI, wv_cap, answer_cap)
             agree = expected == count
         return HarnessRow(
             spec.label(), count, expected, agree, stats.primal_width, elapsed

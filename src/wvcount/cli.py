@@ -15,7 +15,7 @@ from dataclasses import fields
 
 from .backends import BackendConfig, ExternalBackend, InternalBackend, StackedBackend
 from .bench import GenSpec, run_harness
-from .decomp import build_td, make_nice, td_stats, validate_td
+from .decomp import HEURISTICS, build_td, make_nice, td_stats, validate_td
 from .dp import RunStats, Thresholds, acceptance_probability, count_world_views
 from .errors import (
     BackendError,
@@ -27,16 +27,16 @@ from .errors import (
 from .graphs import epistemic_primal_graph, nested_primal_graph, primal_graph
 from .model import EMPTY_WVI, mask_of
 from .parser import parse_program, parse_query, program_to_text
-from .semantics import count_world_views_bruteforce, enumerate_world_views
+from .semantics import ANSWER_CAP, WV_CAP, count_world_views_bruteforce, enumerate_world_views
 
 
 _OPTIONS = {
     "--threshold-hybrid": dict(dest="hybrid", type=int, default=Thresholds.hybrid, metavar="N"),
     "--threshold-abstr": dict(dest="abstr", type=int, default=Thresholds.abstr, metavar="N"),
     "--max-depth": dict(dest="depth", type=int, default=Thresholds.depth, metavar="N"),
-    "--cap-atoms": dict(dest="answer_cap", type=int, default=Thresholds.answer_cap, metavar="N"),
-    "--cap-epistemic": dict(dest="wv_cap", type=int, default=Thresholds.wv_cap, metavar="N"),
-    "--heuristic": dict(choices=("min-fill", "min-degree"), default="min-fill"),
+    "--cap-atoms": dict(dest="answer_cap", type=int, default=ANSWER_CAP, metavar="N"),
+    "--cap-epistemic": dict(dest="wv_cap", type=int, default=WV_CAP, metavar="N"),
+    "--heuristic": dict(choices=HEURISTICS, default="min-fill"),
     "--seed": dict(type=int, default=0),
     "--timings": dict(action="store_true", help="add wall time to the output (not reproducible)"),
     "--backend": dict(choices=("internal", "external"), default="internal"),
@@ -63,29 +63,38 @@ class _UsageError(Exception):
     """An option value that parses but is invalid; exits 2 like argparse."""
 
 
-def _thresholds(args) -> Thresholds:
-    """``Thresholds`` from the options the command takes, defaults for the rest."""
-    given = {f.name: getattr(args, f.name) for f in fields(Thresholds) if hasattr(args, f.name)}
+def _checked(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ``ValueError`` (an option value or
+    generator parameter out of range) raised as a usage error."""
     try:
-        return Thresholds(**given)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
 
-def _backend(args, thresholds):
-    internal = InternalBackend(thresholds.answer_cap, thresholds.wv_cap)
+def _thresholds(args) -> Thresholds:
+    """``Thresholds`` from the options the command takes, defaults for the rest."""
+    given = {f.name: getattr(args, f.name) for f in fields(Thresholds) if hasattr(args, f.name)}
+    return _checked(Thresholds, **given)
+
+
+def _internal(args) -> InternalBackend:
+    """The internal base solver under the command's caps; it owns them."""
+    return _checked(InternalBackend, args.answer_cap, args.wv_cap)
+
+
+def _backend(args):
+    internal = _internal(args)
     if args.backend == "internal":
         return internal
     if not args.external_cmd:
         raise _UsageError("--backend external requires --external-cmd")
-    try:
-        config = BackendConfig(
-            command=args.external_cmd,
-            parse=args.external_parse,
-            timeout=args.external_timeout,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    config = _checked(
+        BackendConfig,
+        command=args.external_cmd,
+        parse=args.external_parse,
+        timeout=args.external_timeout,
+    )
     return StackedBackend(ExternalBackend(config), internal)
 
 
@@ -141,7 +150,7 @@ def _cmd_count(args):
         program,
         query,
         thresholds=thresholds,
-        backend=_backend(args, thresholds),
+        backend=_backend(args),
         heuristic=args.heuristic,
         seed=args.seed,
         stats=stats,
@@ -152,8 +161,8 @@ def _cmd_count(args):
 
 def _cmd_wvs(args):
     program = _load_program(args.file)
-    thresholds = _thresholds(args)
-    for wv in enumerate_world_views(program, thresholds.wv_cap, thresholds.answer_cap):
+    caps = _internal(args)
+    for wv in enumerate_world_views(program, caps.wv_cap, caps.answer_cap):
         print(wv.text(program.atoms))
     return 0
 
@@ -161,12 +170,8 @@ def _cmd_wvs(args):
 def _cmd_oracle(args):
     program = _load_program(args.file)
     query = parse_query(args.query, program.atoms) if args.query else EMPTY_WVI
-    thresholds = _thresholds(args)
-    print(
-        count_world_views_bruteforce(
-            program, query, thresholds.wv_cap, thresholds.answer_cap
-        )
-    )
+    caps = _internal(args)
+    print(count_world_views_bruteforce(program, query, caps.wv_cap, caps.answer_cap))
     return 0
 
 
@@ -219,11 +224,7 @@ def _cmd_gen(args):
         clauses=args.clauses,
         seed=args.seed,
     )
-    try:
-        program = spec.build()
-    except ValueError as exc:  # generator parameters out of range
-        raise _UsageError(str(exc)) from exc
-    text = program_to_text(program)
+    text = program_to_text(_checked(spec.build))
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -245,12 +246,15 @@ def _cmd_harness(args):
     except (ValueError, TypeError, AttributeError) as exc:
         raise ParseError("bad harness spec %s: %s" % (args.spec, exc)) from exc
     thresholds = _thresholds(args)
+    caps = _internal(args)
     report = run_harness(
         specs,
         thresholds=thresholds,
         oracle=oracle and not args.no_oracle,
         heuristic=args.heuristic,
         seed=args.seed,
+        answer_cap=caps.answer_cap,
+        wv_cap=caps.wv_cap,
     )
     sys.stdout.write(report.render(with_time=args.timings))
     return 1 if report.failures else 0

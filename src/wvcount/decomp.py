@@ -86,6 +86,15 @@ def fill_count(adj, v):
     return (k * (k - 1) - sum(len(nbrs & adj[u]) for u in nbrs)) // 2
 
 
+HEURISTICS = ("min-fill", "min-degree")  # the elimination orderings ``build_td`` knows
+
+
+def check_heuristic(heuristic: str) -> None:
+    """Raise ``ValueError`` for a heuristic outside ``HEURISTICS``."""
+    if heuristic not in HEURISTICS:
+        raise ValueError("unknown heuristic %r" % heuristic)
+
+
 def build_td(graph, heuristic: str = "min-fill", seed: int = 0) -> TreeDecomposition:
     """Tree decomposition via bucket elimination along a heuristic ordering.
 
@@ -93,8 +102,7 @@ def build_td(graph, heuristic: str = "min-fill", seed: int = 0) -> TreeDecomposi
     Ties are broken by a seeded salt, then by vertex order, so the result
     is a pure function of (graph, heuristic, seed).
     """
-    if heuristic not in ("min-fill", "min-degree"):
-        raise ValueError("unknown heuristic %r" % heuristic)
+    check_heuristic(heuristic)
     adj = {v: set(ns) for v, ns in graph.adj.items()}
     vertices = sorted(adj)
     if not vertices:

@@ -27,10 +27,10 @@ Both drivers take one route, the router ``_nested_count``.  At every
 depth it splits its subproblem into connected components, counts each
 apart (``_route``) and multiplies.  Every component, one or many, goes
 through one memo (``_count_part``), so components equal up to renaming
-are counted once per driver call.  The split and the memo keys read
-each rule's atom ids (``rule_atoms``), not its masks: a component is a
-sorted atom list, and its key is its rules over the list's dense local
-numbers, so neither costs more at high atom ids.  A query is resolved
+are counted once per driver call.  The split (``semantics.components``)
+reads atom ids, not masks, and each ``semantics.Component`` owns its
+renaming onto dense local numbers and its key, which its ``Program``
+carries to the base solver.  A query is resolved
 at the depth-0 split only: each component it touches is counted again
 with the query's constraints adjoined, so ``acceptance_probability``
 gets its two counts from one run of the router.  The router never
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .decomp import NiceTD, build_td, fill_count, make_nice
+from .decomp import NiceTD, build_td, check_heuristic, fill_count, make_nice
 from .errors import NoWorldViews
 from .graphs import (
     assign_compatible_sets,
@@ -55,16 +55,13 @@ from .graphs import (
 )
 from .model import EMPTY_WVI, Program, WVI, bits, mask_of
 from .semantics import (
-    ANSWER_CAP,
-    WV_CAP,
-    _components,
+    Component,
     compile_reduct,
-    dense_renaming,
+    components,
     epistemic_masks,
     epistemic_reduct,  # unused here; perfbench's tracer wraps dp.epistemic_reduct
+    query_constraints,
     reduct_rules,
-    rule_atoms,
-    rules_key,
     survivors,
     with_query_constraints,
 )
@@ -75,28 +72,24 @@ ABSTRACTION_BUDGET = 256
 
 @dataclass
 class Thresholds:
-    """Routing thresholds and brute-force caps.
+    """Routing thresholds.
 
     ``hybrid``: primal width at which the whole subproblem goes to the
     base solver; ``abstr``: width at which an abstraction is chosen before
     decomposing; ``depth``: nesting depth at which recursion stops and the
     base solver takes over.  Thresholds steer routing only; every route
-    returns the same count.
+    returns the same count.  The caps belong to the base solver.
     """
 
     hybrid: int = 45
     abstr: int = 8
     depth: int = 1
-    answer_cap: int = ANSWER_CAP
-    wv_cap: int = WV_CAP
 
     def __post_init__(self):
         if not (self.hybrid >= self.abstr >= 0):
             raise ValueError("need hybrid >= abstr >= 0")
         if self.depth < 0:
             raise ValueError("depth threshold must be nonnegative")
-        if self.answer_cap < 0 or self.wv_cap < 0:
-            raise ValueError("caps must be nonnegative")
 
 
 @dataclass
@@ -302,6 +295,7 @@ def plausible_tables(program: Program, nice: NiceTD):
 def count_plausible(program: Program, heuristic: str = "min-fill", seed: int = 0) -> int:
     """Number of plausible WVIs, by dynamic programming over a tree
     decomposition of the epistemic primal graph."""
+    check_heuristic(heuristic)
     if any(not (r.head or r.body) for r in program.rules):
         return 0  # a bare falsity constraint admits nothing
     if program.is_plain:
@@ -333,6 +327,7 @@ def choose_abstraction(
     once, scores each candidate as ``edges - deg(x) + fill(x)`` and
     eliminates the chosen vertex; each re-add candidate is built afresh.
     """
+    check_heuristic(heuristic)
     if a_mask == 0:
         return 0
 
@@ -455,9 +450,9 @@ def _base_case(program, assumption, ctx):
 
 class _Subproblem:
     """A program to count and, built on first use, its connected
-    components as ``_Part``s.  An introduce node keeps one per set of
-    surviving rules, and the drivers build one for their program, so none
-    outlives a driver call.
+    components (``semantics.components``).  An introduce node keeps one
+    per set of surviving rules, and the drivers build one for their
+    program, so none outlives a driver call.
     """
 
     __slots__ = ("program", "_parts")
@@ -469,25 +464,8 @@ class _Subproblem:
     @property
     def parts(self):
         if self._parts is None:
-            rules = self.program.rules
-            atoms = [rule_atoms(r) for r in rules]
-            self._parts = [_Part(ids, part) for ids, part in _components(rules, atoms)]
+            self._parts = components(self.program.rules)
         return self._parts
-
-
-class _Part:
-    """A connected component: its sorted atom list, its atom mask, its
-    rules, its ``key`` (the ``dense_renaming`` map of its atoms and its
-    ``rules_key``) and, built on its first memo miss, its ``Program``,
-    which carries the key to the base solver.  The mask and the key come
-    from the atom list, so neither walks a mask over the program's atoms."""
-
-    __slots__ = ("atoms", "mask", "rules", "key", "program")
-
-    def __init__(self, atoms, rules):
-        self.mask, index, local = dense_renaming(atoms)
-        self.atoms, self.rules, self.key = atoms, rules, (local, rules_key(rules, index))
-        self.program = None
 
 
 def _nested_count(depth, program, assumption, ctx, query=None, subproblem=None):
@@ -539,9 +517,9 @@ def _nested_count(depth, program, assumption, ctx, query=None, subproblem=None):
         if query is not None and query.domain & part.mask:
             # The query's constraints fall on atoms of the part, so the
             # recount keeps the part's atom list.
-            q_part = _Part(part.atoms, with_query_constraints(
-                program.with_rules(part.rules), query.restrict(part.mask)
-            ).rules)
+            q_part = Component(
+                part.atoms, part.rules + query_constraints(query.restrict(part.mask))
+            )
             q = _count_part(depth, program.atoms, q_part, sub_assumption, ctx)[0]
         count *= c
         query_count *= q
@@ -549,27 +527,20 @@ def _nested_count(depth, program, assumption, ctx, query=None, subproblem=None):
 
 
 def _count_part(depth, atoms, part, assumption, ctx):
-    """Count a connected component, given as a ``_Part`` over ``atoms``,
-    with ``_route``; returns the count and the component's figures.
-    Every component goes through this memo, so components equal up to
-    renaming are counted once per driver call."""
-    memo_key = _component_key(depth, *part.key, assumption)
+    """Count a ``Component`` over the atom table ``atoms`` with
+    ``_route``; returns the count and the component's figures.  Every
+    component goes through this memo, keyed on the depth, its ``key`` and
+    its assumption in local numbers, so components equal up to renaming
+    are counted once per driver call."""
+    memo_key = (depth, part.key) + part.local_wvi(assumption)
     entry = ctx.memo.get(memo_key)
     if entry is None:
         if part.program is None:
-            part.program = Program(atoms, part.rules, part.key)
+            part.program = Program(atoms, part.rules, part)
         figures = _Figures()
         count = _route(depth, part.program, assumption, ctx, figures)
         entry = ctx.memo[memo_key] = (count, figures)
     return entry
-
-
-def _component_key(depth, local, key, assumption):
-    """A component's memo key, equal for components that differ only by an
-    order-preserving renaming of their atoms: the depth, the component's
-    ``rules_key`` and its assumption over ``local``, its
-    ``dense_renaming`` map."""
-    return (depth, key, local(assumption.domain), local(assumption.true), local(assumption.false))
 
 
 def _route(depth, program, assumption, ctx, figures):
@@ -601,10 +572,9 @@ def _route(depth, program, assumption, ctx, figures):
 def _make_ctx(thresholds, backend, heuristic, seed, stats):
     from .backends import InternalBackend
 
-    thresholds = thresholds or Thresholds()
-    if backend is None:
-        backend = InternalBackend(thresholds.answer_cap, thresholds.wv_cap)
-    return _Ctx(thresholds, backend, heuristic, seed, stats or RunStats())
+    check_heuristic(heuristic)
+    backend = InternalBackend() if backend is None else backend
+    return _Ctx(thresholds or Thresholds(), backend, heuristic, seed, stats or RunStats())
 
 
 def count_world_views(

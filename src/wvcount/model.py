@@ -6,8 +6,9 @@ it costs in proportion to the program's atoms, not the set's: with a few
 thousand atoms, a one-atom mask is a few hundred digits.  Reducts,
 compatibility checks and the dynamic programming tables use masks on one
 component at a time.  The split into components and the component keys,
-which read every rule of the program, use atom ids instead
-(``semantics._components`` and ``semantics.rules_key``).
+which read every rule of the program, use atom ids instead: a
+``semantics.Component`` renames a rule list onto dense local atom numbers
+and owns its key.
 All model values are immutable after construction and safe to share.
 """
 
@@ -169,13 +170,13 @@ class Program:
     computed once, at construction: ``eats_mask`` (atoms under an
     epistemic element) and ``aats_mask`` (objective atoms) are folded
     over the rules, and ``ats_mask`` and ``is_plain`` derive from them.
-    ``key`` is set only on a component the counting router built: its
-    ``(local, rules_key)`` pair, which the base solver reads.
+    ``component`` is set only on a program the counting router built: its
+    ``semantics.Component``, whose renaming and key the base solver reads.
     """
 
     atoms: AtomTable
     rules: tuple[Rule, ...]
-    key: Optional[tuple] = field(default=None, repr=False)
+    component: object = field(default=None, repr=False)
 
     eats_mask: int = field(init=False, repr=False, default=0)
     aats_mask: int = field(init=False, repr=False, default=0)

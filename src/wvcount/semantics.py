@@ -12,6 +12,10 @@ one mask, every rule less the OR of one dead-rule mask per domain atom
 rule list (``reduct_rules``) only on a miss.  ``enumerate_world_views``
 walks its guesses depth-first and ORs in each atom's mask on the way
 down.
+
+``Component`` alone renames a rule list onto dense local atom numbers
+and keys it; the router's, the world-view and the answer-set memos all
+key on ``Component.key``, and ``components`` is the one split into them.
 """
 
 from __future__ import annotations
@@ -60,32 +64,10 @@ def rule_atoms(rule: Rule) -> tuple[int, ...]:
     return rule.head + tuple([el.literal.atom for el in rule.body])
 
 
-def dense_renaming(atoms):
-    """Dense local atom numbers for ``atoms``, a sorted list of atom ids:
-    its i-th atom becomes atom i.  Returns the atoms' mask, the map from
-    each atom to its local number, and the function that maps a mask over
-    those atoms to its local mask.  A run of consecutive ids is the
-    common case and costs one shift per mask.  Two programs that differ
-    by an order-preserving renaming of their atoms compile to equal local
-    masks."""
-    index = {atom: i for i, atom in enumerate(atoms)}
-    if atoms and atoms[-1] - atoms[0] == len(atoms) - 1:  # one run of consecutive ids
-        lo = atoms[0]
-        return ((1 << len(atoms)) - 1) << lo, index, lambda mask: mask >> lo
-
-    def local(mask):
-        out = 0
-        for a in bits(mask):
-            out |= 1 << index[a]
-        return out
-
-    return mask_of(atoms), index, local
-
-
 def rules_key(rules, index) -> tuple:
-    """``rules`` as their local masks under ``index``, a ``dense_renaming``
-    atom map: head, positive and negative body, and the four
-    ``epistemic_masks``, built in one walk over each rule's head and body.
+    """``rules`` as their local masks under ``index``, which maps each
+    atom to its local number (``Component``): head, positive and negative
+    body, and the four ``epistemic_masks``, built in one walk per rule.
     The masks stay as small as the atom list, however high its ids.  Rule
     lists that differ by an order-preserving renaming of their atoms get
     equal keys."""
@@ -114,23 +96,6 @@ def rules_key(rules, index) -> tuple:
                 kill_f |= bit
         key.append((head, pos, neg, kill_t, kill_f, need_t, need_f))
     return tuple(key)
-
-
-def _answer_sets_whole(atoms, rules, memo=None) -> list[int]:
-    """The answer sets of plain ``rules`` over ``atoms``, a sorted list of
-    atom ids, by a single enumeration, without component splitting.
-
-    ``memo`` maps compiled rules (their ``rules_key``) to their local
-    answer sets.  Rule lists that differ only in their atom names share an
-    entry, and each hit maps the cached sets back to its own atoms.
-    """
-    key = rules_key(rules, dense_renaming(atoms)[1])
-    memo = {} if memo is None else memo
-    local_sets = memo.get(key)
-    if local_sets is None:
-        heads, bpos, bneg = ([k[i] for k in key] for i in range(3))
-        local_sets = memo[key] = kernel.answer_sets_masks(heads, bpos, bneg, len(atoms))
-    return sorted(mask_of(atoms[i] for i in bits(m)) for m in local_sets)
 
 
 def _components(rules, atoms):
@@ -172,14 +137,58 @@ def _components(rules, atoms):
     return list(groups.values())
 
 
+class Component:
+    """A rule list over ``atoms``, its sorted atom ids, renamed onto dense
+    local numbers: the i-th atom becomes atom i.  ``mask`` is the atoms'
+    mask, ``local`` maps a mask over them to local numbers (one shift for
+    a run of consecutive ids, the common case), ``key`` is ``rules_key``
+    over those numbers, equal for rule lists equal up to an
+    order-preserving renaming, and ``program`` is the ``Program`` the
+    router builds on the first memo miss.  Nothing here walks a mask over
+    the whole program's atoms, so no part costs more at high atom ids."""
+
+    __slots__ = ("atoms", "mask", "rules", "local", "key", "program")
+
+    def __init__(self, atoms, rules):
+        index = {atom: i for i, atom in enumerate(atoms)}
+        if atoms and atoms[-1] - atoms[0] == len(atoms) - 1:  # one run of consecutive ids
+            lo = atoms[0]
+            self.mask = ((1 << len(atoms)) - 1) << lo
+            self.local = lambda mask: mask >> lo
+        else:
+            def local(mask):
+                out = 0
+                for a in bits(mask):
+                    out |= 1 << index[a]
+                return out
+
+            self.mask, self.local = mask_of(atoms), local
+        self.atoms, self.rules, self.key = atoms, rules, rules_key(rules, index)
+        self.program = None
+
+    def local_wvi(self, wvi: WVI) -> tuple:
+        """``wvi``'s domain, true and false masks in local numbers; ``wvi``
+        speaks about the component's atoms only."""
+        local = self.local
+        return local(wvi.domain), local(wvi.true), local(wvi.false)
+
+
+def components(rules) -> list:
+    """``rules`` split into connected ``Component``s, in the order of their
+    lowest atoms (``_components`` over each rule's ``rule_atoms``)."""
+    split = _components(rules, [rule_atoms(r) for r in rules])
+    return [Component(atoms, part) for atoms, part in split]
+
+
 def answer_sets(program: Program, cap: int = ANSWER_CAP, memo=None) -> list[int]:
     """All answer sets of a plain program, as sorted interpretation masks.
 
     Disconnected parts of the program are enumerated separately and
     recombined; answer sets of a disjoint union are exactly the unions of
     per-part answer sets.  The cap bounds the total atom count.  An
-    optional ``memo`` dict reuses the enumeration of parts already seen
-    (see ``_answer_sets_whole``).
+    optional ``memo`` dict maps a component's ``key`` to its answer sets
+    in local numbers, so components that differ only in their atom names
+    are enumerated once and each maps the sets back to its own atoms.
     """
     if not program.is_plain:
         raise NotPlainError("answer sets are defined for plain programs only")
@@ -190,13 +199,17 @@ def answer_sets(program: Program, cap: int = ANSWER_CAP, memo=None) -> list[int]
         )
     if any(not (r.head or r.body) for r in program.rules):
         return []
+    memo = {} if memo is None else memo
     result = [0]
-    rules = program.rules
-    for atoms, part_rules in _components(rules, [rule_atoms(r) for r in rules]):
-        part = _answer_sets_whole(atoms, part_rules, memo)
-        if not part:
+    for part in components(program.rules):
+        local_sets = memo.get(part.key)
+        if local_sets is None:
+            heads, bpos, bneg = ([k[i] for k in part.key] for i in range(3))
+            local_sets = memo[part.key] = kernel.answer_sets_masks(heads, bpos, bneg, len(part.atoms))
+        if not local_sets:
             return []
-        result = [base | extra for base in result for extra in part]
+        sets = [mask_of(part.atoms[i] for i in bits(m)) for m in local_sets]
+        result = [base | extra for base in result for extra in sets]
     result.sort()
     return result
 
@@ -288,15 +301,20 @@ def with_wvi_constraints(program: Program, wvi: WVI) -> Program:
     return program.extended(extra)
 
 
-def with_query_constraints(program: Program, query: WVI) -> Program:
-    """Adjoin one constraint per decided query literal on its atom ``a``:
+def query_constraints(query: WVI) -> list[Rule]:
+    """One constraint per decided query literal on its atom ``a``:
     ``:- not a.`` for a positive literal (``a`` must be known true) and
     ``:- K a.`` for a negative one (``a`` must not be known true;
     undecided is acceptable)."""
-    return program.extended(
+    return [
         Rule((), (Epistemic(not lit.positive, Literal(lit.atom)),))
         for lit in query.decided_literals()
-    )
+    ]
+
+
+def with_query_constraints(program: Program, query: WVI) -> Program:
+    """``program`` with its ``query_constraints`` adjoined."""
+    return program.extended(query_constraints(query))
 
 
 def check_compatibility(wvi: WVI, answer_set_masks) -> bool:

@@ -130,11 +130,12 @@ def test_wv_cap_bounds_the_programs_own_epistemic_atoms():
     with pytest.raises(BruteForceCapExceeded):
         InternalBackend(wv_cap=1).count_wv(prog, assumption)
     # the same through the router, with the base solver taking depth 0
-    thr = Thresholds(hybrid=0, abstr=0, wv_cap=2)
-    assert count_world_views(prog, thresholds=thr, assumption=assumption) == 1
+    thr = Thresholds(hybrid=0, abstr=0)
+    backend = InternalBackend(wv_cap=2)
+    assert count_world_views(prog, thresholds=thr, backend=backend, assumption=assumption) == 1
     with pytest.raises(BruteForceCapExceeded):
         count_world_views(
-            prog, thresholds=Thresholds(hybrid=0, abstr=0, wv_cap=1), assumption=assumption
+            prog, thresholds=thr, backend=InternalBackend(wv_cap=1), assumption=assumption
         )
 
 

@@ -9,6 +9,7 @@ from wvcount.bench import (
     undetermined_students,
 )
 from wvcount.dp import Thresholds, count_world_views
+from wvcount.errors import BruteForceCapExceeded
 from wvcount.parser import parse_program, program_to_text
 from wvcount.semantics import count_world_views_bruteforce, enumerate_world_views
 
@@ -152,3 +153,15 @@ def test_harness_file_family(tmp_path, running):
 def test_harness_cnf_family():
     report = run_harness([GenSpec(family="random3cnf", num_vars=4, clauses=6, seed=2)])
     assert report.failures == 0
+
+
+def test_harness_caps_reach_the_engine_and_the_oracle(tmp_path, running):
+    # The engine's backend and the oracle take the harness's caps.
+    path = tmp_path / "prog.elp"
+    path.write_text(program_to_text(running))
+    specs = [GenSpec(family="file", path=str(path))]
+    with pytest.raises(BruteForceCapExceeded):
+        run_harness(specs, answer_cap=0)
+    with pytest.raises(BruteForceCapExceeded):
+        run_harness(specs, wv_cap=0)  # the oracle's guesses; the engine's reducts are plain
+    assert run_harness(specs, oracle=False, wv_cap=0).rows[0].count == 3

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from conftest import RUNNING_PATH
+from wvcount.backends import InternalBackend
 from wvcount.cli import _thresholds, build_parser, main
 from wvcount.dp import Thresholds
 
@@ -186,6 +187,7 @@ def test_exit_usage_on_invalid_option_values(capsys):
         ["count", RUNNING_PATH, "--cap-epistemic", "-3"],
         ["oracle", RUNNING_PATH, "--cap-atoms", "-1"],
         ["wvs", RUNNING_PATH, "--cap-epistemic", "-3"],
+        ["harness", os.path.join(os.path.dirname(RUNNING_PATH), "harness.json"), "--cap-atoms", "-1"],
         ["gen", "random", "--atoms", "3", "--epistemic", "5"],
         ["gen", "classic", "--n", "0"],
         ["gen", "random3cnf", "--vars", "0"],
@@ -234,8 +236,11 @@ def test_exit_usage_on_external_backend_without_command(capsys):
 
 
 def test_option_defaults_are_the_default_thresholds():
+    # ... and the cap options default to the base solver's caps
     args = build_parser().parse_args(["count", "x.elp"])
     assert _thresholds(args) == Thresholds()
+    backend = InternalBackend()
+    assert (args.answer_cap, args.wv_cap) == (backend.answer_cap, backend.wv_cap)
 
 
 def test_exit_input_error_on_bad_atoms_and_harness_files(tmp_path, capsys):

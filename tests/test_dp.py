@@ -897,12 +897,46 @@ def test_threshold_validation():
         Thresholds(hybrid=2, abstr=5)
     with pytest.raises(ValueError):
         Thresholds(depth=-1)
+    # the brute-force caps belong to the base solver
+    with pytest.raises(TypeError):
+        Thresholds(answer_cap=40)
     with pytest.raises(ValueError):
-        Thresholds(answer_cap=-1)
+        InternalBackend(answer_cap=-1)
     with pytest.raises(ValueError):
-        Thresholds(wv_cap=-3)
+        InternalBackend(wv_cap=-3)
     # a zero cap is legal: it only makes every enumeration exceed it
-    Thresholds(answer_cap=0, wv_cap=0)
+    InternalBackend(answer_cap=0, wv_cap=0)
+
+
+def test_every_entry_point_rejects_an_unknown_heuristic(tmp_path):
+    # Checked up front: a plain program, a zero or one-atom abstraction
+    # and a program that never builds a decomposition raise as well.
+    from wvcount.bench import run_harness
+    from wvcount.parser import parse_query
+
+    bogus = dict(heuristic="bogus")
+    text = "a :- -b. b :- -a."
+    (tmp_path / "p.elp").write_text(text)
+    for path, prog in ((tmp_path / "p.elp", parse_program(text)), (RUNNING_PATH, None)):
+        if prog is None:
+            with open(path, encoding="utf-8") as fh:
+                prog = parse_program(fh.read())
+        query = parse_query("a", prog.atoms)
+        one_atom = prog.eats_mask & -prog.eats_mask
+        for run in (
+            lambda: count_world_views(prog, **bogus),
+            lambda: count_world_views(prog, query=query, **bogus),
+            lambda: acceptance_probability(prog, EMPTY_WVI, **bogus),
+            lambda: acceptance_probability(prog, query, **bogus),
+            lambda: count_plausible(prog, **bogus),
+            lambda: choose_abstraction(0, prog, 1, **bogus),
+            lambda: choose_abstraction(one_atom, prog, 1, **bogus),
+            lambda: choose_abstraction(prog.eats_mask, prog, 1, **bogus),
+            lambda: run_harness([GenSpec("file", path=str(path))], **bogus),
+            lambda: build_td(epistemic_primal_graph(prog), "bogus"),
+        ):
+            with pytest.raises(ValueError, match="^unknown heuristic 'bogus'$"):
+                run()
 
 
 def test_no_decomposition_at_the_depth_cap(monkeypatch, running):
@@ -1167,9 +1201,8 @@ def test_one_driver_call_never_routes_a_component_twice(monkeypatch, running):
 
     def spy_route(depth, program, assumption, ctx, figures):
         local = reference_local(program.ats_mask)
-        keys.append(dp_mod._component_key(
-            depth, local, reference_rules_key(program.rules, program.ats_mask), assumption
-        ))
+        key = reference_rules_key(program.rules, program.ats_mask)
+        keys.append((depth, key) + tuple(map(local, (assumption.domain, assumption.true, assumption.false))))
         return route(depth, program, assumption, ctx, figures)
 
     monkeypatch.setattr(dp_mod, "_route", spy_route)
@@ -1292,15 +1325,16 @@ def test_components_match_a_walk():
 
 def test_router_keys_match_the_mask_reference(monkeypatch):
     # Every component the router builds, the query recounts and the
-    # reducts' components included, gets the atom list, mask, key and
-    # local map the mask-based references give it.
+    # reducts' components included, gets the atom list, mask, key, local
+    # map and local WVI the mask-based references give it.
     import wvcount.dp as dp_mod
+    import wvcount.semantics as semantics_mod
     from wvcount.semantics import with_query_constraints
 
     seen = {"parts": 0, "high": 0, "gaps": 0, "query": 0, "nested": 0}
     recount_rules = set()
 
-    class CheckedPart(dp_mod._Part):
+    class CheckedPart(semantics_mod.Component):
         __slots__ = ()
 
         def __init__(self, atoms, rules):
@@ -1309,17 +1343,22 @@ def test_router_keys_match_the_mask_reference(monkeypatch):
             for r in rules:
                 mask |= r.ats_mask
             assert self.atoms == list(bits(mask)) and self.mask == mask
-            local, key = self.key
-            assert key == reference_rules_key(rules, mask)
+            assert self.key == reference_rules_key(rules, mask)
             reference = reference_local(mask)
-            for sub in (0, mask, mask_of(self.atoms[::2]), mask_of(self.atoms[1::3])):
-                assert local(sub) == reference(sub)
+            evens, thirds = mask_of(self.atoms[::2]), mask_of(self.atoms[1::3])
+            for sub in (0, mask, evens, thirds):
+                assert self.local(sub) == reference(sub)
+            odd_thirds = thirds & ~evens
+            for wvi in (EMPTY_WVI, WVI(mask), WVI(mask, evens, odd_thirds), WVI(evens | thirds, odd_thirds)):
+                assert self.local_wvi(wvi) == tuple(map(reference, (wvi.domain, wvi.true, wvi.false)))
             seen["parts"] += 1
             seen["high"] += atoms[0] > 6000
             seen["gaps"] += atoms[-1] - atoms[0] != len(atoms) - 1
             seen["query"] += rules[-1] in recount_rules
 
-    monkeypatch.setattr(dp_mod, "_Part", CheckedPart)
+    # ``components`` builds each split's parts, and the router each query recount.
+    monkeypatch.setattr(semantics_mod, "Component", CheckedPart)
+    monkeypatch.setattr(dp_mod, "Component", CheckedPart)
     rng = random.Random(41)
     for prog in key_programs():
         atoms = sorted(bits(prog.ats_mask))
@@ -1355,7 +1394,7 @@ def test_backend_keys_plain_components_as_the_reference():
             except BruteForceCapExceeded:
                 continue
             key = reference_rules_key(rules, part.ats_mask)
-            assert part.key is None and list(backend._wv_memo) == [key]
+            assert part.component is None and list(backend._wv_memo) == [key]
             if part.is_plain:
                 assert list(backend._memo) == [key]
                 plain += 1
@@ -1370,13 +1409,13 @@ def test_reduct_split_is_built_only_past_the_early_exits(monkeypatch):
     import wvcount.dp as dp_mod
 
     calls = []
-    components = dp_mod._components
+    components = dp_mod.components
 
-    def spy(rules, masks):
+    def spy(rules):
         calls.append(rules)
-        return components(rules, masks)
+        return components(rules)
 
-    monkeypatch.setattr(dp_mod, "_components", spy)
+    monkeypatch.setattr(dp_mod, "components", spy)
     stats = RunStats()
     with pytest.raises(BruteForceCapExceeded):
         count_world_views(gen_random_elp(40, 20, 70, 3), thresholds=Thresholds(depth=3), stats=stats)
@@ -1388,9 +1427,9 @@ def test_no_cache_outlives_a_driver_call(monkeypatch):
     # The backend's world-view memo and the component splits live for one
     # call: counting one Program object twice enumerates world views and
     # splits programs as often the second time as the first.  The router
-    # hands each component's key to the backend on a Program of its own,
-    # so the backend never keys a program, and the caller's Program is
-    # left without a key.
+    # hands each Component to the backend on a Program of its own, so the
+    # backend never builds one, and the caller's Program is left without
+    # a component.
     import wvcount.backends as backends_mod
     import wvcount.dp as dp_mod
     import wvcount.semantics as semantics_mod
@@ -1407,9 +1446,8 @@ def test_no_cache_outlives_a_driver_call(monkeypatch):
         monkeypatch.setattr(module, name, spy)
 
     spy_on(semantics_mod, "enumerate_world_views")
-    spy_on(dp_mod, "_components")
-    spy_on(backends_mod, "rules_key")
-    spy_on(backends_mod, "dense_renaming")
+    spy_on(dp_mod, "components")
+    spy_on(backends_mod, "Component")
     programs = [gen_scholarship(30, "many", 3)] + [gen_random_elp(12, 6, 12, g) for g in range(4)]
     for prog in programs:
         for thr in (None, Thresholds(hybrid=6, abstr=4)):
@@ -1419,10 +1457,10 @@ def test_no_cache_outlives_a_driver_call(monkeypatch):
                 stats = RunStats()
                 count_world_views(prog, thresholds=thr, stats=stats)
                 per_call.append(sorted(calls))
-                assert stats.backend_calls > 0 and prog.key is None
+                assert stats.backend_calls > 0 and prog.component is None
             assert per_call[0] == per_call[1]
-            assert "enumerate_world_views" in per_call[0] and "_components" in per_call[0]
-            assert "rules_key" not in per_call[0] and "dense_renaming" not in per_call[0]
+            assert "enumerate_world_views" in per_call[0] and "components" in per_call[0]
+            assert "Component" not in per_call[0]
 
 
 def test_reducts_never_leave_a_bare_falsity_constraint(monkeypatch):
