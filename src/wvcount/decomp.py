@@ -1,14 +1,16 @@
 """Tree decompositions: heuristic construction, validation, nice normal form.
 
 Decompositions are built by bucket elimination along a min-fill or
-min-degree ordering with a seed-salted tie break (min-fill counts fill
-edges by set intersections, and elimination adds them by set
-differences), then normalized to nice form
-(leaf/introduce/remove/join nodes, empty leaf and root bags) for the
-table algorithms.  The engine's graphs have int vertices (``graphs``),
-so bags are sets of ints, ties break in int order and nothing here
-depends on the hash seed.  All traversals are iterative; elimination
-chains can get deep on large instances.
+min-degree ordering with a seed-salted tie break, then normalized to
+nice form (leaf/introduce/remove/join nodes, empty leaf and root bags)
+for the table algorithms.  Elimination works on int bitsets local to
+each connected component: min-fill counts fill edges by popcounts of
+adjacency masks, and eliminating a vertex ORs its neighbor mask into
+each neighbor's.  ``fill_count`` is the same count over neighbor sets,
+for callers that keep a set-based graph.  The engine's graphs have int
+vertices (``graphs``), so bags are sets of ints, ties break in int order
+and nothing here depends on the hash seed.  All traversals are
+iterative; elimination chains can get deep on large instances.
 """
 
 from __future__ import annotations
@@ -86,6 +88,24 @@ def fill_count(adj, v):
     return (k * (k - 1) - sum(len(nbrs & adj[u]) for u in nbrs)) // 2
 
 
+def _mask_fill(adj, i):
+    """``fill_count`` over component masks: ``adj`` maps bits to neighbor
+    masks, and ``i`` is the vertex's bit."""
+    nbrs = adj[i]
+    k = nbrs.bit_count()
+    inside = 0
+    m = nbrs
+    while m:
+        low = m & -m
+        inside += (adj[low.bit_length() - 1] & nbrs).bit_count()
+        m ^= low
+    return (k * (k - 1) - inside) // 2
+
+
+def _mask_degree(adj, i):
+    return adj[i].bit_count()
+
+
 HEURISTICS = ("min-fill", "min-degree")  # the elimination orderings ``build_td`` knows
 
 
@@ -101,78 +121,125 @@ def build_td(graph, heuristic: str = "min-fill", seed: int = 0) -> TreeDecomposi
     ``graph`` is anything with an ``adj`` mapping (vertex -> neighbor set).
     Ties are broken by a seeded salt, then by vertex order, so the result
     is a pure function of (graph, heuristic, seed).
+
+    Elimination runs on int bitsets local to each connected component: a
+    component's vertices get bits 0, 1, ... in ascending order, and each
+    vertex keeps one adjacency mask over its component's bits.  Fill edges
+    never join two components, so a mask grows at most to the width of its
+    own component, however large the graph.  The min-fill score of ``v``
+    with neighbor mask ``N`` of popcount ``k`` is
+    ``(k(k-1) - sum over u in N of popcount(adj[u] & N)) / 2``, and
+    eliminating ``v`` ORs ``N`` into each neighbor's mask.  One heap over
+    all components pops ``(score, salt, rank)``, ``rank`` being a vertex's
+    place in sorted order, so the order does not depend on the split.
     """
     check_heuristic(heuristic)
-    adj = {v: set(ns) for v, ns in graph.adj.items()}
-    vertices = sorted(adj)
-    if not vertices:
+    vertices = sorted(graph.adj)
+    n = len(vertices)
+    if not n:
         return TreeDecomposition({0: frozenset()}, {0: ()}, 0)
     rng = random.Random(seed)
-    salt = {v: rng.random() for v in vertices}
+    salt = [rng.random() for _ in vertices]
+    rank = {v: r for r, v in enumerate(vertices)}
+    # Per rank: its component's list of adjacency masks and its list of
+    # member ranks (both indexed by bit, and shared by the component's
+    # vertices), and its own bit.
+    masks = [None] * n
+    members = [None] * n
+    bit = [0] * n
+    for r in range(n):
+        if members[r] is not None:
+            continue
+        comp = [r]
+        members[r] = comp
+        for x in comp:  # grows while it is walked
+            for u in graph.adj[vertices[x]]:
+                y = rank[u]
+                if members[y] is None:
+                    members[y] = comp
+                    comp.append(y)
+        comp.sort()
+        for i, x in enumerate(comp):
+            bit[x] = i
+        adj = [0] * len(comp)
+        for i, x in enumerate(comp):
+            m = 0
+            for u in graph.adj[vertices[x]]:
+                m |= 1 << bit[rank[u]]
+            adj[i] = m
+            masks[x] = adj
 
-    def score(v):
-        if heuristic == "min-degree":
-            return len(adj[v])
-        return fill_count(adj, v)
-
-    heap = [(score(v), salt[v], v) for v in vertices]
+    score = _mask_fill if heuristic == "min-fill" else _mask_degree
+    current = [score(masks[r], bit[r]) for r in range(n)]
+    heap = [(s, salt[r], r) for r, s in enumerate(current)]
     heapq.heapify(heap)
-    current = {v: s for s, _, v in heap}
-    eliminated = []
+    position = [-1] * n  # rank -> elimination step, -1 while alive
     bags = []
-    while current:
+    neighbors = []  # step -> ranks of the eliminated vertex's neighbors
+    while len(bags) < n:
         while True:
-            s, _, v = heapq.heappop(heap)
-            if v in current and current[v] == s:
+            s, _, r = heapq.heappop(heap)
+            if position[r] < 0 and current[r] == s:
                 break
-        del current[v]
-        nbrs = adj.pop(v)
-        bags.append(frozenset(nbrs | {v}))
-        eliminated.append(v)
+        position[r] = len(bags)
+        adj, comp, b = masks[r], members[r], bit[r]
+        nbrs = adj[b]
+        adj[b] = 0
+        vb = 1 << b
         # Each neighbour gains its missing fill edges at once.  A score
         # changes only at ``nbrs`` and at the common neighbours of an added
         # edge; the others rescore to their unchanged score and push nothing.
-        dirty = set(nbrs)
-        for u in nbrs:
-            around = adj[u]
-            around.discard(v)
-            missing = nbrs - around
-            missing.discard(u)
-            if missing:
-                around |= missing
-                for w in missing:
-                    dirty |= around & adj[w]
-        for u in dirty:
-            if u in current:
-                s = score(u)
-                if s != current[u]:
-                    current[u] = s
-                    heapq.heappush(heap, (s, salt[u], u))
-    n = len(eliminated)
-    position = {v: i for i, v in enumerate(eliminated)}
+        dirty = nbrs
+        nbr_ranks = []
+        m = nbrs
+        while m:
+            low = m & -m
+            m ^= low
+            i = low.bit_length() - 1
+            nbr_ranks.append(comp[i])
+            old = adj[i] & ~vb
+            missing = nbrs & ~old & ~low
+            adj[i] = old | missing
+            while missing:
+                w = missing & -missing
+                missing ^= w
+                dirty |= old & adj[w.bit_length() - 1]
+        bags.append(frozenset([vertices[r]] + [vertices[x] for x in nbr_ranks]))
+        neighbors.append(nbr_ranks)
+        while dirty:
+            low = dirty & -dirty
+            dirty ^= low
+            i = low.bit_length() - 1
+            s = score(adj, i)
+            x = comp[i]
+            if s != current[x]:
+                current[x] = s
+                heapq.heappush(heap, (s, salt[x], x))
     children: Dict[int, list] = {i: [] for i in range(n)}
     for i in range(n - 1):
-        later = [position[u] for u in bags[i] if position[u] > i]
-        parent = min(later) if later else i + 1
-        children[parent].append(i)
+        later = [position[x] for x in neighbors[i]]
+        children[min(later) if later else i + 1].append(i)
     return TreeDecomposition(dict(enumerate(bags)), children, n - 1)
 
 
 def validate_td(graph, td: TreeDecomposition) -> bool:
     """Check the three decomposition conditions: vertex coverage, edge
-    coverage, and connectedness of each vertex's occurrence set."""
-    vertices = set(graph.adj)
-    covered = set()
-    for b in td.bags.values():
-        covered |= b
-    if vertices - covered:
+    coverage, and connectedness of each vertex's occurrence set.
+
+    Each vertex's occurrence set (the nodes whose bags hold it) is built
+    once; an edge is covered iff the sets of its ends meet."""
+    occurs: Dict[object, set] = {}
+    for t, b in td.bags.items():
+        for v in b:
+            occurs.setdefault(v, set()).add(t)
+    if any(v not in occurs for v in graph.adj):
         return False
-    for u in graph.adj:
-        for v in graph.adj[u]:
-            if not any(u in b and v in b for b in td.bags.values()):
+    for u, nbrs in graph.adj.items():
+        for v in nbrs:
+            if occurs[u].isdisjoint(occurs.get(v, ())):
                 return False
-    for v in vertices:
-        nodes = {t for t, b in td.bags.items() if v in b}
+    for v in graph.adj:
+        nodes = occurs[v]
         start = next(iter(nodes))
         seen = {start}
         stack = [start]

@@ -1,10 +1,11 @@
 import itertools
 import os
+from dataclasses import replace
 
 import pytest
 
 from wvcount.decomp import NiceTD
-from wvcount.model import WVI, bits
+from wvcount.model import WVI, AtomTable, Literal, Program, Rule, bits
 from wvcount.parser import parse_program
 from wvcount.semantics import is_plausible
 
@@ -100,3 +101,44 @@ def brute_cnf_models(num_vars, clauses):
         if ok:
             count += 1
     return count
+
+
+def renamed_rules(rules, new):
+    """``rules`` with every atom ``a`` renamed to ``new[a]``."""
+
+    def move(literal):
+        return Literal(new[literal.atom], literal.positive)
+
+    return tuple(
+        Rule(
+            tuple(new[a] for a in r.head),
+            tuple(replace(el, literal=move(el.literal)) for el in r.body),
+        )
+        for r in rules
+    )
+
+
+def with_renamed_copy(program, rng=None):
+    """``program`` beside a copy of itself over fresh atoms, numbered after
+    the program's.  The copy keeps the atoms' order unless ``rng`` is
+    given, which shuffles it, so the two halves are then equal only up to
+    a renaming that reorders atoms."""
+    names = program.atoms.names
+    n = len(names)
+    order = list(range(n))
+    if rng is not None:
+        rng.shuffle(order)
+    copy_names = [None] * n
+    for a, b in enumerate(order):
+        copy_names[b] = names[a] + "_copy"
+    table = AtomTable(names + copy_names)
+
+    copy = renamed_rules(program.rules, [n + b for b in order])
+    return Program(table, program.rules + copy)
+
+
+def shifted(program, offset):
+    """``program`` with every atom id raised by ``offset``."""
+    n = len(program.atoms)
+    names = ["pad%d" % i for i in range(offset)] + program.atoms.names
+    return Program(AtomTable(names), renamed_rules(program.rules, range(offset, offset + n)))

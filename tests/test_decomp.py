@@ -1,5 +1,6 @@
 import random
 
+from conftest import renamed_rules, with_renamed_copy
 from wvcount.bench import gen_random_3cnf, gen_random_elp
 from wvcount.decomp import (
     TreeDecomposition,
@@ -10,7 +11,7 @@ from wvcount.decomp import (
     validate_td,
 )
 from wvcount.graphs import Graph, epistemic_primal_graph, nested_primal_graph, primal_graph
-from wvcount.model import bits
+from wvcount.model import AtomTable, Program, bits
 from wvcount.semantics import cnf_to_elp
 
 
@@ -95,9 +96,10 @@ def pairwise_fill_count(adj, v):
     return sum(1 for i, a in enumerate(nbrs) for b in nbrs[i + 1 :] if b not in adj[a])
 
 
-def pairwise_elimination_bags(graph, heuristic, seed):
-    """The bags ``build_td`` eliminates, in order, found by rescoring every
-    vertex at every step, min-fill with ``pairwise_fill_count``."""
+def pairwise_elimination(graph, heuristic, seed):
+    """The vertices ``build_td`` eliminates and their bags, in order, found
+    by rescoring every vertex at every step, min-fill with
+    ``pairwise_fill_count``."""
     adj = {v: set(ns) for v, ns in graph.adj.items()}
     rng = random.Random(seed)
     salt = {v: rng.random() for v in sorted(adj)}
@@ -106,15 +108,27 @@ def pairwise_elimination_bags(graph, heuristic, seed):
         score = len(adj[v]) if heuristic == "min-degree" else pairwise_fill_count(adj, v)
         return score, salt[v], v
 
-    bags = []
+    eliminated, bags = [], []
     while adj:
         v = min(adj, key=key)
         nbrs = adj.pop(v)
+        eliminated.append(v)
         bags.append(frozenset(nbrs | {v}))
         for u in nbrs:
             adj[u] |= nbrs - {u}
             adj[u].discard(v)
-    return bags
+    return eliminated, bags
+
+
+def parent_rule_tree(eliminated, bags):
+    """Children and root by the parent rule: bag ``i`` hangs below the bag
+    of its earliest later-eliminated member, else below bag ``i + 1``."""
+    position = {v: i for i, v in enumerate(eliminated)}
+    children = {i: [] for i in range(len(bags))}
+    for i, bag in enumerate(bags[:-1]):
+        later = [position[u] for u in bag if position[u] > i]
+        children[min(later) if later else i + 1].append(i)
+    return {i: tuple(kids) for i, kids in children.items()}, len(bags) - 1
 
 
 def test_fill_count_equals_the_pairwise_count():
@@ -138,20 +152,74 @@ def test_fill_count_equals_the_pairwise_count():
     assert checked > 5_000
 
 
+def spaced(program, rng):
+    """``program`` renamed onto atom ids past 6,000, each a random gap of 1
+    to 40 after the previous one."""
+    new, top = [], 6000
+    for _ in program.atoms.names:
+        top += rng.randint(1, 40)
+        new.append(top)
+    names = ["pad%d" % i for i in range(top + 1)]
+    for a, b in enumerate(new):
+        names[b] = program.atoms.names[a]
+    return Program(AtomTable(names), renamed_rules(program.rules, new))
+
+
+def scattered_union(graphs, rng):
+    """The disjoint union of ``graphs``, each moved past the last by a
+    random gap, with isolated vertices in the gaps."""
+    union, top = _Graph([]), 0
+    for g in graphs:
+        top += rng.randint(1, 5)
+        union.adj.update({top + i: set() for i in range(rng.randint(0, 2))})
+        top += 3
+        union.adj.update({top + v: {top + u for u in ns} for v, ns in g.adj.items()})
+        top += max(g.adj, default=0) + 1
+    return union
+
+
+def component_count(graph):
+    seen, count = set(), 0
+    for v in graph.adj:
+        if v not in seen:
+            count += 1
+            seen.add(v)
+            stack = [v]
+            while stack:
+                for w in graph.adj[stack.pop()] - seen:
+                    seen.add(w)
+                    stack.append(w)
+    return count
+
+
 def test_build_td_matches_a_pairwise_scored_elimination():
+    # The bags, children and root of one elimination over the whole graph,
+    # on graphs of one component and of many: isolated vertices, unions of
+    # renamed copies, and primal graphs whose vertices sit past 12,000 with
+    # gaps between their components.
     prog = cnf_to_elp(40, gen_random_3cnf(40, 60, 0))
     graphs = [epistemic_primal_graph(prog)]
     for seed in range(4):
+        rng = random.Random(seed)
         prog = gen_random_elp(20, 10, 30, seed)
         half = sum(1 << a for a in list(bits(prog.eats_mask))[::2])
         graphs += [primal_graph(prog), nested_primal_graph(prog, half)]
+        union = with_renamed_copy(gen_random_elp(8, 4, 10, seed), rng)
+        graphs += [primal_graph(union), epistemic_primal_graph(union)]
+        far = spaced(with_renamed_copy(gen_random_elp(7, 3, 9, seed), rng), rng)
+        graphs += [primal_graph(far), nested_primal_graph(far, far.eats_mask)]
+        graphs.append(scattered_union([random_graph(seed * 5 + i, 8) for i in range(5)], rng))
+    split = 0
     for g in graphs:
+        split += component_count(g) > 1
         for heuristic in ("min-fill", "min-degree"):
             for seed in range(3):
                 td = build_td(g, heuristic, seed)
-                bags = pairwise_elimination_bags(g, heuristic, seed)
+                eliminated, bags = pairwise_elimination(g, heuristic, seed)
                 assert [td.bags[i] for i in range(len(bags))] == bags
+                assert (td.children, td.root) == parent_rule_tree(eliminated, bags)
                 assert td.width == max(len(b) for b in bags) - 1
+    assert split >= 16
 
 
 def test_validate_rejects_missing_edge_bag():
@@ -167,6 +235,96 @@ def test_validate_rejects_disconnected_occurrence():
     )
     # vertex 0 occurs in nodes 0 and 2 but not on the path between them
     assert not validate_td(g, bad)
+
+
+def scanning_validate_td(graph, td):
+    """The former ``validate_td``, kept as the reference: each edge scans
+    every bag, and each vertex collects its nodes from every bag."""
+    vertices = set(graph.adj)
+    covered = set()
+    for b in td.bags.values():
+        covered |= b
+    if vertices - covered:
+        return False
+    for u in graph.adj:
+        for v in graph.adj[u]:
+            if not any(u in b and v in b for b in td.bags.values()):
+                return False
+    for v in vertices:
+        nodes = {t for t, b in td.bags.items() if v in b}
+        start = next(iter(nodes))
+        seen = {start}
+        stack = [start]
+        while stack:
+            t = stack.pop()
+            around = list(td.children[t])
+            if t in td.parent:
+                around.append(td.parent[t])
+            for u in around:
+                if u in nodes and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        if seen != nodes:
+            return False
+    return True
+
+
+def with_bags(td, bags):
+    return TreeDecomposition(bags, td.children, td.root)
+
+
+def without_node(td, t):
+    """``td`` with node ``t`` removed and its children moved to its parent
+    (for the root, below its first child, which becomes the root)."""
+    children = {s: list(kids) for s, kids in td.children.items() if s != t}
+    kids, root = list(td.children[t]), td.root
+    if t == root:
+        root, kids = kids[0], kids[1:]
+        children[root] += kids
+    else:
+        parent = td.parent[t]
+        children[parent] = [c for c in children[parent] if c != t] + kids
+    return TreeDecomposition({s: b for s, b in td.bags.items() if s != t}, children, root)
+
+
+def broken_decompositions(graph, td, rng):
+    """``td`` mutated three ways, where the graph allows: a vertex dropped
+    from a bag; the only bag covering an edge dropped from the tree; a
+    vertex added to a bag that no node holding it touches."""
+    nodes = sorted(t for t, b in td.bags.items() if b)
+    if not nodes:
+        return
+    t = rng.choice(nodes)
+    yield with_bags(td, {**td.bags, t: td.bags[t] - {rng.choice(sorted(td.bags[t]))}})
+    edges = [(u, v) for u in sorted(graph.adj) for v in sorted(graph.adj[u]) if u < v]
+    rng.shuffle(edges)
+    for u, v in edges:
+        covering = [t for t, b in td.bags.items() if u in b and v in b]
+        if len(covering) == 1 and (covering[0] != td.root or td.children[td.root]):
+            yield without_node(td, covering[0])
+            break
+    for v in rng.sample(sorted(graph.adj), len(graph.adj)):
+        holding = {t for t, b in td.bags.items() if v in b}
+        touching = holding | {td.parent[t] for t in holding if t in td.parent}
+        touching.update(c for t in holding for c in td.children[t])
+        far = sorted(set(td.bags) - touching)
+        if far:
+            t = rng.choice(far)
+            yield with_bags(td, {**td.bags, t: td.bags[t] | {v}})
+            break
+
+
+def test_validate_matches_the_scanning_reference():
+    rng = random.Random(0)
+    verdicts = {True: 0, False: 0}
+    for seed in range(120):
+        g = random_graph(seed, 12)
+        for td in (build_td(g, "min-fill", seed), make_nice(build_td(g, "min-degree", seed))):
+            for candidate in [td, *broken_decompositions(g, td, rng)]:
+                verdict = validate_td(g, candidate)
+                assert verdict == scanning_validate_td(g, candidate)
+                verdicts[verdict] += 1
+    assert verdicts[True] >= 240 and verdicts[False] >= 400
 
 
 def test_validate_worked_epistemic_td(running):

@@ -2,7 +2,7 @@ import itertools
 import json
 import os
 import random
-from dataclasses import astuple, replace
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -11,7 +11,10 @@ from conftest import (
     RUNNING_PATH,
     brute_plausible_count,
     row_masks,
+    renamed_rules,
     running_nice_td,
+    shifted,
+    with_renamed_copy,
     wvi_from_names,
 )
 from wvcount.backends import InternalBackend
@@ -262,21 +265,6 @@ def test_harness_programs_under_an_assumption(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # row keys: true atoms in the low ``shift`` bits, false atoms above them
-
-
-def renamed_rules(rules, new):
-    """``rules`` with every atom ``a`` renamed to ``new[a]``."""
-
-    def move(literal):
-        return Literal(new[literal.atom], literal.positive)
-
-    return tuple(
-        Rule(
-            tuple(new[a] for a in r.head),
-            tuple(replace(el, literal=move(el.literal)) for el in r.body),
-        )
-        for r in rules
-    )
 
 
 def spread_atoms(program):
@@ -1043,25 +1031,6 @@ def test_reused_backend_agrees_with_oracle():
 # connected components
 
 
-def with_renamed_copy(program, rng=None):
-    """``program`` beside a copy of itself over fresh atoms, numbered after
-    the program's.  The copy keeps the atoms' order unless ``rng`` is
-    given, which shuffles it, so the two halves are then equal only up to
-    a renaming that reorders atoms."""
-    names = program.atoms.names
-    n = len(names)
-    order = list(range(n))
-    if rng is not None:
-        rng.shuffle(order)
-    copy_names = [None] * n
-    for a, b in enumerate(order):
-        copy_names[b] = names[a] + "_copy"
-    table = AtomTable(names + copy_names)
-
-    copy = renamed_rules(program.rules, [n + b for b in order])
-    return Program(table, program.rules + copy)
-
-
 def test_disjoint_union_count_is_the_square():
     rng = random.Random(4)
     for seed in range(16):
@@ -1293,13 +1262,6 @@ def components_by_walk(rules):
         groups.append((mask, members))
     groups.sort(key=lambda g: g[0] & -g[0])
     return [(list(bits(mask)), [rules[i] for i in sorted(members)]) for mask, members in groups]
-
-
-def shifted(program, offset):
-    """``program`` with every atom id raised by ``offset``."""
-    n = len(program.atoms)
-    names = ["pad%d" % i for i in range(offset)] + program.atoms.names
-    return Program(AtomTable(names), renamed_rules(program.rules, range(offset, offset + n)))
 
 
 def key_programs():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import brute_cnf_models, brute_plausible_count, wvi_from_names
+from conftest import brute_cnf_models, brute_plausible_count, with_renamed_copy, wvi_from_names
 from wvcount.bench import gen_random_3cnf, gen_random_elp
 from wvcount.dp import count_plausible
 from wvcount.errors import BruteForceCapExceeded, NoWorldViews, NotPlainError
@@ -26,6 +26,7 @@ from wvcount.semantics import (
     check_compatibility,
     cnf_to_elp,
     compile_reduct,
+    components,
     count_world_views_bruteforce,
     enumerate_world_views,
     epistemic_masks,
@@ -204,9 +205,17 @@ def whole_answer_sets(prog):
 
 
 def test_answer_sets_component_split_matches_whole_enumeration():
+    # Disjoint unions of renamed copies, with the copy's atoms in order or
+    # shuffled, make sure the split and the recombination are exercised.
+    programs = []
     for seed in range(40):
         prog = _random_plain(seed)
+        programs += [prog, with_renamed_copy(prog), with_renamed_copy(prog, random.Random(seed))]
+    split = 0
+    for prog in programs:
         assert answer_sets(prog) == whole_answer_sets(prog)
+        split += len(components(prog.rules)) > 1
+    assert split > 2 * len(programs) // 3
 
 
 def test_answer_sets_are_minimal_models():
