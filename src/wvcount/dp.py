@@ -11,17 +11,19 @@ false atoms above them.  Both table algorithms share one pass
 nodes match rows and multiply.  Their introduce nodes share one step
 (``_expand``): guess a third truth value and check the bag's
 purely-epistemic rules, once per pattern of the rows on the bits those
-rules read (``_RowOptions``).  The nested algorithm filters its rows,
-verifying the rules delegated to the node by a recursive call on their
-epistemic reduct, compiled once per node (``compile_reduct``): a row's
+rules read (``_RowOptions``).  Checks and delegated rules alike are
+epistemic reducts compiled once per node by ``semantics``: a row's
 surviving rules are one mask, built from one dead-rule mask per bag
-atom.  Rows with the same surviving rules share one reduct program
-(``_Subproblem``), built on the first such row, and its component split
-is built on the first nested call that gets past the router's early
-exits.  Recursion bottoms out in one base-solver call per subproblem
+atom, and a value passes the checks iff no check rule survives.  The
+nested algorithm filters its rows, verifying the delegated rules by a
+recursive call on their reduct (``compile_reduct``).  Rows with the
+same surviving rules share one reduct program (``_Subproblem``), built
+on the first such row, and its component split is built on the first
+nested call that gets past the router's early exits.  Recursion bottoms out in one base-solver call per subproblem
 (``_base_case``), steered by width and depth thresholds that change
 routing but never results.  The abstraction search scores candidates
-with ``decomp.fill_count``, which counts by set intersections.
+by the edges their elimination adds less those it removes
+(``decomp.fill_count``, which counts by set intersections).
 
 Both drivers take one route, the router ``_nested_count``.  At every
 depth it splits its subproblem into connected components, counts each
@@ -58,7 +60,7 @@ from .semantics import (
     Component,
     compile_reduct,
     components,
-    epistemic_masks,
+    dead_masks,
     epistemic_reduct,  # unused here; perfbench's tracer wraps dp.epistemic_reduct
     query_constraints,
     reduct_rules,
@@ -151,33 +153,21 @@ class _Ctx:
     memo: dict = field(default_factory=dict)
 
 
-def _rows_ok(checks, tmask, fmask) -> bool:
-    """No purely-epistemic rule reduces to a violated constraint.  Each
-    check is a rule's ``epistemic_masks``; the row ``(tmask, fmask)``
-    satisfies the rule iff one of the four mask tests kills its body."""
-    for kill_t, kill_f, need_t, need_f in checks:
-        if not (tmask & kill_t or fmask & kill_f or need_t & ~tmask or need_f & ~fmask):
-            return False
-    return True
-
-
 def _node_checks(program: Program, a_mask: int, nice: NiceTD) -> dict:
-    """The checks each introduce node of ``nice`` runs: the
-    ``epistemic_masks`` of the purely-epistemic rules over ``a_mask``
-    atoms that hold the node's atom and that its bag completes."""
-    by_atom: dict[int, list[tuple[int, tuple]]] = {}
+    """Each introduce node of ``nice`` -> its bag's mask and its check
+    rules: the purely-epistemic rules over ``a_mask`` atoms that hold the
+    node's atom and that its bag completes."""
+    by_atom: dict[int, list] = {}
     for r in program.rules:
         if r.purely_epistemic and r.eats_mask & ~a_mask == 0:
-            check = (r.eats_mask, epistemic_masks(r))
             for a in bits(r.eats_mask):
-                by_atom.setdefault(a, []).append(check)
+                by_atom.setdefault(a, []).append(r)
     out = {}
     for t in nice.postorder():
         if nice.kind[t] == "intr":
             bag_mask = mask_of(nice.bags[t])
-            out[t] = tuple(
-                masks for eats, masks in by_atom.get(nice.action[t], ()) if eats & ~bag_mask == 0
-            )
+            rules = [r for r in by_atom.get(nice.action[t], ()) if r.eats_mask & ~bag_mask == 0]
+            out[t] = bag_mask, rules
     return out
 
 
@@ -190,36 +180,39 @@ class _RowOptions(dict):
     """The options an introduce node of ``atom`` lets each child row take,
     decided once per row pattern.
 
-    The checks read a row only on the bits of their masks, so child rows
-    that agree on ``rel`` (those bits, less the introduced one, in both
-    halves of the row) pass the same options.  The map takes a pattern
-    ``row & rel`` to a 3-bit mask: 1 leaves the atom undecided, 2 makes it
-    true (sets ``bit``), 4 false (sets ``fbit``).  A missing pattern is
-    split into its true and false masks, checked with ``_rows_ok`` and
-    stored.
+    The check rules are compiled over the bag (``dead_masks``), the
+    introduced atom's masks held apart as ``own``.  Child rows that agree
+    on ``rel``, the other compiled atoms' bits in both halves of the row,
+    pass the same options.  The map takes a pattern ``row & rel`` to a
+    3-bit mask: 1 leaves the atom undecided, 2 makes it true (sets
+    ``bit``), 4 false (sets ``fbit``).  A value passes iff no check rule
+    survives: the pattern's ``survivors`` less ``own``'s mask for it.
     """
 
-    __slots__ = ("checks", "bit", "fbit", "rel", "shift")
+    __slots__ = ("rest", "own", "bit", "fbit", "rel", "shift")
 
-    def __init__(self, checks: tuple, atom: int, shift: int):
+    def __init__(self, bag_mask: int, rules: list, atom: int, shift: int):
         super().__init__()
-        self.checks, self.shift = checks, shift
-        self.bit = 1 << atom
-        self.fbit = self.bit << shift
-        rel = 0
-        for masks in checks:
-            for m in masks:
-                rel |= m
-        rel &= ~self.bit
+        self.shift = shift
+        self.bit = bit = 1 << atom
+        self.fbit = bit << shift
+        self.own, rest, rel = (0, 0, 0), [], 0
+        for masks in dead_masks(rules, bag_mask):
+            if masks[0] == bit:
+                self.own = masks[1:]
+            else:
+                rest.append(masks)
+                rel |= masks[0]
+        self.rest = ((), (1 << len(rules)) - 1, rest)
         self.rel = rel | rel << shift
 
     def __missing__(self, pattern):
-        tm, fm = _split_row(pattern, self.shift)
-        checks, bit = self.checks, self.bit
+        alive = survivors(self.rest, *_split_row(pattern, self.shift))
+        when_true, when_false, when_undecided = self.own
         ok = self[pattern] = (
-            _rows_ok(checks, tm, fm)
-            | _rows_ok(checks, tm | bit, fm) << 1
-            | _rows_ok(checks, tm, fm | bit) << 2
+            (not alive & ~when_undecided)
+            | (not alive & ~when_true) << 1
+            | (not alive & ~when_false) << 2
         )
         return ok
 
@@ -287,7 +280,7 @@ def plausible_tables(program: Program, nice: NiceTD):
     checks = _node_checks(program, program.eats_mask, nice)
 
     def introduce(t, child):
-        return _expand(_RowOptions(checks[t], nice.action[t], shift), child)
+        return _expand(_RowOptions(*checks[t], nice.action[t], shift), child)
 
     return _table_pass(nice, introduce, shift)
 
@@ -324,8 +317,9 @@ def choose_abstraction(
     Dropping atom x from the abstraction turns its e-vertex into an
     interior vertex, so the nested graph of the smaller mask is the current
     one with x eliminated.  The shrink phase builds the nested graph
-    once, scores each candidate as ``edges - deg(x) + fill(x)`` and
-    eliminates the chosen vertex; each re-add candidate is built afresh.
+    once, scores each candidate as ``fill(x) - deg(x)``, the change in
+    the edge count, and eliminates the chosen vertex; each re-add
+    candidate is built afresh.
     """
     check_heuristic(heuristic)
     if a_mask == 0:
@@ -339,10 +333,7 @@ def choose_abstraction(
             graph = nested_primal_graph(program, cur)
         if build_td(graph, heuristic, seed).width < target_width:
             break
-        edges = graph.edge_count()
-        _edges_left, drop = min(
-            (edges - len(graph.adj[a]) + fill_count(graph.adj, a), a) for a in bits(cur)
-        )
+        _score, drop = min((fill_count(graph.adj, a) - len(graph.adj[a]), a) for a in bits(cur))
         steps += cur.bit_count()
         cur &= ~(1 << drop)
         graph.eliminate(drop)
@@ -379,11 +370,10 @@ def _prepare_nodes(program, a_mask, nice):
     shift = a_mask.bit_length()
     asg = assign_compatible_sets(program, a_mask, nice)
     data = {}
-    for t, checks in _node_checks(program, a_mask, nice).items():
-        bag_mask = mask_of(nice.bags[t])
+    for t, (bag_mask, rules) in _node_checks(program, a_mask, nice).items():
         data[t] = _NodeData(
             bag_mask=bag_mask,
-            options=_RowOptions(checks, nice.action[t], shift),
+            options=_RowOptions(bag_mask, rules, nice.action[t], shift),
             nested=compile_reduct(asg.delegated.get(t, ()), bag_mask),
             owned_mask=asg.nested_bag_atoms.get(t, 0),
         )

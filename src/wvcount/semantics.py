@@ -228,28 +228,36 @@ def epistemic_reduct(program: Program, wvi: WVI) -> Program:
 
 
 def compile_reduct(rules, domain: int) -> tuple:
-    """Compile ``rules`` for epistemic reducts under WVIs over ``domain``,
-    transposed to one entry per atom: ``(residues, all, dead)``.
+    """Compile ``rules`` for epistemic reducts under WVIs over ``domain``:
+    ``(residues, all, dead)``.
 
     ``residues`` holds each rule without its epistemic elements over
-    ``domain`` (a rule with none is its own residue), and ``all`` has bit
-    i set for each rule i.  ``dead`` lists, in ascending atom order, one
-    ``(bit, when_true, when_false, when_undecided)`` for each domain atom
-    some rule reads epistemically: the rules an element over that atom
-    falsifies when the atom is true (``kill_t | need_f`` of
-    ``epistemic_masks``), false (``kill_f | need_t``) or undecided
-    (``need_t | need_f``).
+    ``domain`` (a rule with none is its own residue), ``all`` has bit i
+    set for each rule i, and ``dead`` is ``dead_masks(rules, domain)``.
     """
-    residues = []
+    residues = tuple(
+        Rule(r.head, tuple(
+            el for el in r.body
+            if isinstance(el, Objective) or not (domain >> el.literal.atom) & 1
+        )) if r.eats_mask & domain else r
+        for r in rules
+    )
+    return residues, (1 << len(residues)) - 1, dead_masks(rules, domain)
+
+
+def dead_masks(rules, domain: int) -> tuple:
+    """Which of ``rules`` die in the epistemic reduct under a WVI over
+    ``domain``, transposed to one entry per atom: in ascending atom order,
+    one ``(bit, when_true, when_false, when_undecided)`` for each domain
+    atom some rule reads epistemically.  Bit i of a mask is set iff an
+    element of rule i over that atom is false when the atom is true
+    (``kill_t | need_f`` of ``epistemic_masks``), false (``kill_f |
+    need_t``) or undecided (``need_t | need_f``).  No residue is built.
+    """
     dead: dict[int, list[int]] = {}
     for i, r in enumerate(rules):
         if not r.eats_mask & domain:
-            residues.append(r)
             continue
-        residues.append(Rule(r.head, tuple(
-            el for el in r.body
-            if isinstance(el, Objective) or not (domain >> el.literal.atom) & 1
-        )))
         kill_t, kill_f, need_t, need_f = epistemic_masks(r)
         rule_bit = 1 << i
         for a in bits(r.eats_mask & domain):
@@ -261,11 +269,7 @@ def compile_reduct(rules, domain: int) -> tuple:
                 masks[1] |= rule_bit
             if (need_t | need_f) & bit:
                 masks[2] |= rule_bit
-    return (
-        tuple(residues),
-        (1 << len(residues)) - 1,
-        tuple((1 << a, *dead[a]) for a in sorted(dead)),
-    )
+    return tuple((1 << a, *dead[a]) for a in sorted(dead))
 
 
 def survivors(compiled, t: int, f: int) -> int:
@@ -274,7 +278,7 @@ def survivors(compiled, t: int, f: int) -> int:
     set iff rule i survives.  A rule dies iff one of its epistemic
     elements over the domain is false, so the dead rules are the OR of one
     mask per domain atom, chosen by the atom's value; bits of ``t`` and
-    ``f`` outside the domain are not read."""
+    ``f`` outside the domain are not read, nor are the residues."""
     _residues, alive, dead_by_atom = compiled
     dead = 0
     for bit, when_true, when_false, when_undecided in dead_by_atom:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from wvcount.decomp import NiceTD
-from wvcount.model import WVI, AtomTable, Literal, Program, Rule, bits
+from wvcount.model import WVI, AtomTable, Epistemic, Literal, Objective, Program, Rule, bits
 from wvcount.parser import parse_program
 from wvcount.semantics import is_plausible
 
@@ -142,3 +142,44 @@ def shifted(program, offset):
     n = len(program.atoms)
     names = ["pad%d" % i for i in range(offset)] + program.atoms.names
     return Program(AtomTable(names), renamed_rules(program.rules, range(offset, offset + n)))
+
+
+def same_atom_programs():
+    """Programs whose rules put two epistemic elements on one atom, ``a``:
+    every pair of ``not a``, ``not -a``, ``K a`` and ``K -a``, repeats
+    included, in each of four rules, two headless purely-epistemic ones
+    (``:- x, y.`` and ``:- x, y, K c.``) and two with objective atoms
+    (``d :- x, y.`` and ``:- x, y, c.``).  Each program adds the core
+    ``a | b. a :- not b. c :- not d. d :- not c.``, which has up to two
+    world views, and a second such rule, with another pair in another of
+    the four shapes, so ``a``'s true, false and undecided rule masks each
+    collect several rules' kinds."""
+    a, b, c, d = range(4)
+
+    def epistemic(negated, atom, positive=True):
+        return Epistemic(negated, Literal(atom, positive))
+
+    # ``not a``, ``not -a``, ``K a`` (``- not a``) and ``K -a``.
+    elements = [epistemic(negated, a, positive)
+                for negated, positive in ((False, True), (False, False), (True, True), (True, False))]
+    shapes = (
+        lambda x, y: Rule((), (x, y)),
+        lambda x, y: Rule((), (x, y, epistemic(True, c))),
+        lambda x, y: Rule((d,), (x, y)),
+        lambda x, y: Rule((), (x, y, Objective(Literal(c)))),
+    )
+    core = (
+        Rule((a, b), ()),
+        Rule((a,), (epistemic(False, b),)),
+        Rule((c,), (epistemic(False, d),)),
+        Rule((d,), (epistemic(False, c),)),
+    )
+    pairs = list(itertools.combinations_with_replacement(elements, 2))
+    table = AtomTable("abcd")
+    programs = []
+    for i, pair in enumerate(pairs):
+        partner = pairs[(i + 3) % len(pairs)]
+        for s, shape in enumerate(shapes):
+            second = shapes[(s + 1) % len(shapes)]
+            programs.append(Program(table, core + (shape(*pair), second(*partner))))
+    return programs

@@ -13,6 +13,7 @@ from conftest import (
     row_masks,
     renamed_rules,
     running_nice_td,
+    same_atom_programs,
     shifted,
     with_renamed_copy,
     wvi_from_names,
@@ -26,7 +27,6 @@ from wvcount.dp import (
     _Ctx,
     _base_case,
     _make_ctx,
-    _rows_ok,
     _table_pass,
     acceptance_probability,
     choose_abstraction,
@@ -56,6 +56,7 @@ from wvcount.semantics import (
     count_world_views_bruteforce,
     enumerate_world_views,
     epistemic_masks,
+    is_plausible,
     probability_bruteforce,
     query_agrees,
     rule_atoms,
@@ -140,9 +141,9 @@ def test_plausible_root_single_row(running):
 
 def per_row_plausible_tables(program, nice):
     """``plausible_tables`` keyed on ``(true_mask, false_mask)`` tuples,
-    with every candidate row checked on its own against the
-    purely-epistemic rules that hold the introduced atom and lie inside
-    the bag."""
+    with every candidate row checked on its own, element by element
+    (``is_plausible``), against the purely-epistemic rules that hold the
+    introduced atom and lie inside the bag."""
     tables = {}
     for t in nice.postorder():
         kind, kids = nice.kind[t], nice.children[t]
@@ -152,16 +153,16 @@ def per_row_plausible_tables(program, nice):
             atom = nice.action[t]
             bit = 1 << atom
             bag_mask = mask_of(nice.bags[t])
-            checks = [
-                epistemic_masks(r)
+            checks = Program(program.atoms, tuple(
+                r
                 for r in program.rules
                 if r.purely_epistemic and r.eats_mask & bit and r.eats_mask & ~bag_mask == 0
-            ]
+            ))
             tables[t] = {
                 (nt, nf): c
                 for (tm, fm), c in tables[kids[0]].items()
                 for nt, nf in ((tm, fm), (tm | bit, fm), (tm, fm | bit))
-                if _rows_ok(checks, nt, nf)
+                if is_plausible(WVI(bag_mask, nt, nf), checks)
             }
         elif kind == "rem":
             keep = ~(1 << nice.action[t])
@@ -199,6 +200,40 @@ def test_row_patterns_give_the_per_row_tables():
             nice = make_nice(build_td(epistemic_primal_graph(prog), heuristic, seed))
             checked += assert_per_row_tables(prog, nice)
     assert checked > 20_000
+
+
+def _probability_or_none(probability, *args, **kwargs):
+    try:
+        return probability(*args, **kwargs)
+    except NoWorldViews:
+        return None
+
+
+def test_two_epistemic_elements_on_one_atom():
+    # Random programs draw distinct epistemic atoms per rule, and the CNF
+    # encoding has only ``not x, not -x``: here one atom's three masks
+    # collect every pair of element kinds, from several rules at once.
+    # Queries: a; -a; c and -d.
+    queries = (WVI(0b0001, 0b0001), WVI(0b0001, 0, 0b0001), WVI(0b1100, 0b0100, 0b1000))
+    counts, rows = set(), 0
+    for prog in same_atom_programs():
+        assert count_plausible(prog) == brute_plausible_count(prog)
+        for heuristic, seed in (("min-fill", 0), ("min-degree", 1)):
+            nice = make_nice(build_td(epistemic_primal_graph(prog), heuristic, seed))
+            rows += assert_per_row_tables(prog, nice)
+        oracle = count_world_views_bruteforce(prog)
+        counts.add(oracle)
+        for thresholds in THRESHOLD_GRID:
+            assert count_world_views(prog, thresholds=thresholds) == oracle
+        for query in queries:
+            query_oracle = count_world_views_bruteforce(prog, query)
+            prob_oracle = _probability_or_none(probability_bruteforce, prog, query)
+            for thresholds in THRESHOLD_GRID:
+                assert count_world_views(prog, query, thresholds=thresholds) == query_oracle
+                assert _probability_or_none(
+                    acceptance_probability, prog, query, thresholds=thresholds
+                ) == prob_oracle
+    assert counts == {0, 1, 2} and rows > 1000
 
 
 # RunStats fields, as a tuple, of the harness spec's programs counted under
@@ -339,11 +374,16 @@ def test_nested_rows_split_at_the_abstraction(monkeypatch):
         options = nd.options
         calls.append((depth, options.shift, bool(assumption.domain & options.bit)))
         parents = {row_masks(row, options.shift) for row in child}
+        # Every purely-epistemic rule the bag completes, element by element.
+        checks = Program(program.atoms, tuple(
+            r for r in program.rules
+            if r.purely_epistemic and r.eats_mask & ~nd.bag_mask == 0
+        ))
         for row in table:
             tm, fm = row_masks(row, options.shift)
             assert tm & fm == 0 and (tm | fm) & ~nd.bag_mask == 0
             assert (tm & ~options.bit, fm & ~options.bit) in parents
-            assert _rows_ok(options.checks, tm, fm)
+            assert is_plausible(WVI(nd.bag_mask, tm, fm), checks)
         return table
 
     monkeypatch.setattr(dp_mod, "_intr_table", spy)

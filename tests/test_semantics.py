@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from conftest import brute_cnf_models, brute_plausible_count, with_renamed_copy, wvi_from_names
+from conftest import (
+    brute_cnf_models,
+    brute_plausible_count,
+    same_atom_programs,
+    with_renamed_copy,
+    wvi_from_names,
+)
 from wvcount.bench import gen_random_3cnf, gen_random_elp
 from wvcount.dp import count_plausible
 from wvcount.errors import BruteForceCapExceeded, NoWorldViews, NotPlainError
@@ -468,6 +474,18 @@ def test_world_view_order_is_product_order():
             assert enumerate_world_views(prog) == expected
             found += len(expected) > 1
     assert found
+
+
+def test_world_views_with_two_elements_on_one_atom():
+    # The element-by-element reference on rules that put two epistemic
+    # elements on one atom, so the world-view oracle of the counting tests
+    # does not rest on the compiled masks alone.
+    found = set()
+    for prog in same_atom_programs():
+        expected = _world_views_by_product(prog)
+        assert enumerate_world_views(prog) == expected
+        found.add(len(expected))
+    assert found == {0, 1, 2}
 
 
 def test_is_plausible_running(running):
