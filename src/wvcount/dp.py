@@ -19,26 +19,25 @@ nested algorithm filters its rows, verifying the delegated rules by a
 recursive call on their reduct (``compile_reduct``).  Rows with the
 same surviving rules share one reduct program (``_Subproblem``), built
 on the first such row, and its component split is built on the first
-nested call that gets past the router's early exits.  Recursion bottoms out in one base-solver call per subproblem
-(``_base_case``), steered by width and depth thresholds that change
-routing but never results.  The abstraction search scores candidates
-by the edges their elimination adds less those it removes
-(``decomp.fill_count``, which counts by set intersections).
+nested call that gets past the router's early exit.  Recursion bottoms
+out in one base-solver call per subproblem (``_base_case``), steered by
+width and depth thresholds that change routing but never results.  The
+abstraction search scores candidates by the edges their elimination
+adds less those it removes (``decomp.fill_count``, which counts by set
+intersections).
 
-Both drivers take one route, the router ``_nested_count``.  At every
-depth it splits its subproblem into connected components, counts each
-apart (``_route``) and multiplies.  Every component, one or many, goes
-through one memo (``_count_part``), so components equal up to renaming
-are counted once per driver call.  The split (``semantics.components``)
-reads atom ids, not masks, and each ``semantics.Component`` owns its
-renaming onto dense local numbers and its key, which its ``Program``
-carries to the base solver.  A query is resolved
-at the depth-0 split only: each component it touches is counted again
-with the query's constraints adjoined, so ``acceptance_probability``
-gets its two counts from one run of the router.  The router never
-turns the assumption into rules: an introduce node offers an assumed
-atom only its assumed value, and nested calls and the base solver
-enforce the rest.
+Both drivers take one route.  The router ``_nested_count`` splits a
+subproblem into connected components, counts each apart (``_route``)
+and multiplies.  Every component goes through one memo (``_count_part``),
+so components equal up to renaming are counted once per driver call.
+The split (``semantics.components``) reads atom ids, not masks, and
+each ``semantics.Component`` owns its renaming onto dense local numbers
+and its key, which its ``Program`` carries to the base solver.  The
+depth-0 split is the drivers' own (``_count_root``), and only there is a
+query folded in, as constraints on the components of its atoms.  The
+router never turns the assumption into rules: an introduce node offers
+an assumed atom only its assumed value, and nested calls and the base
+solver enforce the rest.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ from .semantics import (
     query_constraints,
     reduct_rules,
     survivors,
-    with_query_constraints,
 )
 
 # Candidate evaluations ``choose_abstraction`` may spend per subproblem.
@@ -98,19 +96,18 @@ class Thresholds:
 class RunStats:
     """Observability record for one counting run.
 
-    ``eats_size`` counts the epistemic atoms of the whole depth-0 program
-    and ``components`` the connected components it splits into.  The
-    structural fields fold over the depth-0 components counted before the
-    first zero, memo hits included: ``primal_width`` and ``dp_width`` are
-    the maximum, ``dp_nodes`` and ``abstraction_size`` the sum, and a
-    field stays -1 only if no component reached its stage.
-    ``backend_calls`` and ``nested_calls`` count the calls made.  Every
-    component goes through the memo, the whole subproblem too when it is
-    one component, so a memo hit adds nothing to them.  For
-    ``acceptance_probability`` the structural fields describe the program
-    without the query, whose constraints only join the recount of each
-    component they touch at the depth-0 split; the call counters and
-    ``max_depth`` include those recounts.
+    ``eats_size`` counts the epistemic atoms of the whole depth-0 program,
+    those of ``count_world_views``' decided query literals included, and
+    ``components`` the connected components the program splits into.
+    The structural fields fold over the depth-0 components counted before
+    the first zero, memo hits included, those with query constraints for
+    ``count_world_views``: ``primal_width`` and ``dp_width`` are the
+    maximum, ``dp_nodes`` and ``abstraction_size`` the sum, and a field
+    stays -1 only if no component reached its stage.  ``backend_calls``
+    and ``nested_calls`` count the calls made, so a memo hit adds nothing
+    to them.  For ``acceptance_probability`` the structural fields
+    describe the program without the query; the call counters and
+    ``max_depth`` include the counts of the components the query touches.
     """
 
     primal_width: int = -1
@@ -425,7 +422,7 @@ def _intr_table(depth, program, nd, child, assumption, ctx):
                 reduct = nd.reducts[alive] = _Subproblem(
                     Program(program.atoms, reduct_rules(nested, alive))
                 )
-            mult = _nested_count(depth + 1, reduct.program, sub, ctx, subproblem=reduct)[0]
+            mult = _nested_count(depth + 1, reduct, sub, ctx)
         if mult:
             table[row] = c * mult
     return table
@@ -441,8 +438,7 @@ def _base_case(program, assumption, ctx):
 class _Subproblem:
     """A program to count and, built on first use, its connected
     components (``semantics.components``).  An introduce node keeps one
-    per set of surviving rules, and the drivers build one for their
-    program, so none outlives a driver call.
+    per set of surviving rules, so none outlives a driver call.
     """
 
     __slots__ = ("program", "_parts")
@@ -458,62 +454,32 @@ class _Subproblem:
         return self._parts
 
 
-def _nested_count(depth, program, assumption, ctx, query=None, subproblem=None):
-    """Count the world views of ``program`` that agree exactly with the
-    assumption on its domain, and those of them that also agree with
-    ``query``; returns ``(count, query_count)``, the two equal when no
-    query is given.  The one router of both drivers: it resolves the
-    assumption and query literals, then counts each connected component
-    through ``_count_part``, once per component up to renaming.  A
-    component the query touches is counted a second time, with the
-    query's constraints adjoined and under the same assumption; nothing
-    below this split sees a query.  ``subproblem``, when given, is the
-    ``_Subproblem`` of ``program`` and keeps its split for the next call.
-    """
+def _nested_count(depth, subproblem, assumption, ctx):
+    """Count the world views of a ``_Subproblem``'s program that agree
+    exactly with the assumption on its domain, below the drivers'
+    depth-0 split (``_count_root``)."""
     ctx.stats.max_depth = max(ctx.stats.max_depth, depth)
-    if depth == 0 and any(not (r.head or r.body) for r in program.rules):
-        return 0, 0  # a bare falsity constraint; reducts leave none (``CompatAssignment``)
-    ats = program.ats_mask
-    # Assumed atoms no rule mentions anymore are underivable: a truth or
-    # openness claim on them fails outright, a falsity claim is free.
-    gone = assumption.domain & ~ats
-    if gone:
-        if (assumption.true | assumption.undecided) & gone:
-            return 0, 0
-        assumption = assumption.restrict(ats)
-    # Likewise for query literals: such an atom is false in every answer
-    # set, so a positive literal fails and a negative one always holds.
-    failed_query = query is not None and query.true & ~ats
-    if query is not None:
-        query = None if failed_query else query.restrict(ats)
-    if subproblem is None:
-        subproblem = _Subproblem(program)
-    parts = subproblem.parts
-    if depth == 0:
-        ctx.stats.eats_size = program.eats_mask.bit_count()
-        ctx.stats.components = len(parts)
-    # The world views of a disjoint union are the products of its parts'
-    # world views, and compatibility and query agreement are tested atom
-    # by atom, so both counts multiply over the components.
-    count = query_count = 1
+    program = subproblem.program
+    if assumption.domain & ~assumption.false & ~program.ats_mask:
+        return 0  # as in ``_count_root``
+    return _product(depth, program.atoms, subproblem.parts, assumption, ctx)
+
+
+def _product(depth, atoms, parts, assumption, ctx, stats=None):
+    """The product of the counts of ``parts``, ``Component``s over the
+    atom table ``atoms``, under their shares of the assumption; 0 from the
+    first zero.  ``stats``, when given, takes each counted part's figures.
+    The world views of a disjoint union are the products of its parts'
+    world views, and compatibility is tested atom by atom."""
+    count = 1
     for part in parts:
-        sub_assumption = assumption.restrict(part.mask)
-        c, figures = _count_part(depth, program.atoms, part, sub_assumption, ctx)
-        if depth == 0:
-            _fold(ctx.stats, figures)
+        c, figures = _count_part(depth, atoms, part, assumption.restrict(part.mask), ctx)
+        if stats is not None:
+            _fold(stats, figures)
         if c == 0:
-            return 0, 0
-        q = c
-        if query is not None and query.domain & part.mask:
-            # The query's constraints fall on atoms of the part, so the
-            # recount keeps the part's atom list.
-            q_part = Component(
-                part.atoms, part.rules + query_constraints(query.restrict(part.mask))
-            )
-            q = _count_part(depth, program.atoms, q_part, sub_assumption, ctx)[0]
+            return 0
         count *= c
-        query_count *= q
-    return count, 0 if failed_query else query_count
+    return count
 
 
 def _count_part(depth, atoms, part, assumption, ctx):
@@ -559,6 +525,37 @@ def _route(depth, program, assumption, ctx, figures):
     return _run_tables(depth, program, a_mask, assumption, ctx, figures)
 
 
+def _count_root(program, assumption, query, ctx, adjoin):
+    """The depth-0 entry of both drivers: the number of world views of
+    ``program`` that agree exactly with the assumption and, when
+    ``adjoin``, with ``query``; and the query's fold, which maps each part
+    the query touches to the part with its ``query_constraints``.  The
+    fold is None when a positive literal falls on an atom no rule
+    mentions, which no world view knows; a negative one there holds.
+    ``ctx.stats`` takes the figures of the split it counts."""
+    if any(not (r.head or r.body) for r in program.rules):
+        return 0, None  # a bare falsity constraint; reducts leave none (``CompatAssignment``)
+    ats = program.ats_mask
+    # Assumed atoms no rule mentions are underivable: a truth or openness
+    # claim on them fails outright, a falsity claim is free.
+    if assumption.domain & ~assumption.false & ~ats:
+        return 0, None
+    parts = components(program.rules)
+    stats = ctx.stats
+    stats.eats_size = (program.eats_mask | (query.decided if adjoin else 0)).bit_count()
+    stats.components = len(parts)
+    fold = None if query.true & ~ats else {
+        part: Component(part.atoms, part.rules + query_constraints(query.restrict(part.mask)))
+        for part in parts
+        if query.decided & part.mask
+    }
+    if adjoin:
+        if fold is None:
+            return 0, None
+        parts = [fold.get(part, part) for part in parts]
+    return _product(0, program.atoms, parts, assumption, ctx, stats), fold
+
+
 def _make_ctx(thresholds, backend, heuristic, seed, stats):
     from .backends import InternalBackend
 
@@ -580,18 +577,16 @@ def count_world_views(
 ) -> int:
     """Number of world views agreeing with the query's decided literals.
 
-    Queries fold into the program as epistemic constraints (positive
-    literals must be known, negative ones must not be known true), after
-    which the count is an unconditional world-view count.  An assumption
-    WVI restricts the count to world views matching it exactly on its
-    domain, undecidedness included.
+    The query folds into the program's split (``_count_root``) as
+    epistemic constraints (positive literals must be known, negative ones
+    must not be known true) on the components of their atoms.  An
+    assumption WVI restricts the count to world views matching it exactly
+    on its domain, undecidedness included.
 
     ``jobs`` is accepted and ignored: counting runs in one thread.
     """
     ctx = _make_ctx(thresholds, backend, heuristic, seed, stats)
-    if query is not None and query.domain:
-        program = with_query_constraints(program, query)
-    return _nested_count(0, program, assumption, ctx)[0]
+    return _count_root(program, assumption, query or EMPTY_WVI, ctx, True)[0]
 
 
 def acceptance_probability(
@@ -606,14 +601,18 @@ def acceptance_probability(
     assumption: WVI = EMPTY_WVI,
 ) -> Fraction:
     """Probability that a world view agrees with the query, as an exact
-    fraction: the query count over the count, from one run of the router.
-    Raises ``NoWorldViews`` exactly when ``count_world_views`` under the
-    same assumption is 0.
+    fraction: the query count over the count.  Raises ``NoWorldViews``
+    exactly when ``count_world_views`` under the same assumption is 0.
+    Components the query leaves alone cancel, so only the touched ones
+    are counted again, with their constraints.
 
     ``jobs`` is accepted and ignored: counting runs in one thread.
     """
     ctx = _make_ctx(thresholds, backend, heuristic, seed, stats)
-    total_c, total_q = _nested_count(0, program, assumption, ctx, query)
-    if total_c == 0:
+    count, fold = _count_root(program, assumption, query or EMPTY_WVI, ctx, False)
+    if count == 0:
         raise NoWorldViews("program has no world views")
-    return Fraction(total_q, total_c)
+    if fold is None:
+        return Fraction(0)
+    hits = _product(0, program.atoms, fold.values(), assumption, ctx)
+    return Fraction(hits, _product(0, program.atoms, fold.keys(), assumption, ctx))

@@ -2,7 +2,7 @@ import itertools
 import json
 import os
 import random
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import pytest
@@ -60,6 +60,7 @@ from wvcount.semantics import (
     probability_bruteforce,
     query_agrees,
     rule_atoms,
+    with_query_constraints,
 )
 
 THRESHOLD_GRID = (
@@ -733,6 +734,9 @@ def test_probability_equivalence_under_all_routings():
             true=mask_of(l for l in lits if rng.random() < 0.5),
         )
         assumed = _random_assumption(rng, prog)
+        # Any atom of the table, unmentioned ones included; its own
+        # generator leaves the draws above as they were.
+        atom = 1 << random.Random(seed).randrange(len(prog.atoms.names))
         try:
             expected = probability_bruteforce(prog, query)
         except NoWorldViews:
@@ -746,6 +750,17 @@ def test_probability_equivalence_under_all_routings():
             # prob is count(query)/count() under the same assumption, and
             # raises exactly when that count is 0
             total = count_world_views(prog, thresholds=thr, assumption=assumed)
+            # The query folded per component counts as the query adjoined
+            # to the whole program, and "a" and "-a" split the count.
+            assert count_world_views(
+                prog, query=query, thresholds=thr, assumption=assumed
+            ) == count_world_views(
+                with_query_constraints(prog, query), thresholds=thr, assumption=assumed
+            )
+            assert sum(
+                count_world_views(prog, query=q, thresholds=thr, assumption=assumed)
+                for q in (WVI(atom, true=atom), WVI(atom, false=atom))
+            ) == total
             if total == 0:
                 with pytest.raises(NoWorldViews):
                     acceptance_probability(
@@ -812,13 +827,22 @@ def test_probability_query_on_unmentioned_atom():
     )
     z = 1 << prog.atoms.intern("z")  # no rule mentions z
     for thr in (None,) + THRESHOLD_GRID:
-        total = count_world_views(prog, thresholds=thr)
-        assert total == 3
+        plain = RunStats()
+        total = count_world_views(prog, thresholds=thr, stats=plain)
+        assert total == 3 and plain.eats_size == 4
         for q, hits in ((WVI(z, true=z), 0), (WVI(z, false=z), 3)):
-            assert count_world_views(prog, query=q, thresholds=thr) == hits
+            stats = RunStats()
+            assert count_world_views(prog, query=q, thresholds=thr, stats=stats) == hits
             assert acceptance_probability(prog, q, thresholds=thr) == Fraction(
                 hits, total
             )
+            # z joins no component: "z" fails before any part is counted,
+            # and "-z" counts the plain split.  eats_size counts z, as
+            # adjoining the query to the whole program does.
+            if hits:
+                assert stats == replace(plain, eats_size=5)
+            else:
+                assert stats == RunStats(eats_size=5, components=1)
 
 
 def test_one_primal_graph_per_subproblem(monkeypatch):
@@ -972,18 +996,18 @@ def test_no_decomposition_at_the_depth_cap(monkeypatch, running):
     # whatever their width, so no primal graph or decomposition is built.
     import wvcount.dp as dp_mod
 
-    depths = []
+    depths = [0]  # the drivers count the depth-0 split themselves
     builds = []
     capped = []
     nested = dp_mod._nested_count
     build = dp_mod.build_td
 
-    def nested_spy(depth, program, assumption, ctx, **kwargs):
-        if depth >= ctx.thresholds.depth and program.eats_mask:
+    def nested_spy(depth, subproblem, assumption, ctx):
+        if depth >= ctx.thresholds.depth and subproblem.program.eats_mask:
             capped.append(depth)
         depths.append(depth)
         try:
-            return nested(depth, program, assumption, ctx, **kwargs)
+            return nested(depth, subproblem, assumption, ctx)
         finally:
             depths.pop()
 
@@ -1326,8 +1350,8 @@ def test_components_match_a_walk():
 
 
 def test_router_keys_match_the_mask_reference(monkeypatch):
-    # Every component the router builds, the query recounts and the
-    # reducts' components included, gets the atom list, mask, key, local
+    # Every component the router builds, the query's constrained parts and
+    # the reducts' components included, gets the atom list, mask, key, local
     # map and local WVI the mask-based references give it.
     import wvcount.dp as dp_mod
     import wvcount.semantics as semantics_mod
@@ -1358,7 +1382,7 @@ def test_router_keys_match_the_mask_reference(monkeypatch):
             seen["gaps"] += atoms[-1] - atoms[0] != len(atoms) - 1
             seen["query"] += rules[-1] in recount_rules
 
-    # ``components`` builds each split's parts, and the router each query recount.
+    # ``components`` builds each split's parts, and the query fold each constrained part.
     monkeypatch.setattr(semantics_mod, "Component", CheckedPart)
     monkeypatch.setattr(dp_mod, "Component", CheckedPart)
     rng = random.Random(41)
@@ -1466,7 +1490,7 @@ def test_no_cache_outlives_a_driver_call(monkeypatch):
 
 
 def test_reducts_never_leave_a_bare_falsity_constraint(monkeypatch):
-    # The router scans for a rule without atoms at depth 0 only: a reduct
+    # The drivers scan for a rule without atoms at depth 0 only: a reduct
     # keeps, of each delegated rule, its objective atoms and its epistemic
     # atoms outside the abstraction, and one of them is always there.
     import wvcount.dp as dp_mod
@@ -1474,11 +1498,11 @@ def test_reducts_never_leave_a_bare_falsity_constraint(monkeypatch):
     nested = dp_mod._nested_count
     checked = []
 
-    def spy(depth, program, assumption, ctx, **kwargs):
+    def spy(depth, subproblem, assumption, ctx):
         if depth:
-            assert all(r.ats_mask for r in program.rules), "a reduct left a bare falsity"
+            assert all(r.ats_mask for r in subproblem.program.rules), "a reduct left a bare falsity"
             checked.append(depth)
-        return nested(depth, program, assumption, ctx, **kwargs)
+        return nested(depth, subproblem, assumption, ctx)
 
     monkeypatch.setattr(dp_mod, "_nested_count", spy)
     for thr in THRESHOLD_GRID:
