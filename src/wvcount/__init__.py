@@ -5,7 +5,7 @@ over tree decompositions of graph abstractions, with brute-force
 enumeration as base solver and verification oracle.
 """
 
-from .backends import BackendConfig, ExternalBackend, InternalBackend, StackedBackend
+from .backends import BackendConfig, ExternalBackend, InternalBackend
 from .dp import (
     RunStats,
     Thresholds,

@@ -1,11 +1,12 @@
 """Base solvers behind a uniform interface.
 
 The internal backend answers every query by brute force within its caps.
-The external backend shells out to a solver process: the program is
-written to a temporary file in the native text format (a pluggable
-emitter can translate to other dialects), the command template runs with
-``{file}`` substituted, and only the declared output channel is parsed;
-process exit codes are never read as results.
+The external backend routes each base case by program kind: what its
+parse mode expresses goes to a solver process, the rest to an internal
+backend.  The program is written to a temporary file in the native text
+format, the command template runs with ``{file}`` substituted, and only
+the declared output channel is parsed; process exit codes are never read
+as results.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import signal
 import subprocess
 import tempfile
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import semantics
 from .errors import BackendError, BackendTimeout
@@ -31,7 +32,9 @@ class InternalBackend:
     The counting engine calls ``count_wv`` only, on plain and epistemic
     subproblems alike.  ``wv_exists`` is that count read as a truth
     value; ``as_exists`` and ``as_forbid_all`` answer answer-set
-    questions on plain programs.  The engine calls none of the three.
+    questions on plain programs.  The engine calls none of the three;
+    they stay because the benchmark's per-layer tracer patches them on
+    this class by name (``perfbench/tracing.py``, ``BACKEND_METHODS``).
 
     The backend owns the brute-force caps, nonnegative: ``answer_cap``
     bounds the atoms of one answer-set enumeration, ``wv_cap`` the
@@ -100,15 +103,15 @@ class BackendConfig:
 
     ``command`` is a whitespace-split template containing exactly one
     ``{file}`` placeholder; ``parse`` selects the output contract: a
-    single decimal line (``count``) or the presence of a marker line
-    (``sat``); ``timeout`` is in seconds, > 0 and <= ``threading.TIMEOUT_MAX``.
+    single decimal line (``count``) or the presence of a ``SAT`` line
+    (``sat``), and with it the subproblems the solver takes (see
+    ``ExternalBackend``); ``timeout`` is in seconds, > 0 and <=
+    ``threading.TIMEOUT_MAX``.
     """
 
     command: str
     parse: str = "count"
     timeout: float = 60.0
-    sat_marker: str = "SAT"
-    emitter: object = field(default=program_to_text)
 
     def __post_init__(self):
         if self.command.count("{file}") != 1:
@@ -121,15 +124,21 @@ class BackendConfig:
 
 
 class ExternalBackend:
-    """Subprocess adapter for one external solver role."""
+    """The one router of base cases by program kind.  The external solver
+    takes what its parse mode expresses: epistemic subproblems in
+    ``count`` mode, plain ones in ``sat`` mode, read as 1 when a ``SAT``
+    line appears and 0 otherwise.  ``internal`` takes the rest; it
+    defaults to a fresh ``InternalBackend``.  The solver receives the
+    program with the assumption pinned by ``with_wvi_constraints``."""
 
-    def __init__(self, config: BackendConfig):
+    def __init__(self, config: BackendConfig, internal: InternalBackend | None = None):
         self.config = config
+        self.internal = InternalBackend() if internal is None else internal
 
     def _run(self, program: Program) -> str:
-        # Render before the file exists, so an emitter that raises leaves
-        # no temp file behind.
-        text = self.config.emitter(program)
+        # Render before the file exists, so a rendering error leaves no
+        # temp file behind.
+        text = program_to_text(program)
         with tempfile.NamedTemporaryFile(
             "w", suffix=".elp", delete=False
         ) as handle:
@@ -168,44 +177,17 @@ class ExternalBackend:
         return stdout
 
     def count_wv(self, program: Program, wvi: WVI = EMPTY_WVI) -> int:
-        if self.config.parse != "count":
-            raise BackendError("external backend is not configured for counting")
+        counting = self.config.parse == "count"
+        if program.is_plain == counting:
+            return self.internal.count_wv(program, wvi)
         if wvi.domain:
             program = with_wvi_constraints(program, wvi)
         out = self._run(program)
+        if not counting:
+            return 1 if any(l.strip() == "SAT" for l in out.splitlines()) else 0
         lines = [l.strip() for l in out.splitlines() if l.strip()]
         if len(lines) != 1 or not lines[0].isdecimal():
             raise BackendError(
                 "expected a single decimal count on stdout, got %r" % out
             )
         return int(lines[0])
-
-    def _sat(self, program: Program) -> bool:
-        if self.config.parse != "sat":
-            raise BackendError("external backend is not configured for sat checks")
-        out = self._run(program)
-        return any(l.strip() == self.config.sat_marker for l in out.splitlines())
-
-    def wv_exists(self, program: Program, wvi: WVI = EMPTY_WVI) -> bool:
-        if wvi.domain:
-            program = with_wvi_constraints(program, wvi)
-        return self._sat(program)
-
-
-class StackedBackend:
-    """The one router of base cases by program kind.  The external solver
-    takes what its parse mode expresses: epistemic subproblems in
-    ``count`` mode, plain ones in ``sat`` mode (``wv_exists`` as 0 or 1).
-    The internal backend takes the rest."""
-
-    def __init__(self, external: ExternalBackend, internal: InternalBackend):
-        self.external = external
-        self.internal = internal
-
-    def count_wv(self, program: Program, wvi: WVI = EMPTY_WVI) -> int:
-        counting = self.external.config.parse == "count"
-        if program.is_plain == counting:
-            return self.internal.count_wv(program, wvi)
-        if counting:
-            return self.external.count_wv(program, wvi)
-        return 1 if self.external.wv_exists(program, wvi) else 0

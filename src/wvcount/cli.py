@@ -13,7 +13,7 @@ import sys
 import time
 from dataclasses import fields
 
-from .backends import BackendConfig, ExternalBackend, InternalBackend, StackedBackend
+from .backends import BackendConfig, ExternalBackend, InternalBackend
 from .bench import GenSpec, run_harness
 from .decomp import HEURISTICS, build_td, make_nice, td_stats, validate_td
 from .dp import RunStats, Thresholds, acceptance_probability, count_world_views
@@ -41,8 +41,8 @@ _OPTIONS = {
     "--timings": dict(action="store_true", help="add wall time to the output (not reproducible)"),
     "--backend": dict(choices=("internal", "external"), default="internal"),
     "--external-cmd": dict(default=None, metavar="CMD"),
-    "--external-parse": dict(choices=("count", "sat"), default="count"),
-    "--external-timeout": dict(type=float, default=60.0),
+    "--external-parse": dict(choices=("count", "sat"), default=None),
+    "--external-timeout": dict(type=float, default=None),
     "--format": dict(choices=("text", "structured"), default="text"),
 }
 # Each subcommand takes the options it reads.
@@ -84,18 +84,18 @@ def _internal(args) -> InternalBackend:
 
 
 def _backend(args):
+    """The internal base solver, or an external one routing to it."""
     internal = _internal(args)
+    options = {name: getattr(args, "external_" + name) for name in ("cmd", "parse", "timeout")}
+    given = {name: value for name, value in options.items() if value is not None}
     if args.backend == "internal":
+        if given:
+            raise _UsageError("--external-%s requires --backend external" % next(iter(given)))
         return internal
     if not args.external_cmd:
         raise _UsageError("--backend external requires --external-cmd")
-    config = _checked(
-        BackendConfig,
-        command=args.external_cmd,
-        parse=args.external_parse,
-        timeout=args.external_timeout,
-    )
-    return StackedBackend(ExternalBackend(config), internal)
+    config = _checked(BackendConfig, command=given.pop("cmd"), **given)
+    return ExternalBackend(config, internal)
 
 
 def _read_text(path):

@@ -10,17 +10,13 @@ from dataclasses import replace
 import pytest
 
 from conftest import wvi_from_names
-from wvcount.backends import (
-    BackendConfig,
-    ExternalBackend,
-    InternalBackend,
-    StackedBackend,
-)
+import wvcount.backends
+from wvcount.backends import BackendConfig, ExternalBackend, InternalBackend
 from wvcount.bench import gen_random_elp
-from wvcount.dp import RunStats, Thresholds, count_world_views
+from wvcount.dp import RunStats, Thresholds, acceptance_probability, count_world_views
 from wvcount.errors import BackendError, BackendTimeout, BruteForceCapExceeded
 from wvcount.model import EMPTY_WVI, WVI, AtomTable, Epistemic, Literal, Program, Rule
-from wvcount.parser import parse_program
+from wvcount.parser import parse_program, parse_query
 from wvcount.semantics import (
     count_world_views_bruteforce,
     enumerate_world_views,
@@ -256,15 +252,12 @@ def test_external_agrees_with_internal(tmp_path, running):
 
 def test_external_delegation_through_dp(running):
     cmd = "%s -m wvcount.cli oracle {file}" % sys.executable
-    stacked = StackedBackend(
-        ExternalBackend(BackendConfig(command=cmd, parse="count", timeout=60)),
-        InternalBackend(),
-    )
+    backend = ExternalBackend(BackendConfig(command=cmd, parse="count", timeout=60))
     thr = Thresholds(hybrid=0, abstr=0)  # force immediate delegation
-    assert count_world_views(running, thresholds=thr, backend=stacked) == 3
+    assert count_world_views(running, thresholds=thr, backend=backend) == 3
 
 
-def test_external_sat_marker(tmp_path, running):
+def test_external_sat_marker(tmp_path, plain_core):
     sat = script(
         tmp_path,
         "sat.py",
@@ -278,13 +271,13 @@ def test_external_sat_marker(tmp_path, running):
     backend = ExternalBackend(
         BackendConfig(command="%s %s {file}" % (sys.executable, sat), parse="sat")
     )
-    assert backend.wv_exists(running, EMPTY_WVI)
+    assert backend.count_wv(plain_core, EMPTY_WVI) == 1
 
     unsat = script(tmp_path, "unsat.py", "print('UNSAT')\n")
     backend2 = ExternalBackend(
         BackendConfig(command="%s %s {file}" % (sys.executable, unsat), parse="sat")
     )
-    assert not backend2.wv_exists(running, EMPTY_WVI)
+    assert backend2.count_wv(plain_core, EMPTY_WVI) == 0
 
 
 def test_external_timeout(tmp_path, running):
@@ -339,9 +332,8 @@ def test_external_emitter_failure_leaves_no_temp_file(tmp_path, monkeypatch, run
         raise ValueError("cannot render")
 
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    backend = ExternalBackend(
-        BackendConfig(command="cat {file}", parse="count", emitter=broken)
-    )
+    monkeypatch.setattr(wvcount.backends, "program_to_text", broken)
+    backend = ExternalBackend(BackendConfig(command="cat {file}", parse="count"))
     with pytest.raises(ValueError):
         backend.count_wv(running)
     assert list(tmp_path.iterdir()) == []
@@ -356,15 +348,6 @@ def test_external_exit_code_is_not_a_count(tmp_path, running):
         BackendConfig(command="%s %s {file}" % (sys.executable, exiter), parse="count")
     )
     assert backend.count_wv(running) == 3
-
-
-def test_external_wrong_mode_errors(running):
-    backend = ExternalBackend(BackendConfig(command="echo {file}", parse="count"))
-    with pytest.raises(BackendError):
-        backend.wv_exists(running, EMPTY_WVI)
-    backend2 = ExternalBackend(BackendConfig(command="echo {file}", parse="sat"))
-    with pytest.raises(BackendError):
-        backend2.count_wv(running)
 
 
 def oracle_sat_checker(tmp_path):
@@ -384,23 +367,26 @@ def oracle_sat_checker(tmp_path):
     )
 
 
-def spy_on_solvers(stacked):
-    """Record which solver answers each ``count_wv`` of ``stacked``."""
+def spy_on_solvers(backend):
+    """Record which solver answers each ``count_wv`` of ``backend``."""
     calls = []
-    for owner, name, who in (
-        (stacked.external, "count_wv", "external"),
-        (stacked.external, "wv_exists", "external"),
-        (stacked.internal, "count_wv", "internal"),
-    ):
-        def spy(program, wvi=EMPTY_WVI, method=getattr(owner, name), who=who):
-            calls.append(who)
-            return method(program, wvi)
+    run = backend._run
+    count = backend.internal.count_wv
 
-        setattr(owner, name, spy)
+    def external(program):
+        calls.append("external")
+        return run(program)
+
+    def internal(program, wvi=EMPTY_WVI):
+        calls.append("internal")
+        return count(program, wvi)
+
+    backend._run = external
+    backend.internal.count_wv = internal
     return calls
 
 
-def test_stacked_routing(tmp_path, running, plain_core):
+def test_external_routing(tmp_path, running, plain_core):
     unsat = parse_program("a.\n:- a.")
     a = wvi_from_names(running.atoms, ["a"])
     oracle = "%s -m wvcount.cli oracle {file}" % sys.executable
@@ -411,38 +397,67 @@ def test_stacked_routing(tmp_path, running, plain_core):
         ("count", oracle, "internal", "external"),
         ("sat", checker, "external", "internal"),
     ):
-        stacked = StackedBackend(
-            ExternalBackend(BackendConfig(command=command, parse=parse)),
-            InternalBackend(),
-        )
-        calls = spy_on_solvers(stacked)
-        assert stacked.count_wv(running, EMPTY_WVI) == 3
-        assert stacked.count_wv(running, a) == 2
+        backend = ExternalBackend(BackendConfig(command=command, parse=parse))
+        calls = spy_on_solvers(backend)
+        assert backend.count_wv(running, EMPTY_WVI) == 3
+        assert backend.count_wv(running, a) == 2
         assert calls == [epistemic_to] * 2
         calls.clear()
-        assert stacked.count_wv(plain_core, WVI(domain=1)) == 1
-        assert stacked.count_wv(unsat, EMPTY_WVI) == 0
+        assert backend.count_wv(plain_core, WVI(domain=1)) == 1
+        assert backend.count_wv(unsat, EMPTY_WVI) == 0
         assert calls == [plain_to] * 2
 
 
-def test_stacked_sat_mode_through_the_router(tmp_path):
-    # Plain subproblems reach the external solver as one wv_exists call
-    # each, on the program with the assumption pinned.
+def test_external_sat_mode_through_the_router(tmp_path):
+    # Plain subproblems reach the external solver as one run each, on
+    # the program with the assumption pinned.
     checker = oracle_sat_checker(tmp_path)
-    external = ExternalBackend(
+    backend = ExternalBackend(
         BackendConfig(command="%s %s {file}" % (sys.executable, checker), parse="sat")
     )
     probes = []
-    sat = external._sat
+    run = backend._run
 
-    def counted_sat(program):
+    def counted_run(program):
         probes.append(program)
-        return sat(program)
+        return run(program)
 
-    external._sat = counted_sat
-    stacked = StackedBackend(external, InternalBackend())
+    backend._run = counted_run
     prog = parse_program("a | b.\nc :- K a.\n")
     stats = RunStats()
-    assert count_world_views(prog, backend=stacked, stats=stats) == 1
+    assert count_world_views(prog, backend=backend, stats=stats) == 1
     assert count_world_views(prog) == 1
     assert len(probes) == stats.backend_calls == 3
+
+
+def test_bare_external_backend_counts_like_the_internal_one(tmp_path, running):
+    # No wrapper: each parse mode's ExternalBackend routes its own base
+    # cases.  At the default thresholds every base case here is plain
+    # (sat mode sends them out); at the lowered ones every base case is
+    # epistemic (count mode sends them out).
+    oracle = "%s -m wvcount.cli oracle {file}" % sys.executable
+    checker = "%s %s {file}" % (sys.executable, oracle_sat_checker(tmp_path))
+    random_elp = gen_random_elp(8, 4, 10, 35)
+    assert count_world_views_bruteforce(random_elp) >= 1
+    cases = ((running, "c,-d"), (random_elp, "a5"))
+    runs = {"count": 0, "sat": 0}
+    for thresholds in (Thresholds(), Thresholds(hybrid=3, abstr=2, depth=3)):
+        for program, query_text in cases:
+            query = parse_query(query_text, program.atoms)
+            for driver in (count_world_views, acceptance_probability):
+                expected_stats = RunStats()
+                expected = driver(program, query, thresholds=thresholds, stats=expected_stats)
+                for parse, command in (("count", oracle), ("sat", checker)):
+                    backend = ExternalBackend(BackendConfig(command=command, parse=parse))
+                    calls = spy_on_solvers(backend)
+                    stats = RunStats()
+                    result = driver(
+                        program, query, thresholds=thresholds, backend=backend, stats=stats
+                    )
+                    assert result == expected
+                    assert (stats.backend_calls, stats.nested_calls) == (
+                        expected_stats.backend_calls,
+                        expected_stats.nested_calls,
+                    )
+                    runs[parse] += calls.count("external")
+    assert min(runs.values()) > 0, runs

@@ -206,6 +206,18 @@ def test_exit_usage_on_invalid_option_values(capsys):
         ["oracle", RUNNING_PATH, "--heuristic", "min-degree"],
         ["gen", "classic", "--timings"],
     ) + tuple(
+        # the internal backend would ignore them, though these thresholds
+        # send every subproblem to the backend
+        [command, RUNNING_PATH, "--query", "a", "--threshold-hybrid", "0", "--threshold-abstr", "0",
+         option, value, *backend]
+        for command in ("count", "prob")
+        for option, value in (
+            ("--external-cmd", "false {file}"),
+            ("--external-parse", "sat"),
+            ("--external-timeout", "5"),
+        )
+        for backend in ([], ["--backend", "internal"])
+    ) + tuple(
         # rejected before any solver starts, though these thresholds
         # send every subproblem to the backend
         ["count", RUNNING_PATH, "--threshold-hybrid", "0", "--threshold-abstr", "0",
