@@ -103,7 +103,7 @@ class BackendConfig:
 
     ``command`` is a whitespace-split template containing exactly one
     ``{file}`` placeholder; ``parse`` selects the output contract: a
-    single decimal line (``count``) or the presence of a ``SAT`` line
+    single decimal line (``count``) or a ``SAT`` or ``UNSAT`` line
     (``sat``), and with it the subproblems the solver takes (see
     ``ExternalBackend``); ``timeout`` is in seconds, > 0 and <=
     ``threading.TIMEOUT_MAX``.
@@ -126,10 +126,13 @@ class BackendConfig:
 class ExternalBackend:
     """The one router of base cases by program kind.  The external solver
     takes what its parse mode expresses: epistemic subproblems in
-    ``count`` mode, plain ones in ``sat`` mode, read as 1 when a ``SAT``
-    line appears and 0 otherwise.  ``internal`` takes the rest; it
-    defaults to a fresh ``InternalBackend``.  The solver receives the
-    program with the assumption pinned by ``with_wvi_constraints``."""
+    ``count`` mode, plain ones in ``sat`` mode, read as 1 on a ``SAT``
+    line and 0 on an ``UNSAT`` line; other lines are ignored.  Output
+    without the mode's answer (no decimal line in ``count`` mode,
+    neither or both of ``SAT`` and ``UNSAT`` in ``sat`` mode) raises
+    ``BackendError``.  ``internal`` takes the rest; it defaults to a
+    fresh ``InternalBackend``.  The solver receives the program with the
+    assumption pinned by ``with_wvi_constraints``."""
 
     def __init__(self, config: BackendConfig, internal: InternalBackend | None = None):
         self.config = config
@@ -183,9 +186,12 @@ class ExternalBackend:
         if wvi.domain:
             program = with_wvi_constraints(program, wvi)
         out = self._run(program)
-        if not counting:
-            return 1 if any(l.strip() == "SAT" for l in out.splitlines()) else 0
         lines = [l.strip() for l in out.splitlines() if l.strip()]
+        if not counting:
+            verdicts = {l for l in lines if l in ("SAT", "UNSAT")}
+            if len(verdicts) != 1:
+                raise BackendError("expected a SAT or UNSAT line on stdout, got %r" % out)
+            return 1 if "SAT" in verdicts else 0
         if len(lines) != 1 or not lines[0].isdecimal():
             raise BackendError(
                 "expected a single decimal count on stdout, got %r" % out

@@ -322,6 +322,8 @@ def build_parser():
     _add_options(p, _ROUTING)
     p.set_defaults(func=_cmd_harness)
 
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)  # a usage error found later names its subcommand
     return parser
 
 
@@ -352,7 +354,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _UsageError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     except ParseError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 3

@@ -8,7 +8,11 @@ compatibility checks and the dynamic programming tables use masks on one
 component at a time.  The split into components and the component keys,
 which read every rule of the program, use atom ids instead: a
 ``semantics.Component`` renames a rule list onto dense local atom numbers
-and owns its key.
+and owns its key.  So a ``Rule`` stores only its atom ids and computes
+its masks on first read: a parsed program holds no per-rule mask, and
+only the rules of the components that reach the mask-based layers get
+one.  A ``Program`` folds its own masks from the ids of rules whose
+masks were never read.
 All model values are immutable after construction and safe to share.
 """
 
@@ -107,6 +111,26 @@ class Epistemic:
 BodyElement = Union[Objective, Epistemic]
 
 
+def _split_masks(rules) -> tuple[int, int]:
+    """``(eats_mask, aats_mask)`` over ``rules``: a rule's kept masks where
+    it has them, else a walk over its atom ids, which keeps nothing."""
+    eats = aats = 0
+    for r in rules:
+        masks = r._masks
+        if masks is not None:
+            eats |= masks[0]
+            aats |= masks[1]
+            continue
+        for a in r.head:
+            aats |= 1 << a
+        for el in r.body:
+            if isinstance(el, Objective):
+                aats |= 1 << el.literal.atom
+            else:
+                eats |= 1 << el.literal.atom
+    return eats, aats
+
+
 @dataclass(frozen=True)
 class Rule:
     """One ELP rule: disjunctive head plus a list of body elements.
@@ -114,46 +138,82 @@ class Rule:
     Head atoms are positive.  Within a single rule an atom is either
     objective or epistemic, never both; this keeps the per-rule split into
     epistemic atoms (``eats_mask``) and objective atoms (``aats_mask``)
-    well defined.
+    well defined.  Construction checks that on atom ids and builds no
+    mask.  ``eats_mask`` and ``aats_mask`` are computed together, in one
+    walk, the first time either is read, and kept on the instance; a rule
+    made by ``without_epistemic`` gets them from its source at once.
+    ``head_mask``, ``pos_mask`` and ``neg_mask`` are derived on each read.
     """
 
     head: tuple[int, ...]
     body: tuple[BodyElement, ...]
 
-    head_mask: int = field(init=False, repr=False, compare=False, default=0)
-    pos_mask: int = field(init=False, repr=False, compare=False, default=0)
-    neg_mask: int = field(init=False, repr=False, compare=False, default=0)
-    eats_mask: int = field(init=False, repr=False, compare=False, default=0)
-
     def __post_init__(self):
         object.__setattr__(self, "head", tuple(sorted(set(self.head))))
         object.__setattr__(self, "body", tuple(self.body))
-        head_mask = mask_of(self.head)
-        pos = neg = eats = 0
+        objective = list(self.head)
+        epistemic = []
         for el in self.body:
-            if isinstance(el, Objective):
-                if el.literal.positive:
-                    pos |= 1 << el.literal.atom
-                else:
-                    neg |= 1 << el.literal.atom
-            else:
-                eats |= 1 << el.literal.atom
-        if (head_mask | pos | neg) & eats:
+            (objective if isinstance(el, Objective) else epistemic).append(el.literal.atom)
+        if epistemic and not set(epistemic).isdisjoint(objective):
             raise ValueError(
                 "atom used both objectively and epistemically in one rule"
             )
-        object.__setattr__(self, "head_mask", head_mask)
-        object.__setattr__(self, "pos_mask", pos)
-        object.__setattr__(self, "neg_mask", neg)
-        object.__setattr__(self, "eats_mask", eats)
+
+    # ``(eats_mask, aats_mask)`` once either was read.  A class attribute,
+    # so it is no dataclass field and equality and hashing ignore it.
+    _masks = None
+
+    def _keep_masks(self) -> tuple[int, int]:
+        masks = _split_masks((self,))
+        object.__setattr__(self, "_masks", masks)
+        return masks
 
     @property
-    def ats_mask(self) -> int:
-        return self.head_mask | self.pos_mask | self.neg_mask | self.eats_mask
+    def eats_mask(self) -> int:
+        """Atoms under an epistemic element."""
+        return (self._masks or self._keep_masks())[0]
 
     @property
     def aats_mask(self) -> int:
-        return self.head_mask | self.pos_mask | self.neg_mask
+        """Objective atoms: the head and the plain body literals."""
+        return (self._masks or self._keep_masks())[1]
+
+    def without_epistemic(self, domain: int) -> "Rule":
+        """This rule less its epistemic elements over the atoms of
+        ``domain``.  Its masks follow from this rule's, so the result
+        keeps them at once."""
+        eats, aats = self._masks or self._keep_masks()
+        rule = Rule(self.head, tuple(
+            el for el in self.body
+            if isinstance(el, Objective) or not (domain >> el.literal.atom) & 1
+        ))
+        object.__setattr__(rule, "_masks", (eats & ~domain, aats))
+        return rule
+
+    @property
+    def head_mask(self) -> int:
+        return mask_of(self.head)
+
+    @property
+    def pos_mask(self) -> int:
+        return mask_of(
+            el.literal.atom
+            for el in self.body
+            if isinstance(el, Objective) and el.literal.positive
+        )
+
+    @property
+    def neg_mask(self) -> int:
+        return mask_of(
+            el.literal.atom
+            for el in self.body
+            if isinstance(el, Objective) and not el.literal.positive
+        )
+
+    @property
+    def ats_mask(self) -> int:
+        return self.aats_mask | self.eats_mask
 
     @property
     def purely_epistemic(self) -> bool:
@@ -169,7 +229,8 @@ class Program:
     sets come from the program's own rules, not the table.  They are
     computed once, at construction: ``eats_mask`` (atoms under an
     epistemic element) and ``aats_mask`` (objective atoms) are folded
-    over the rules, and ``ats_mask`` and ``is_plain`` derive from them.
+    over the rules (``_split_masks``), which fills no rule's masks, and
+    ``ats_mask`` and ``is_plain`` derive from them.
     ``component`` is set only on a program the counting router built: its
     ``semantics.Component``, whose renaming and key the base solver reads.
     """
@@ -183,10 +244,7 @@ class Program:
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
-        eats = aats = 0
-        for r in self.rules:
-            eats |= r.eats_mask
-            aats |= r.aats_mask
+        eats, aats = _split_masks(self.rules)
         object.__setattr__(self, "eats_mask", eats)
         object.__setattr__(self, "aats_mask", aats)
 

@@ -235,13 +235,7 @@ def compile_reduct(rules, domain: int) -> tuple:
     ``domain`` (a rule with none is its own residue), ``all`` has bit i
     set for each rule i, and ``dead`` is ``dead_masks(rules, domain)``.
     """
-    residues = tuple(
-        Rule(r.head, tuple(
-            el for el in r.body
-            if isinstance(el, Objective) or not (domain >> el.literal.atom) & 1
-        )) if r.eats_mask & domain else r
-        for r in rules
-    )
+    residues = tuple(r.without_epistemic(domain) if r.eats_mask & domain else r for r in rules)
     return residues, (1 << len(residues)) - 1, dead_masks(rules, domain)
 
 

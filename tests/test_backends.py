@@ -279,6 +279,19 @@ def test_external_sat_marker(tmp_path, plain_core):
     )
     assert backend2.count_wv(plain_core, EMPTY_WVI) == 0
 
+    # No answer is no count: empty output, chatter only, or both answers.
+    for name, body in (
+        ("empty.py", ""),
+        ("chatter.py", "print('solving'); print('sat'); print('SATISFIABLE')\n"),
+        ("both.py", "print('SAT'); print('UNSAT')\n"),
+    ):
+        silent = script(tmp_path, name, body)
+        backend3 = ExternalBackend(
+            BackendConfig(command="%s %s {file}" % (sys.executable, silent), parse="sat")
+        )
+        with pytest.raises(BackendError, match="expected a SAT or UNSAT line"):
+            backend3.count_wv(plain_core, EMPTY_WVI)
+
 
 def test_external_timeout(tmp_path, running):
     sleeper = script(tmp_path, "sleep.py", "import time\ntime.sleep(60)\n")

@@ -234,7 +234,12 @@ def test_exit_usage_on_invalid_option_values(capsys):
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        # An option the subcommand does not take is argparse's own error
+        # and names no subcommand; every other names the one it was given to.
+        usage = "wvcount [-h]" if "unrecognized arguments" in err else "wvcount %s " % args[0]
+        assert err.startswith("usage: " + usage), (args, err)
 
 
 def test_exit_usage_on_external_backend_without_command(capsys):
@@ -243,7 +248,7 @@ def test_exit_usage_on_external_backend_without_command(capsys):
             main([command, RUNNING_PATH, "--query", "a", "--backend", "external"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage: ")
+        assert err.startswith("usage: wvcount %s " % command)
         assert err.endswith("error: --backend external requires --external-cmd\n")
 
 
@@ -343,6 +348,14 @@ def test_exit_backend_failure(tmp_path):
         )
         == 4
     )
+
+
+def test_exit_backend_failure_on_sat_mode_output_without_an_answer():
+    # The default thresholds send plain base cases to a sat-mode solver.
+    for command in ("count", "prob"):
+        args = [command, RUNNING_PATH, "--query", "a", "--backend", "external",
+                "--external-parse", "sat", "--external-cmd", "false {file}"]
+        assert main(args) == 4
 
 
 def test_byte_reproducibility(tmp_path):

@@ -1,5 +1,6 @@
 import pytest
 
+from wvcount.bench import gen_random_elp, gen_scholarship
 from wvcount.model import (
     AtomTable,
     Epistemic,
@@ -11,6 +12,7 @@ from wvcount.model import (
     bits,
     mask_of,
 )
+from wvcount.parser import parse_program, program_to_text
 
 
 def test_atom_table_interning():
@@ -59,8 +61,19 @@ def test_rule_head_normalized():
 
 
 def test_rule_rejects_mixed_atom():
-    with pytest.raises(ValueError):
-        Rule((0,), (Epistemic(False, Literal(0, True)),))
+    # Atom 0 in the head, in B+ or in B-, and under an epistemic element:
+    # every shape is refused, whatever the element order.
+    other = Objective(Literal(1, True))
+    for e in (Epistemic(neg, Literal(0, pos)) for neg in (False, True) for pos in (True, False)):
+        shapes = [((0,), (e,)), ((0, 2), (other, e)), ((0,), (e, other))]
+        for o in (Objective(Literal(0, True)), Objective(Literal(0, False))):
+            shapes += [((), (o, e)), ((), (e, o)), ((2,), (o, other, e)), ((2,), (e, other, o))]
+        for head, body in shapes:
+            with pytest.raises(ValueError, match="atom used both objectively and epistemically"):
+                Rule(head, body)
+    # An atom under two epistemic elements, or in B+ and B-, is one use.
+    Rule((), (Epistemic(False, Literal(0, True)), Epistemic(True, Literal(0, False))))
+    Rule((1,), (Objective(Literal(0, True)), Objective(Literal(0, False))))
 
 
 def test_purely_epistemic_rule_has_empty_head():
@@ -108,3 +121,77 @@ def test_program_masks():
     assert prog.eats_mask == 0b10
     assert not prog.is_plain
     assert Program(table, (Rule((0,), ()),)).is_plain
+
+
+def walked_masks(rule):
+    """Every mask of ``rule``, by a walk over its head and body."""
+    head = pos = neg = eats = 0
+    for a in rule.head:
+        head |= 1 << a
+    for el in rule.body:
+        bit = 1 << el.literal.atom
+        if isinstance(el, Epistemic):
+            eats |= bit
+        elif el.literal.positive:
+            pos |= bit
+        else:
+            neg |= bit
+    aats = head | pos | neg
+    return dict(
+        head_mask=head, pos_mask=pos, neg_mask=neg, eats_mask=eats, aats_mask=aats,
+        ats_mask=aats | eats, purely_epistemic=aats == 0,
+    )
+
+
+def mask_programs():
+    yield from (gen_random_elp(12, 6, 12, s) for s in range(20))
+    yield parse_program(program_to_text(gen_scholarship(40, "many", 0)))
+
+
+def test_rule_masks_on_first_read_in_either_order():
+    # Masks are computed when first read: read eats_mask or aats_mask
+    # first, every mask agrees with a walk over the ids.
+    for first in ("aats_mask", "eats_mask"):
+        for program in mask_programs():
+            for rule in program.rules:
+                fresh = Rule(rule.head, rule.body)
+                expected = walked_masks(fresh)
+                getattr(fresh, first)
+                assert {name: getattr(fresh, name) for name in expected} == expected
+
+
+def test_without_epistemic_keeps_the_masks_of_its_residue():
+    # A residue drops the epistemic elements over the domain and comes
+    # with its masks: they equal a walk over the residue's own ids.
+    for program in mask_programs():
+        eats = program.eats_mask
+        for domain in (eats, mask_of(list(bits(eats))[::2]), 0):
+            for rule in program.rules:
+                residue = rule.without_epistemic(domain)
+                assert residue.head == rule.head
+                assert residue.body == tuple(
+                    el for el in rule.body
+                    if isinstance(el, Objective) or not domain >> el.literal.atom & 1
+                )
+                assert {name: getattr(residue, name) for name in walked_masks(residue)} == (
+                    walked_masks(residue)
+                )
+
+
+def test_program_masks_fold_read_and_unread_rules():
+    # A program folds unread rules from their ids and read rules from
+    # their kept masks: with none, every other and all read, the fold is
+    # the OR of the walked masks.
+    for program in mask_programs():
+        eats = aats = 0
+        for rule in program.rules:
+            expected = walked_masks(rule)
+            eats |= expected["eats_mask"]
+            aats |= expected["aats_mask"]
+        assert (program.eats_mask, program.aats_mask) == (eats, aats)
+        for step in (2, 1):
+            rules = [Rule(r.head, r.body) for r in program.rules]
+            for rule in rules[::step]:
+                rule.aats_mask
+            folded = Program(program.atoms, rules)
+            assert (folded.eats_mask, folded.aats_mask) == (eats, aats)
