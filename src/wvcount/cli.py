@@ -350,7 +350,9 @@ def _attach_query_values(argv):
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_attach_query_values(argv))
+    args, extra = parser.parse_known_args(_attach_query_values(argv))
+    if extra:  # argparse would report them on the top-level parser
+        args.parser.error("unrecognized arguments: %s" % " ".join(extra))
     try:
         return args.func(args)
     except _UsageError as exc:

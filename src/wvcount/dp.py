@@ -17,27 +17,29 @@ surviving rules are one mask, built from one dead-rule mask per bag
 atom, and a value passes the checks iff no check rule survives.  The
 nested algorithm filters its rows, verifying the delegated rules by a
 recursive call on their reduct (``compile_reduct``).  Rows with the
-same surviving rules share one reduct program (``_Subproblem``), built
-on the first such row, and its component split is built on the first
-nested call that gets past the router's early exit.  Recursion bottoms
-out in one base-solver call per subproblem (``_base_case``), steered by
-width and depth thresholds that change routing but never results.  The
+same surviving rules share one reduct (``_Subproblem``): its residues,
+built on the first such row, and their component split, built on the
+first nested call past the early exit.  Recursion bottoms out in one
+base-solver call per subproblem (``_base_case``), steered by width and
+depth thresholds that change routing but never results.  The
 abstraction search scores candidates by the edges their elimination
 adds less those it removes (``decomp.fill_count``, which counts by set
 intersections).
 
-Both drivers take one route.  The router ``_nested_count`` splits a
-subproblem into connected components, counts each apart (``_route``)
-and multiplies.  Every component goes through one memo (``_count_part``),
-so components equal up to renaming are counted once per driver call.
-The split (``semantics.components``) reads atom ids, not masks, and
-each ``semantics.Component`` owns its renaming onto dense local numbers
-and its key, which its ``Program`` carries to the base solver.  The
-depth-0 split is the drivers' own (``_count_root``), and only there is a
-query folded in, as constraints on the components of its atoms.  The
-router never turns the assumption into rules: an introduce node offers
-an assumed atom only its assumed value, and nested calls and the base
-solver enforce the rest.
+Both drivers take one route: a subproblem splits into connected
+components, counted apart through one memo (``_count_part``) and
+multiplied, so components equal up to renaming are counted once per
+driver call.  Routing reads a component's depth, rules and thresholds,
+never its assumption, so each ``semantics.Component`` is routed once,
+into a ``_Plan`` whose node data and reduct caches serve every
+assumption.  The split (``semantics.components``) reads atom ids, not
+masks, and each ``Component`` owns its renaming onto dense local
+numbers and its key, which its ``Program`` carries to the base solver.
+The depth-0 split is the drivers' own (``_count_root``), and only there
+is a query folded in, as constraints on the components of its atoms.
+The router never turns the assumption into rules: an introduce node
+offers an assumed atom only its assumed value, and nested calls and the
+base solver enforce the rest.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .graphs import (
     nested_primal_graph,
     primal_graph,
 )
-from .model import EMPTY_WVI, Program, WVI, bits, mask_of
+from .model import EMPTY_WVI, Program, WVI, _split_masks, bits, mask_of
 from .semantics import (
     Component,
     compile_reduct,
@@ -122,31 +124,13 @@ class RunStats:
 
 
 @dataclass
-class _Figures:
-    """The structural ``RunStats`` fields of one depth-0 component."""
-
-    primal_width: int = -1
-    dp_width: int = -1
-    dp_nodes: int = 0
-    abstraction_size: int = -1
-
-
-def _fold(stats: RunStats, figures: _Figures) -> None:
-    stats.primal_width = max(stats.primal_width, figures.primal_width)
-    stats.dp_width = max(stats.dp_width, figures.dp_width)
-    stats.dp_nodes += figures.dp_nodes
-    if figures.abstraction_size >= 0:
-        stats.abstraction_size = max(stats.abstraction_size, 0) + figures.abstraction_size
-
-
-@dataclass
 class _Ctx:
     thresholds: Thresholds
     backend: object
     heuristic: str
     seed: int
     stats: RunStats
-    # Component key -> (count, figures); one per driver call.
+    # (depth, component key, local assumption) -> (count, plan); per call.
     memo: dict = field(default_factory=dict)
 
 
@@ -361,35 +345,81 @@ class _NodeData:
     reducts: dict = field(default_factory=dict)
 
 
-def _prepare_nodes(program, a_mask, nice):
-    """Attach bag programs and delegated rules to the introduce nodes of a
-    nice decomposition; rows split at ``a_mask.bit_length()``."""
+@dataclass
+class _Plan:
+    """How one ``Component`` is counted under any assumption: its
+    ``Program``, its structural ``RunStats`` fields (defaults for stages
+    not reached) and, on the table route, a nice decomposition ``nice``
+    of the nested primal graph, its introduce nodes' ``_NodeData`` and
+    the row split ``shift``; ``nice`` is None on the base-case route."""
+
+    program: Program
+    primal_width: int = -1
+    dp_width: int = -1
+    dp_nodes: int = 0
+    abstraction_size: int = -1
+    nice: Optional[NiceTD] = None
+    nodes: dict = field(default_factory=dict)
+    shift: int = 0
+
+
+def _fold(stats: RunStats, plan: _Plan) -> None:
+    stats.primal_width = max(stats.primal_width, plan.primal_width)
+    stats.dp_width = max(stats.dp_width, plan.dp_width)
+    stats.dp_nodes += plan.dp_nodes
+    if plan.abstraction_size >= 0:
+        stats.abstraction_size = max(stats.abstraction_size, 0) + plan.abstraction_size
+
+
+def _table_plan(program, a_mask, ctx):
+    """The table route's ``_Plan`` of ``program`` over the abstraction
+    ``a_mask``: bag programs and delegated rules attached to the introduce
+    nodes of a nice decomposition; rows split at ``a_mask.bit_length()``."""
+    nice = make_nice(build_td(nested_primal_graph(program, a_mask), ctx.heuristic, ctx.seed))
     shift = a_mask.bit_length()
     asg = assign_compatible_sets(program, a_mask, nice)
-    data = {}
+    nodes = {}
     for t, (bag_mask, rules) in _node_checks(program, a_mask, nice).items():
-        data[t] = _NodeData(
+        nodes[t] = _NodeData(
             bag_mask=bag_mask,
             options=_RowOptions(bag_mask, rules, nice.action[t], shift),
             nested=compile_reduct(asg.delegated.get(t, ()), bag_mask),
             owned_mask=asg.nested_bag_atoms.get(t, 0),
         )
-    return data
+    return _Plan(program, -1, nice.width, nice.node_count, a_mask.bit_count(), nice, nodes, shift)
 
 
-def _run_tables(depth, program, a_mask, assumption, ctx, figures):
-    """Dynamic programming over a nice decomposition of the nested primal
-    graph; returns the count.  ``figures`` takes the decomposition's width
-    and node count."""
-    nice = make_nice(build_td(nested_primal_graph(program, a_mask), ctx.heuristic, ctx.seed))
-    figures.dp_width = nice.width
-    figures.dp_nodes = nice.node_count
-    data = _prepare_nodes(program, a_mask, nice)
+def _make_plan(depth, atoms, part, ctx):
+    """Route a ``Component`` over the atom table ``atoms``: the base
+    solver when it is plain, past the depth cap or too wide, else tables
+    over a decomposition of an abstraction of it."""
+    program = Program(atoms, part.rules, part)
+    a_mask = program.eats_mask
+    thr = ctx.thresholds
+    if a_mask == 0 or (depth and depth >= thr.depth):
+        # A plain subproblem has nothing to decompose, and past the depth
+        # cap the base solver takes the subproblem whatever its width, so
+        # neither builds a decomposition.  An epistemic subproblem at depth
+        # 0 builds one for stats even when the cap is 0.
+        return _Plan(program)
+    primal_width = build_td(primal_graph(program), ctx.heuristic, ctx.seed).width
+    if primal_width >= thr.hybrid or depth >= thr.depth:
+        return _Plan(program, primal_width)
+    if primal_width >= thr.abstr:
+        a_mask = choose_abstraction(
+            a_mask, program, thr.abstr, ABSTRACTION_BUDGET, ctx.seed, ctx.heuristic
+        )
+    plan = _table_plan(program, a_mask, ctx)
+    plan.primal_width = primal_width
+    return plan
 
+
+def _run_tables(depth, plan, assumption, ctx):
+    """Dynamic programming over a table route's ``_Plan``; returns the count."""
     def introduce(t, child):
-        return _intr_table(depth, program, data[t], child, assumption, ctx)
+        return _intr_table(depth, plan.program, plan.nodes[t], child, assumption, ctx)
 
-    return sum(_table_pass(nice, introduce, a_mask.bit_length())[nice.root].values())
+    return sum(_table_pass(plan.nice, introduce, plan.shift)[plan.nice.root].values())
 
 
 def _intr_table(depth, program, nd, child, assumption, ctx):
@@ -416,13 +446,15 @@ def _intr_table(depth, program, nd, child, assumption, ctx):
         # atom that no residue derives must fail there.
         if alive or sub_domain:
             ctx.stats.nested_calls += 1
+            ctx.stats.max_depth = max(ctx.stats.max_depth, depth + 1)
             sub = WVI(sub_domain, (assumption.true | nt) & owned, (assumption.false | nf) & owned)
             reduct = nd.reducts.get(alive)
             if reduct is None:
-                reduct = nd.reducts[alive] = _Subproblem(
-                    Program(program.atoms, reduct_rules(nested, alive))
-                )
-            mult = _nested_count(depth + 1, reduct, sub, ctx)
+                reduct = nd.reducts[alive] = _Subproblem(reduct_rules(nested, alive))
+            if sub.domain & ~sub.false & ~reduct.ats_mask:
+                mult = 0  # as in ``_count_root``
+            else:
+                mult = _product(depth + 1, program.atoms, reduct.parts, sub, ctx)
         if mult:
             table[row] = c * mult
     return table
@@ -436,33 +468,20 @@ def _base_case(program, assumption, ctx):
 
 
 class _Subproblem:
-    """A program to count and, built on first use, its connected
-    components (``semantics.components``).  An introduce node keeps one
-    per set of surviving rules, so none outlives a driver call.
-    """
+    """A reduct: its residue rules, their atom mask and, built on first
+    use, their ``components``.  A node keeps one per set of survivors."""
 
-    __slots__ = ("program", "_parts")
+    __slots__ = ("rules", "ats_mask", "_parts")
 
-    def __init__(self, program):
-        self.program = program
-        self._parts = None
+    def __init__(self, rules):
+        eats, aats = _split_masks(rules)  # residues keep their masks
+        self.rules, self.ats_mask, self._parts = rules, eats | aats, None
 
     @property
     def parts(self):
         if self._parts is None:
-            self._parts = components(self.program.rules)
+            self._parts = components(self.rules)
         return self._parts
-
-
-def _nested_count(depth, subproblem, assumption, ctx):
-    """Count the world views of a ``_Subproblem``'s program that agree
-    exactly with the assumption on its domain, below the drivers'
-    depth-0 split (``_count_root``)."""
-    ctx.stats.max_depth = max(ctx.stats.max_depth, depth)
-    program = subproblem.program
-    if assumption.domain & ~assumption.false & ~program.ats_mask:
-        return 0  # as in ``_count_root``
-    return _product(depth, program.atoms, subproblem.parts, assumption, ctx)
 
 
 def _product(depth, atoms, parts, assumption, ctx, stats=None):
@@ -473,9 +492,9 @@ def _product(depth, atoms, parts, assumption, ctx, stats=None):
     world views, and compatibility is tested atom by atom."""
     count = 1
     for part in parts:
-        c, figures = _count_part(depth, atoms, part, assumption.restrict(part.mask), ctx)
+        c, plan = _count_part(depth, atoms, part, assumption.restrict(part.mask), ctx)
         if stats is not None:
-            _fold(stats, figures)
+            _fold(stats, plan)
         if c == 0:
             return 0
         count *= c
@@ -483,46 +502,21 @@ def _product(depth, atoms, parts, assumption, ctx, stats=None):
 
 
 def _count_part(depth, atoms, part, assumption, ctx):
-    """Count a ``Component`` over the atom table ``atoms`` with
-    ``_route``; returns the count and the component's figures.  Every
-    component goes through this memo, keyed on the depth, its ``key`` and
-    its assumption in local numbers, so components equal up to renaming
-    are counted once per driver call."""
+    """Count a ``Component`` over the atom table ``atoms``; returns the
+    count and the component's ``_Plan``, made on its first memo miss
+    (``_make_plan``).  Every component goes through this memo, keyed on
+    the depth, its ``key`` and its assumption in local numbers, so
+    components equal up to renaming are counted once per driver call."""
     memo_key = (depth, part.key) + part.local_wvi(assumption)
     entry = ctx.memo.get(memo_key)
     if entry is None:
-        if part.program is None:
-            part.program = Program(atoms, part.rules, part)
-        figures = _Figures()
-        count = _route(depth, part.program, assumption, ctx, figures)
-        entry = ctx.memo[memo_key] = (count, figures)
+        plan = part.plan = part.plan or _make_plan(depth, atoms, part, ctx)
+        if plan.nice is None:
+            count = _base_case(plan.program, assumption, ctx)
+        else:
+            count = _run_tables(depth, plan, assumption, ctx)
+        entry = ctx.memo[memo_key] = (count, plan)
     return entry
-
-
-def _route(depth, program, assumption, ctx, figures):
-    """Count one connected subproblem: the base solver when it is plain,
-    past the depth cap or too wide, else tables over a decomposition of an
-    abstraction of it.  ``figures`` takes its widths, table nodes and
-    abstraction size."""
-    eats = program.eats_mask
-    thr = ctx.thresholds
-    if eats == 0 or (depth and depth >= thr.depth):
-        # A plain subproblem has nothing to decompose, and past the depth
-        # cap the base solver takes the subproblem whatever its width, so
-        # neither builds a decomposition.  An epistemic subproblem at depth
-        # 0 builds one for stats even when the cap is 0.
-        return _base_case(program, assumption, ctx)
-    primal_td = build_td(primal_graph(program), ctx.heuristic, ctx.seed)
-    figures.primal_width = primal_td.width
-    if primal_td.width >= thr.hybrid or depth >= thr.depth:
-        return _base_case(program, assumption, ctx)
-    a_mask = eats
-    if primal_td.width >= thr.abstr:
-        a_mask = choose_abstraction(
-            a_mask, program, thr.abstr, ABSTRACTION_BUDGET, ctx.seed, ctx.heuristic
-        )
-    figures.abstraction_size = a_mask.bit_count()
-    return _run_tables(depth, program, a_mask, assumption, ctx, figures)
 
 
 def _count_root(program, assumption, query, ctx, adjoin):

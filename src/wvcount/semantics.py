@@ -143,11 +143,12 @@ class Component:
     mask, ``local`` maps a mask over them to local numbers (one shift for
     a run of consecutive ids, the common case), ``key`` is ``rules_key``
     over those numbers, equal for rule lists equal up to an
-    order-preserving renaming, and ``program`` is the ``Program`` the
-    router builds on the first memo miss.  Nothing here walks a mask over
-    the whole program's atoms, so no part costs more at high atom ids."""
+    order-preserving renaming, and ``plan`` is the router's ``dp._Plan``,
+    which holds its ``Program``, made on the first memo miss.  Nothing
+    here walks a mask over the whole program's atoms, so no part costs
+    more at high atom ids."""
 
-    __slots__ = ("atoms", "mask", "rules", "local", "key", "program")
+    __slots__ = ("atoms", "mask", "rules", "local", "key", "plan")
 
     def __init__(self, atoms, rules):
         index = {atom: i for i, atom in enumerate(atoms)}
@@ -164,7 +165,7 @@ class Component:
 
             self.mask, self.local = mask_of(atoms), local
         self.atoms, self.rules, self.key = atoms, rules, rules_key(rules, index)
-        self.program = None
+        self.plan = None
 
     def local_wvi(self, wvi: WVI) -> tuple:
         """``wvi``'s domain, true and false masks in local numbers; ``wvi``

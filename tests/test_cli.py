@@ -236,10 +236,25 @@ def test_exit_usage_on_invalid_option_values(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error:" in err
-        # An option the subcommand does not take is argparse's own error
-        # and names no subcommand; every other names the one it was given to.
-        usage = "wvcount [-h]" if "unrecognized arguments" in err else "wvcount %s " % args[0]
-        assert err.startswith("usage: " + usage), (args, err)
+        # Every usage error names the subcommand it was given to, an
+        # option that subcommand does not take included.
+        assert err.startswith("usage: wvcount %s " % args[0]), (args, err)
+
+
+def test_exit_usage_on_unrecognized_arguments(capsys):
+    # argparse reports a subcommand's leftovers on the top-level parser;
+    # the CLI reports them on the subcommand's own.
+    for args, extra in (
+        (["harness", RUNNING_PATH, "--format", "structured"], "--format structured"),
+        (["count", RUNNING_PATH, "--bogus"], "--bogus"),
+        (["prob", RUNNING_PATH, "--query", "a", "stray"], "stray"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: wvcount %s " % args[0])
+        assert err.endswith("wvcount %s: error: unrecognized arguments: %s\n" % (args[0], extra))
 
 
 def test_exit_usage_on_external_backend_without_command(capsys):

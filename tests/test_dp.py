@@ -47,7 +47,7 @@ from wvcount.model import (
     bits,
     mask_of,
 )
-from wvcount.parser import parse_program
+from wvcount.parser import parse_program, program_to_text
 from wvcount.semantics import (
     _components,
     answer_sets,
@@ -125,6 +125,15 @@ def test_count_plausible_unconstrained_guesses():
 def test_count_plausible_cnf_clause():
     prog = cnf_to_elp(3, [[1, 2, 3]])
     assert count_plausible(prog) == 7
+
+
+def test_count_plausible_plain_and_falsity(running):
+    # A plain program has one plausible WVI, the empty one; a bare falsity
+    # constraint leaves none, plain program or not.
+    plain = parse_program("a :- -b. b :- -a.")
+    assert plain.is_plain and count_plausible(plain) == 1
+    for prog in (plain, running):
+        assert count_plausible(prog.extended([Rule((), ())])) == 0
 
 
 def test_count_plausible_matches_oracle_on_random_programs():
@@ -365,7 +374,7 @@ def test_nested_rows_split_at_the_abstraction(monkeypatch):
     # An abstraction without the top epistemic atom splits rows lower
     # than ``eats_mask`` would; assumed atoms take the one-option branch.
     import wvcount.dp as dp_mod
-    from wvcount.dp import _Figures, _run_tables
+    from wvcount.dp import _run_tables, _table_plan
 
     intr_table = dp_mod._intr_table
     calls = []
@@ -402,7 +411,7 @@ def test_nested_rows_split_at_the_abstraction(monkeypatch):
             for thresholds in THRESHOLD_GRID:
                 ctx = _make_ctx(thresholds, None, "min-fill", 0, None)
                 calls.clear()
-                assert _run_tables(0, prog, a_mask, assumption, ctx, _Figures()) == oracle
+                assert _run_tables(0, _table_plan(prog, a_mask, ctx), assumption, ctx) == oracle
                 top = [call for call in calls if call[0] == 0]
                 assert {shift for _depth, shift, _one in top} == {a_mask.bit_length()}
                 shifts.update(shift for _depth, shift, _one in calls)
@@ -487,10 +496,14 @@ def test_choose_abstraction_singleton():
 def test_choose_abstraction_never_empty(running):
     chosen = choose_abstraction(running.eats_mask, running, target_width=0, seed=0)
     assert chosen != 0
+    assert choose_abstraction(0, running, 1) == 0  # nothing to shrink
 
 
-def rebuild_per_candidate_abstraction(a_mask, program, target_width, budget, seed, heuristic):
-    """Reference greedy: builds the nested graph of every candidate."""
+def rebuild_per_candidate_abstraction(
+    a_mask, program, target_width, budget, seed, heuristic, readd=True
+):
+    """Reference greedy: builds the nested graph of every candidate.
+    ``readd=False`` stops after the shrink phase."""
 
     def width_of(mask):
         return build_td(nested_primal_graph(program, mask), heuristic, seed).width
@@ -507,7 +520,7 @@ def rebuild_per_candidate_abstraction(a_mask, program, target_width, budget, see
             if best_key is None or key < best_key:
                 best_key, best = key, cand
         cur = best
-    for atom in bits(a_mask & ~cur):
+    for atom in bits(a_mask & ~cur) if readd else ():
         if steps > budget:
             break
         cand = cur | (1 << atom)
@@ -519,7 +532,7 @@ def rebuild_per_candidate_abstraction(a_mask, program, target_width, budget, see
 
 def test_choose_abstraction_matches_rebuild_per_candidate():
     programs = [gen_random_elp(12, 6, 14, seed) for seed in range(6)]
-    programs += [cnf_to_elp(10, gen_random_3cnf(10, 16, seed)) for seed in range(3)]
+    programs += [cnf_to_elp(10, gen_random_3cnf(10, 16, seed)) for seed in (0, 1, 2, 4)]
     shrunk = 0
     for prog in programs:
         eats = prog.eats_mask
@@ -533,6 +546,16 @@ def test_choose_abstraction_matches_rebuild_per_candidate():
                     assert got == want
                     shrunk += got != eats
     assert shrunk > 100
+    # The re-add phase keeps an atom the shrink phase dropped: x1 of the
+    # last 3-CNF at target 6.
+    prog = programs[-1]
+    x1 = 1 << prog.atoms.id("x1")
+    for heuristic in ("min-fill", "min-degree"):
+        got = choose_abstraction(prog.eats_mask, prog, 6, 256, 1, heuristic)
+        shrunk_only = rebuild_per_candidate_abstraction(
+            prog.eats_mask, prog, 6, 256, 1, heuristic, readd=False
+        )
+        assert got & x1 and not shrunk_only & x1 and got & ~x1 == shrunk_only
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +936,7 @@ def test_stats_and_determinism(running):
 
 def test_elp_tables_root_single_row_and_positive_counts(running):
     import wvcount.dp as dp_mod
-    from wvcount.dp import _Figures, _make_ctx, _run_tables
+    from wvcount.dp import _make_ctx, _run_tables, _table_plan
 
     ctx = _make_ctx(Thresholds(hybrid=99, abstr=99, depth=1), None, "min-fill", 0, None)
     captured = []
@@ -926,7 +949,7 @@ def test_elp_tables_root_single_row_and_positive_counts(running):
 
     dp_mod._intr_table = spy
     try:
-        total = _run_tables(0, running, running.eats_mask, EMPTY_WVI, ctx, _Figures())
+        total = _run_tables(0, _table_plan(running, running.eats_mask, ctx), EMPTY_WVI, ctx)
     finally:
         dp_mod._intr_table = orig
     assert total == 3
@@ -996,18 +1019,18 @@ def test_no_decomposition_at_the_depth_cap(monkeypatch, running):
     # whatever their width, so no primal graph or decomposition is built.
     import wvcount.dp as dp_mod
 
-    depths = [0]  # the drivers count the depth-0 split themselves
+    depths = []  # every decomposition is built while a component is planned
     builds = []
     capped = []
-    nested = dp_mod._nested_count
+    make_plan = dp_mod._make_plan
     build = dp_mod.build_td
 
-    def nested_spy(depth, subproblem, assumption, ctx):
-        if depth >= ctx.thresholds.depth and subproblem.program.eats_mask:
+    def plan_spy(depth, atoms, part, ctx):
+        if depth >= ctx.thresholds.depth and any(r.eats_mask for r in part.rules):
             capped.append(depth)
         depths.append(depth)
         try:
-            return nested(depth, subproblem, assumption, ctx)
+            return make_plan(depth, atoms, part, ctx)
         finally:
             depths.pop()
 
@@ -1015,7 +1038,7 @@ def test_no_decomposition_at_the_depth_cap(monkeypatch, running):
         builds.append(depths[-1])
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(dp_mod, "_nested_count", nested_spy)
+    monkeypatch.setattr(dp_mod, "_make_plan", plan_spy)
     monkeypatch.setattr(dp_mod, "build_td", build_spy)
     programs = [running] + [gen_random_elp(8, 5, 10, seed) for seed in range(10)]
     for cap in (1, 2):
@@ -1229,16 +1252,30 @@ def test_prob_makes_as_many_backend_calls_as_count(running):
 def test_one_driver_call_never_routes_a_component_twice(monkeypatch, running):
     import wvcount.dp as dp_mod
 
-    route = dp_mod._route
+    base_case, run_tables = dp_mod._base_case, dp_mod._run_tables
     keys = []
+    passes = []  # the depths of the table passes running
 
-    def spy_route(depth, program, assumption, ctx, figures):
+    def counted(depth, program, assumption):
         local = reference_local(program.ats_mask)
         key = reference_rules_key(program.rules, program.ats_mask)
         keys.append((depth, key) + tuple(map(local, (assumption.domain, assumption.true, assumption.false))))
-        return route(depth, program, assumption, ctx, figures)
 
-    monkeypatch.setattr(dp_mod, "_route", spy_route)
+    def spy_base_case(program, assumption, ctx):
+        # A component one level below the innermost table pass, or at depth 0.
+        counted(passes[-1] + 1 if passes else 0, program, assumption)
+        return base_case(program, assumption, ctx)
+
+    def spy_run_tables(depth, plan, assumption, ctx):
+        counted(depth, plan.program, assumption)
+        passes.append(depth)
+        try:
+            return run_tables(depth, plan, assumption, ctx)
+        finally:
+            passes.pop()
+
+    monkeypatch.setattr(dp_mod, "_base_case", spy_base_case)
+    monkeypatch.setattr(dp_mod, "_run_tables", spy_run_tables)
     rng = random.Random(31)
     programs = [running] + [gen_random_elp(8, 4, 10, s) for s in range(6)]
     routed = 0
@@ -1495,17 +1532,74 @@ def test_reducts_never_leave_a_bare_falsity_constraint(monkeypatch):
     # atoms outside the abstraction, and one of them is always there.
     import wvcount.dp as dp_mod
 
-    nested = dp_mod._nested_count
+    subproblem = dp_mod._Subproblem
     checked = []
 
-    def spy(depth, subproblem, assumption, ctx):
-        if depth:
-            assert all(r.ats_mask for r in subproblem.program.rules), "a reduct left a bare falsity"
-            checked.append(depth)
-        return nested(depth, subproblem, assumption, ctx)
+    def spy(rules):
+        assert all(r.ats_mask for r in rules), "a reduct left a bare falsity"
+        checked.append(len(rules))
+        return subproblem(rules)
 
-    monkeypatch.setattr(dp_mod, "_nested_count", spy)
+    monkeypatch.setattr(dp_mod, "_Subproblem", spy)
     for thr in THRESHOLD_GRID:
         for seed in range(12):
             count_world_views(gen_random_elp(10, 5, 12, seed), thresholds=thr)
     assert len(checked) > 100
+
+
+def test_each_component_is_planned_once_per_driver_call(monkeypatch):
+    # A component's route reads its depth, its rules and the thresholds,
+    # never its assumption: one plan serves every assumption it meets.
+    import wvcount.dp as dp_mod
+
+    make_plan, run_tables = dp_mod._make_plan, dp_mod._run_tables
+    planned, passes = [], []
+
+    def plan_spy(depth, atoms, part, ctx):
+        planned.append(part)
+        return make_plan(depth, atoms, part, ctx)
+
+    def tables_spy(depth, plan, assumption, ctx):
+        passes.append(plan)
+        return run_tables(depth, plan, assumption, ctx)
+
+    monkeypatch.setattr(dp_mod, "_make_plan", plan_spy)
+    monkeypatch.setattr(dp_mod, "_run_tables", tables_spy)
+    reused = 0
+    for seed in range(10):
+        prog = gen_random_elp(12, 6, 12, seed)
+        oracle = count_world_views_bruteforce(prog)
+        for thresholds in THRESHOLD_GRID:
+            for heuristic in ("min-fill", "min-degree"):
+                planned.clear()
+                passes.clear()
+                assert count_world_views(prog, thresholds=thresholds, heuristic=heuristic) == oracle
+                assert len({id(part) for part in planned}) == len(planned)
+                reused += len({id(plan) for plan in passes}) < len(passes)
+    assert reused >= 10  # runs in which a plan served more than one table pass
+
+
+def test_parsed_r20_at_depth_2_builds_each_decomposition_once(monkeypatch):
+    # The nesting probe pinned in CI (seed 3) and its neighbour: the same
+    # counts and stats as ever, from one decomposition per component, where
+    # planning per memo miss made 2,275 and 6,487 build_td calls.
+    import wvcount.dp as dp_mod
+
+    build = dp_mod.build_td
+    builds = []
+
+    def build_spy(*args, **kwargs):
+        builds.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dp_mod, "build_td", build_spy)
+    for seed, pinned in (
+        (3, RunStats(13, 7, 17, 10, 8, 4921, 8589, 2, 1)),
+        (4, RunStats(9, 7, 17, 10, 8, 1585, 16281, 2, 1)),
+    ):
+        prog = parse_program(program_to_text(gen_random_elp(20, 10, 30, seed)))
+        builds.clear()
+        stats = RunStats()
+        assert count_world_views(prog, thresholds=Thresholds(depth=2), stats=stats) == 1
+        assert stats == pinned
+        assert len(builds) < 1000
