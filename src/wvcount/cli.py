@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage, 3 input error, 4 backend failure,
-5 brute-force cap exceeded, 6 no world views (prob only), 1 harness
-disagreement.
+5 brute-force cap exceeded, 6 no world views (prob only), 7 out of
+memory, 1 harness disagreement.
 """
 
 from __future__ import annotations
@@ -372,6 +372,9 @@ def main(argv=None) -> int:
     except WvcountError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print("out of memory: %s" % exc, file=sys.stderr)
+        return 7
 
 
 if __name__ == "__main__":

@@ -27,13 +27,13 @@ adds less those it removes (``decomp.fill_count``, which counts by set
 intersections).
 
 Both drivers take one route: a subproblem splits into connected
-components, counted apart through one memo (``_count_part``) and
-multiplied, so components equal up to renaming are counted once per
-driver call.  Routing reads a component's depth, rules and thresholds,
-never its assumption, so each ``semantics.Component`` is routed once,
-into a ``_Plan`` whose node data and reduct caches serve every
-assumption.  The split (``semantics.components``) reads atom ids, not
-masks, and each ``Component`` owns its renaming onto dense local
+components, counted apart (``_count_part``) and multiplied.  Routing
+reads a component's depth, rules and thresholds, never its assumption,
+so each ``(depth, Component.key)`` is routed once per driver call, into
+a ``_Plan`` whose node data and reduct caches serve every assumption
+and which keeps its counts: components equal up to renaming are planned
+and counted once.  The split (``semantics.components``) reads atom ids,
+not masks, and each ``Component`` owns its renaming onto dense local
 numbers and its key, which its ``Program`` carries to the base solver.
 The depth-0 split is the drivers' own (``_count_root``), and only there
 is a query folded in, as constraints on the components of its atoms.
@@ -130,8 +130,8 @@ class _Ctx:
     heuristic: str
     seed: int
     stats: RunStats
-    # (depth, component key, local assumption) -> (count, plan); per call.
-    memo: dict = field(default_factory=dict)
+    # (depth, Component.key) -> _Plan, for one driver call.
+    plans: dict = field(default_factory=dict)
 
 
 def _node_checks(program: Program, a_mask: int, nice: NiceTD) -> dict:
@@ -347,11 +347,11 @@ class _NodeData:
 
 @dataclass
 class _Plan:
-    """How one ``Component`` is counted under any assumption: its
-    ``Program``, its structural ``RunStats`` fields (defaults for stages
-    not reached) and, on the table route, a nice decomposition ``nice``
-    of the nested primal graph, its introduce nodes' ``_NodeData`` and
-    the row split ``shift``; ``nice`` is None on the base-case route."""
+    """How the components of one ``(depth, key)`` are counted: the first
+    one's ``Program``, its structural ``RunStats`` fields (defaults for
+    stages not reached), on the table route a nice decomposition ``nice``
+    of the nested primal graph, its ``_NodeData`` and the row split
+    ``shift`` (else ``nice`` is None), and ``counts`` by local assumption."""
 
     program: Program
     primal_width: int = -1
@@ -361,6 +361,7 @@ class _Plan:
     nice: Optional[NiceTD] = None
     nodes: dict = field(default_factory=dict)
     shift: int = 0
+    counts: dict = field(default_factory=dict)
 
 
 def _fold(stats: RunStats, plan: _Plan) -> None:
@@ -503,20 +504,23 @@ def _product(depth, atoms, parts, assumption, ctx, stats=None):
 
 def _count_part(depth, atoms, part, assumption, ctx):
     """Count a ``Component`` over the atom table ``atoms``; returns the
-    count and the component's ``_Plan``, made on its first memo miss
-    (``_make_plan``).  Every component goes through this memo, keyed on
-    the depth, its ``key`` and its assumption in local numbers, so
-    components equal up to renaming are counted once per driver call."""
-    memo_key = (depth, part.key) + part.local_wvi(assumption)
-    entry = ctx.memo.get(memo_key)
-    if entry is None:
-        plan = part.plan = part.plan or _make_plan(depth, atoms, part, ctx)
+    count and the ``_Plan`` of its depth and ``key``, made for the first
+    such component (``_make_plan``).  A copy counts through that plan,
+    its assumption mapped onto the planning component's atoms by way of
+    local numbers, so each count is made once per driver call."""
+    plan = ctx.plans.get((depth, part.key))
+    if plan is None:
+        plan = ctx.plans[depth, part.key] = _make_plan(depth, atoms, part, ctx)
+    local = part.local_wvi(assumption)
+    if local not in plan.counts:
+        own = plan.program.component
+        if own is not part:  # another component with this key
+            assumption = own.global_wvi(*local)
         if plan.nice is None:
-            count = _base_case(plan.program, assumption, ctx)
+            plan.counts[local] = _base_case(plan.program, assumption, ctx)
         else:
-            count = _run_tables(depth, plan, assumption, ctx)
-        entry = ctx.memo[memo_key] = (count, plan)
-    return entry
+            plan.counts[local] = _run_tables(depth, plan, assumption, ctx)
+    return plan.counts[local], plan
 
 
 def _count_root(program, assumption, query, ctx, adjoin):

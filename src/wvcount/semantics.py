@@ -143,12 +143,11 @@ class Component:
     mask, ``local`` maps a mask over them to local numbers (one shift for
     a run of consecutive ids, the common case), ``key`` is ``rules_key``
     over those numbers, equal for rule lists equal up to an
-    order-preserving renaming, and ``plan`` is the router's ``dp._Plan``,
-    which holds its ``Program``, made on the first memo miss.  Nothing
-    here walks a mask over the whole program's atoms, so no part costs
-    more at high atom ids."""
+    order-preserving renaming.  ``global_wvi`` maps masks in local
+    numbers back onto the atoms.  Nothing here walks a mask over the
+    whole program's atoms, so no part costs more at high atom ids."""
 
-    __slots__ = ("atoms", "mask", "rules", "local", "key", "plan")
+    __slots__ = ("atoms", "mask", "rules", "local", "key")
 
     def __init__(self, atoms, rules):
         index = {atom: i for i, atom in enumerate(atoms)}
@@ -165,13 +164,16 @@ class Component:
 
             self.mask, self.local = mask_of(atoms), local
         self.atoms, self.rules, self.key = atoms, rules, rules_key(rules, index)
-        self.plan = None
 
     def local_wvi(self, wvi: WVI) -> tuple:
         """``wvi``'s domain, true and false masks in local numbers; ``wvi``
         speaks about the component's atoms only."""
         local = self.local
         return local(wvi.domain), local(wvi.true), local(wvi.false)
+
+    def global_wvi(self, domain: int, true: int, false: int) -> WVI:
+        """The inverse of ``local_wvi``: it walks the local masks only."""
+        return WVI(*[mask_of(self.atoms[i] for i in bits(m)) for m in (domain, true, false)])
 
 
 def components(rules) -> list:

@@ -345,6 +345,20 @@ def test_exit_no_world_views(tmp_path):
     assert main(["prob", str(prog), "--query", "a"]) == 6
 
 
+def test_exit_out_of_memory(monkeypatch, capsys):
+    # Exit 1 is the harness's disagreement; running out of memory is not one.
+    import wvcount.cli as cli_mod
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("no room for the tables")
+
+    monkeypatch.setattr(cli_mod, "count_world_views", exhausted)
+    assert main(["count", RUNNING_PATH]) == 7
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "out of memory: no room for the tables\n"
+
+
 def test_exit_backend_failure(tmp_path):
     assert (
         main(

@@ -1322,7 +1322,7 @@ def test_component_memo_lives_for_one_call():
     assert runs[0][2].components > 1 and runs[0][2].backend_calls > 0
     first = _make_ctx(None, None, "min-fill", 0, None)
     second = _make_ctx(None, None, "min-fill", 0, None)
-    assert first.memo == {} and first.memo is not second.memo
+    assert first.plans == {} and first.plans is not second.plans
 
 
 # ---------------------------------------------------------------------------
@@ -1414,6 +1414,7 @@ def test_router_keys_match_the_mask_reference(monkeypatch):
             odd_thirds = thirds & ~evens
             for wvi in (EMPTY_WVI, WVI(mask), WVI(mask, evens, odd_thirds), WVI(evens | thirds, odd_thirds)):
                 assert self.local_wvi(wvi) == tuple(map(reference, (wvi.domain, wvi.true, wvi.false)))
+                assert self.global_wvi(*self.local_wvi(wvi)) == wvi
             seen["parts"] += 1
             seen["high"] += atoms[0] > 6000
             seen["gaps"] += atoms[-1] - atoms[0] != len(atoms) - 1
@@ -1549,57 +1550,134 @@ def test_reducts_never_leave_a_bare_falsity_constraint(monkeypatch):
 
 def test_each_component_is_planned_once_per_driver_call(monkeypatch):
     # A component's route reads its depth, its rules and the thresholds,
-    # never its assumption: one plan serves every assumption it meets.
+    # never its atoms or its assumption: one plan per (depth, key) serves
+    # every component with that key under every assumption.  A renamed
+    # copy counts through the plan of the first such component, its
+    # assumption mapped onto that component's atoms (``global_wvi``).
     import wvcount.dp as dp_mod
 
-    make_plan, run_tables = dp_mod._make_plan, dp_mod._run_tables
-    planned, passes = [], []
+    make_plan, run_tables, count_part = dp_mod._make_plan, dp_mod._run_tables, dp_mod._count_part
+    planned, passes, gapped_copies = [], [], []
 
     def plan_spy(depth, atoms, part, ctx):
-        planned.append(part)
+        planned.append((depth, part.key))
         return make_plan(depth, atoms, part, ctx)
 
     def tables_spy(depth, plan, assumption, ctx):
         passes.append(plan)
         return run_tables(depth, plan, assumption, ctx)
 
+    def count_spy(depth, atoms, part, assumption, ctx):
+        # A count under a new assumption, through another component's plan
+        # whose atom ids are not consecutive.
+        plan = ctx.plans.get((depth, part.key))
+        local = part.local_wvi(assumption)
+        if plan is not None and local[0] and local not in plan.counts:
+            own = plan.program.component.atoms
+            if own != part.atoms and own[-1] - own[0] != len(own) - 1:
+                gapped_copies.append(local)
+        return count_part(depth, atoms, part, assumption, ctx)
+
     monkeypatch.setattr(dp_mod, "_make_plan", plan_spy)
     monkeypatch.setattr(dp_mod, "_run_tables", tables_spy)
+    monkeypatch.setattr(dp_mod, "_count_part", count_spy)
+
+    def count(prog, **kwargs):
+        planned.clear()
+        passes.clear()
+        gapped_copies.clear()
+        result = count_world_views(prog, **kwargs)
+        assert planned and len(set(planned)) == len(planned)
+        return result
+
     reused = 0
     for seed in range(10):
         prog = gen_random_elp(12, 6, 12, seed)
         oracle = count_world_views_bruteforce(prog)
         for thresholds in THRESHOLD_GRID:
             for heuristic in ("min-fill", "min-degree"):
-                planned.clear()
-                passes.clear()
-                assert count_world_views(prog, thresholds=thresholds, heuristic=heuristic) == oracle
-                assert len({id(part) for part in planned}) == len(planned)
+                assert count(prog, thresholds=thresholds, heuristic=heuristic) == oracle
                 reused += len({id(plan) for plan in passes}) < len(passes)
     assert reused >= 10  # runs in which a plan served more than one table pass
+
+    # A copy of a program with gaps in its atom ids, its part given an
+    # assumption the original's is not.  The product stops at the first
+    # zero, so a copy is counted only where its original has world views.
+    rng = random.Random(35)
+    through_copies = 0
+    for seed in range(12):
+        original = spread_atoms(gen_random_elp(6, 4, 8, seed))
+        prog = with_renamed_copy(original)
+        x = rng.choice(list(bits(prog.eats_mask >> len(original.atoms) << len(original.atoms))))
+        assumed = WVI(1 << x, *rng.choice(((1 << x, 0), (0, 1 << x), (0, 0))))
+        views = enumerate_world_views(prog)
+        oracle = sum(1 for view in views if view.value(x) == assumed.value(x))
+        for thresholds in (None,) + THRESHOLD_GRID:
+            assert count(prog, thresholds=thresholds) == count_world_views_bruteforce(prog)
+            assert count(prog, thresholds=thresholds, assumption=assumed) == oracle
+            through_copies += bool(gapped_copies)
+    assert through_copies >= 20
 
 
 def test_parsed_r20_at_depth_2_builds_each_decomposition_once(monkeypatch):
     # The nesting probe pinned in CI (seed 3) and its neighbour: the same
-    # counts and stats as ever, from one decomposition per component, where
-    # planning per memo miss made 2,275 and 6,487 build_td calls.
+    # counts and stats as ever, from one plan per (depth, key), where
+    # planning per memo miss made 2,275 and 6,487 build_td calls and
+    # planning per component object 890 and 656 plans.
     import wvcount.dp as dp_mod
 
-    build = dp_mod.build_td
-    builds = []
+    build, make_plan = dp_mod.build_td, dp_mod._make_plan
+    builds, plans = [], []
 
     def build_spy(*args, **kwargs):
         builds.append(1)
         return build(*args, **kwargs)
 
+    def plan_spy(depth, atoms, part, ctx):
+        plans.append((depth, part.key))
+        return make_plan(depth, atoms, part, ctx)
+
     monkeypatch.setattr(dp_mod, "build_td", build_spy)
-    for seed, pinned in (
-        (3, RunStats(13, 7, 17, 10, 8, 4921, 8589, 2, 1)),
-        (4, RunStats(9, 7, 17, 10, 8, 1585, 16281, 2, 1)),
+    monkeypatch.setattr(dp_mod, "_make_plan", plan_spy)
+    for seed, pinned, planned, built in (
+        (3, RunStats(13, 7, 17, 10, 8, 4921, 8589, 2, 1), 574, 379),
+        (4, RunStats(9, 7, 17, 10, 8, 1585, 16281, 2, 1), 557, 775),
     ):
         prog = parse_program(program_to_text(gen_random_elp(20, 10, 30, seed)))
         builds.clear()
+        plans.clear()
         stats = RunStats()
         assert count_world_views(prog, thresholds=Thresholds(depth=2), stats=stats) == 1
         assert stats == pinned
-        assert len(builds) < 1000
+        assert len(plans) == len(set(plans)) == planned and len(builds) == built
+
+
+def test_no_plan_outlives_its_driver_call(monkeypatch):
+    # Only the driver call's table holds the plans: no component refers to
+    # one, so reference counting frees them all when the call returns,
+    # without a garbage-collector pass.
+    import gc
+    import weakref
+
+    import wvcount.dp as dp_mod
+
+    make_plan = dp_mod._make_plan
+    plans = []
+
+    def plan_spy(depth, atoms, part, ctx):
+        plan = make_plan(depth, atoms, part, ctx)
+        plans.append(weakref.ref(plan))
+        return plan
+
+    monkeypatch.setattr(dp_mod, "_make_plan", plan_spy)
+    programs = [gen_scholarship(30, "many", 3)] + [gen_random_elp(12, 6, 12, g) for g in range(4)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for prog in programs:
+            count_world_views(prog, thresholds=Thresholds(hybrid=6, abstr=4))
+        alive = [ref for ref in plans if ref() is not None]
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(plans) == 21 and alive == []

@@ -28,6 +28,7 @@ from wvcount.model import (
 from wvcount.parser import parse_program, program_to_text
 from wvcount import kernel
 from wvcount.semantics import (
+    Component,
     answer_sets,
     check_compatibility,
     cnf_to_elp,
@@ -222,6 +223,25 @@ def test_answer_sets_component_split_matches_whole_enumeration():
         assert answer_sets(prog) == whole_answer_sets(prog)
         split += len(components(prog.rules)) > 1
     assert split > 2 * len(programs) // 3
+
+
+def test_global_wvi_inverts_local_wvi():
+    # Every WVI over a component's atoms, each atom outside the domain,
+    # true, false or undecided, on a run of consecutive ids and with gaps.
+    for atoms in ([5, 6, 7, 8], [2, 5, 6, 11, 40]):
+        rules = [Rule((a,), (Epistemic(False, Literal(b)),)) for a, b in zip(atoms, atoms[1:])]
+        part = Component(atoms, rules)
+        n = len(atoms)
+        for values in itertools.product("-tfu", repeat=n):
+            wvi = WVI(
+                mask_of(a for a, v in zip(atoms, values) if v != "-"),
+                mask_of(a for a, v in zip(atoms, values) if v == "t"),
+                mask_of(a for a, v in zip(atoms, values) if v == "f"),
+            )
+            local = part.local_wvi(wvi)
+            assert local[0] < 1 << n
+            assert part.global_wvi(*local) == wvi
+        assert part.local_wvi(WVI(part.mask)) == ((1 << n) - 1, 0, 0)
 
 
 def test_answer_sets_are_minimal_models():
